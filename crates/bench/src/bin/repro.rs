@@ -6,8 +6,7 @@
 //! repro [--size tiny|default|large] [table1|table2|table3|table4|table5|table6|
 //!        fig4|fig6|fig8|fig10|bottleneck|sweep|energy|serve|bench|all]
 //! repro trace record|replay|stat|golden …
-//! repro worker --shard I/N --cache DIR [--workers N] [--traces a,b]
-//!              [--obs-log FILE]
+//! repro worker --cache DIR [--workers N] [--traces a,b] [--obs-log FILE]
 //! repro fleet serve|sweep|status …
 //!
 //! sweep options:
@@ -94,11 +93,11 @@
 //!                        appends a compact row to
 //!                        (default: BENCH_trajectory.json)
 //!
-//! worker (the subprocess-backend shard protocol; normally spawned by
+//! worker (the pipe transport of a sharded sweep; normally spawned by
 //! `repro sweep --shards` or `repro serve --backend subprocess`, not by
-//! hand): reads the deduped job list on stdin — one line per job, sorted by
-//! job id — executes the lines with index % N == I against the shared
-//! cache, and reports per-job provenance on stdout.
+//! hand): reads a `sigcomp-fleet v1` dispatch body holding its shard's jobs
+//! on stdin, runs them against the shared cache, and answers on stdout with
+//! the same report a fleet worker sends over HTTP.
 //!
 //! trace subcommands:
 //!   trace record WORKLOAD|--all --out PATH [--size S]
@@ -120,9 +119,9 @@ use sigcomp_bench::{
     merged_stats, pattern_histogram_rows, perf, table1, table2, table3, table4,
 };
 use sigcomp_explore::{
-    config_points, frontier_table, parse_shard, run_sweep, static_prune, to_csv, to_json,
-    try_run_jobs_traced, try_run_sweep, ExecBackend, FleetConfig, JobSpec, MemProfile, PruneReason,
-    ResultCache, SubprocessConfig, SweepOptions, SweepSpec, TraceInput, TraceSource, WORKER_HEADER,
+    config_points, encode_report, frontier_table, parse_dispatch, static_prune, to_csv, to_json,
+    try_run_jobs_traced, try_run_sweep, ExecBackend, FleetConfig, MemProfile, PruneReason,
+    ResultCache, SubprocessConfig, SweepOptions, SweepSpec, TraceInput, TraceSource,
 };
 use sigcomp_fabric::client::HttpClient;
 use sigcomp_fabric::worker::Heartbeater;
@@ -147,8 +146,7 @@ usage: repro [--size tiny|default|large] \
        repro trace golden DIR
        repro analyze WORKLOAD|FILE.sctrace [--size tiny|default|large]
                    [--csv PATH] [--json PATH]
-       repro worker --shard I/N --cache DIR [--workers N] [--traces a,b]
-                    [--obs-log FILE]
+       repro worker --cache DIR [--workers N] [--traces a,b] [--obs-log FILE]
        repro fleet serve [serve options] [--frontier HOST:PORT]
        repro fleet sweep [sweep options] [--fleet a:p,b:p] [--timeout-ms N]
                    [--attempts N]
@@ -530,7 +528,7 @@ fn run_energy_command(size: WorkloadSize, args: &SweepArgs) -> ExitCode {
         size.name(),
         ProcessNode::ALL.len()
     );
-    let summary = run_sweep(&spec, &options);
+    let summary = try_run_sweep(&spec, &options).expect("the local backend never fails");
     let points = config_points(&summary.outcomes);
     let models: Vec<EnergyModel> = ProcessNode::ALL.iter().map(|n| n.model()).collect();
 
@@ -1065,7 +1063,8 @@ fn trace_replay(args: &[String]) -> ExitCode {
         eprintln!("trace replay: the requested configuration set is empty");
         return ExitCode::FAILURE;
     }
-    let summary = run_sweep(&spec, &SweepOptions::default());
+    let summary =
+        try_run_sweep(&spec, &SweepOptions::default()).expect("the local backend never fails");
     let model = node.model();
     let leaky = model.has_leakage();
     if leaky {
@@ -1331,14 +1330,12 @@ fn run_analyze_command(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Runs one shard of a sharded sweep (the subprocess-backend worker
-/// protocol; see `sigcomp_explore::backend`): reads the deduped job list
-/// from stdin — one wire line per job, sorted by job id by the parent —
-/// executes the lines whose 0-based index satisfies `index % N == I` on the
-/// in-process executor against the shared result cache, and reports per-job
-/// provenance on stdout for the parent to verify.
+/// Runs one shard of a sharded sweep (the pipe transport; see
+/// `sigcomp_explore::backend`): reads a dispatch body holding exactly this
+/// shard's jobs from stdin, runs them on the in-process executor against
+/// the shared result cache, and answers on stdout with the report a fleet
+/// worker would send over HTTP.
 fn run_worker_command(args: &[String]) -> ExitCode {
-    let mut shard: Option<(usize, usize)> = None;
     let mut cache_dir: Option<String> = None;
     let mut workers: Option<usize> = None;
     let mut trace_paths: Vec<String> = Vec::new();
@@ -1346,15 +1343,6 @@ fn run_worker_command(args: &[String]) -> ExitCode {
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--shard" => {
-                let Some(raw) = it.next() else {
-                    return fail("--shard expects a value");
-                };
-                shard = match parse_shard(raw) {
-                    Ok(parsed) => Some(parsed),
-                    Err(e) => return fail(&format!("invalid value '{raw}' for --shard: {e}")),
-                };
-            }
             "--cache" => {
                 let Some(value) = it.next() else {
                     return fail("--cache expects a value");
@@ -1392,9 +1380,6 @@ fn run_worker_command(args: &[String]) -> ExitCode {
             other => return fail(&format!("unknown worker option '{other}'")),
         }
     }
-    let Some((index, count)) = shard else {
-        return fail("worker requires --shard INDEX/COUNT");
-    };
     if let Some(path) = &obs_log {
         if let Err(e) = sigcomp_obs::global().open_jsonl_log(Path::new(path)) {
             eprintln!("worker: cannot open obs log {path}: {e}");
@@ -1424,26 +1409,18 @@ fn run_worker_command(args: &[String]) -> ExitCode {
 
     // Drain stdin to EOF *before* simulating — the parent relies on this to
     // feed every worker without deadlocking against their reports.
-    let mut wire = String::new();
-    if let Err(e) = std::io::Read::read_to_string(&mut std::io::stdin().lock(), &mut wire) {
-        eprintln!("worker: cannot read the job list from stdin: {e}");
+    let mut body = String::new();
+    if let Err(e) = std::io::Read::read_to_string(&mut std::io::stdin().lock(), &mut body) {
+        eprintln!("worker: cannot read the dispatch body from stdin: {e}");
         return ExitCode::FAILURE;
     }
-    let mut jobs: Vec<JobSpec> = Vec::new();
-    for (rank, line) in wire.lines().filter(|l| !l.trim().is_empty()).enumerate() {
-        // Every line is validated — a malformed list must fail loudly even
-        // if the bad line belongs to a sibling shard.
-        let job = match JobSpec::from_wire(line) {
-            Ok(job) => job,
-            Err(e) => {
-                eprintln!("worker: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if rank % count == index {
-            jobs.push(job);
+    let jobs = match parse_dispatch(&body) {
+        Ok(jobs) => jobs,
+        Err(e) => {
+            eprintln!("worker: {e}");
+            return ExitCode::FAILURE;
         }
-    }
+    };
     for job in &jobs {
         if let TraceSource::File { digest } = job.source {
             if !traces.iter().any(|t| t.digest() == digest) {
@@ -1469,29 +1446,11 @@ fn run_worker_command(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    println!("{WORKER_HEADER} shard {index}/{count}");
-    for outcome in &summary.outcomes {
-        println!(
-            "job {:016x} {}",
-            outcome.spec.job_id(),
-            if outcome.from_cache {
-                "cached"
-            } else {
-                "simulated"
-            }
-        );
-    }
-    // The registry snapshot travels home on the report stream (v2 `obs`
-    // lines, strictly before `done`) so the parent can merge a per-shard
-    // view that sums to the single-process run.
-    for line in sigcomp_obs::global().snapshot().to_wire().lines() {
-        println!("obs {line}");
-    }
-    println!(
-        "done jobs={} simulated={} cached={}",
-        summary.outcomes.len(),
-        summary.simulated(),
-        summary.cached()
+    // This process ran only its shard, so its registry snapshot is exactly
+    // the shard's delta for the parent to fold in.
+    print!(
+        "{}",
+        encode_report(&summary.outcomes, &sigcomp_obs::global().snapshot())
     );
     ExitCode::SUCCESS
 }
@@ -1518,7 +1477,7 @@ fn main() -> ExitCode {
 
     let mut argv: Vec<String> = std::env::args().skip(1).collect();
     // `trace` and `worker` own their own argument grammars (subcommand +
-    // positional files / the shard protocol flags), so they are dispatched
+    // positional files / the worker's own flags), so they are dispatched
     // before the global flag loop.
     if argv.first().map(String::as_str) == Some("trace") {
         return run_trace_command(&argv[1..]);
@@ -1808,7 +1767,7 @@ fn main() -> ExitCode {
             "worker" => {
                 return fail(
                     "'worker' must be the first argument \
-                     (e.g. `repro worker --shard 0/2 --cache DIR`)",
+                     (e.g. `repro worker --cache DIR`)",
                 );
             }
             "analyze" => {

@@ -18,7 +18,7 @@
 //! | Fig. 8 (skewed CPI) | [`figure`] | `fig8` |
 //! | Fig. 10 (compressed & skewed+bypass CPI) | [`figure`] | `fig10` |
 //! | §5 bottleneck study | [`bottleneck`] | `bottleneck` |
-//! | design-space sweep + Pareto frontier | `sigcomp_explore::run_sweep` | `sweep` |
+//! | design-space sweep + Pareto frontier | `sigcomp_explore::try_run_sweep` | `sweep` |
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

@@ -31,8 +31,8 @@
 use crate::golden::{self, GOLDEN_WORKLOADS};
 use sigcomp::{EnergyModel, ExtScheme};
 use sigcomp_explore::{
-    config_points, pareto_frontier, run_sweep, simulate_decoded, ExecBackend, JobSpec, MemProfile,
-    ResultCache, SweepOptions, SweepSpec, TraceInput,
+    config_points, pareto_frontier, simulate_decoded, try_run_sweep, ExecBackend, JobSpec,
+    MemProfile, ResultCache, SweepOptions, SweepSpec, TraceInput,
 };
 use sigcomp_pipeline::OrgKind;
 use sigcomp_serve::Json;
@@ -334,7 +334,8 @@ pub fn run(options: &BenchOptions) -> Result<BenchReport, String> {
             backend: ExecBackend::LocalThreads,
         };
         let start = Instant::now();
-        let summary = run_sweep(&sweep_spec, &sweep_options);
+        let summary =
+            try_run_sweep(&sweep_spec, &sweep_options).expect("the local backend never fails");
         let phase = Phase {
             units: summary.outcomes.len() as u64,
             wall_s: start.elapsed().as_secs_f64(),

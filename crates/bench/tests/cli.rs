@@ -431,38 +431,18 @@ fn worker_argument_errors_are_named() {
     let cache = dir.join("cache");
     let cache = cache.to_str().unwrap();
     for (args, needle) in [
+        (&["worker"][..], "worker requires --cache DIR"),
+        (&["worker", "--cache"], "--cache expects a value"),
         (
-            &["worker", "--cache", cache][..],
-            "worker requires --shard INDEX/COUNT",
-        ),
-        (&["worker", "--shard", "0/2"], "worker requires --cache DIR"),
-        (&["worker", "--shard"], "--shard expects a value"),
-        (
-            &["worker", "--shard", "3/2", "--cache", cache],
-            "invalid value '3/2' for --shard",
+            &["worker", "--cache", cache, "--workers", "0"],
+            "invalid value '0' for --workers",
         ),
         (
-            &["worker", "--shard", "2/2", "--cache", cache],
-            "the shard index must be below the shard count",
-        ),
-        (
-            &["worker", "--shard", "0/0", "--cache", cache],
-            "the shard count must be positive",
-        ),
-        (
-            &["worker", "--shard", "zero/two", "--cache", cache],
-            "is not an integer",
-        ),
-        (
-            &["worker", "--shard", "0of2", "--cache", cache],
-            "expected INDEX/COUNT",
-        ),
-        (
-            &["worker", "--shard", "0/1", "--cache", cache, "--frobnicate"],
+            &["worker", "--cache", cache, "--frobnicate"],
             "unknown worker option '--frobnicate'",
         ),
         (
-            &["--size", "tiny", "worker", "--shard", "0/1"],
+            &["--size", "tiny", "worker", "--cache", cache],
             "'worker' must be the first argument",
         ),
     ] {
@@ -480,13 +460,7 @@ fn worker_rejects_malformed_job_lines_from_stdin() {
     let dir = temp_dir("worker-stdin");
     let cache = dir.join("cache");
     let mut child = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args([
-            "worker",
-            "--shard",
-            "0/1",
-            "--cache",
-            cache.to_str().unwrap(),
-        ])
+        .args(["worker", "--cache", cache.to_str().unwrap()])
         .stdin(std::process::Stdio::piped())
         .stdout(std::process::Stdio::piped())
         .stderr(std::process::Stdio::piped())
@@ -496,7 +470,10 @@ fn worker_rejects_malformed_job_lines_from_stdin() {
         .stdin
         .take()
         .unwrap()
-        .write_all(b"kernel rawcaudio tiny paper 3bit byte-serial\ngarbage line\n")
+        .write_all(
+            b"sigcomp-fleet v1 dispatch jobs=2\n\
+              kernel rawcaudio tiny paper 3bit byte-serial\ngarbage line\n",
+        )
         .unwrap();
     let out = child.wait_with_output().unwrap();
     assert!(!out.status.success(), "malformed job lines must fail");
@@ -507,56 +484,39 @@ fn worker_rejects_malformed_job_lines_from_stdin() {
 
 #[test]
 fn dead_and_unspawnable_worker_children_produce_named_errors() {
-    // A worker that dies (here: /bin/false via the REPRO_WORKER launcher
-    // override) must surface as a named failure with a failing exit code,
-    // never a hang or a partial merge.
+    // A worker that dies (/bin/false via the REPRO_WORKER launcher
+    // override), answers with something other than a report (/bin/echo
+    // exits 0 after printing its arguments), or cannot be spawned at all
+    // must surface as a named failure with a failing exit code, never a
+    // hang or a partial merge.
     let dir = temp_dir("dead-worker");
     let cache = dir.join("cache");
-    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args([
-            "--size",
-            "tiny",
-            "sweep",
-            "--shards",
-            "2",
-            "--schemes",
-            "3bit",
-            "--orgs",
-            "baseline32",
-            "--cache",
-            cache.to_str().unwrap(),
-        ])
-        .env("REPRO_WORKER", "/bin/false")
-        .output()
-        .expect("repro runs");
-    assert!(
-        !out.status.success(),
-        "a dead worker child must fail the sweep"
-    );
-    let err = stderr(&out);
-    assert!(err.contains("worker shard 0/2 failed"), "{err}");
-
-    // And a worker binary that cannot even be spawned names the shard too.
-    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args([
-            "--size",
-            "tiny",
-            "sweep",
-            "--shards",
-            "2",
-            "--schemes",
-            "3bit",
-            "--orgs",
-            "baseline32",
-            "--cache",
-            cache.to_str().unwrap(),
-        ])
-        .env("REPRO_WORKER", "/definitely/not/a/binary")
-        .output()
-        .expect("repro runs");
-    assert!(!out.status.success());
-    let err = stderr(&out);
-    assert!(err.contains("cannot spawn worker shard 0/2"), "{err}");
+    for (worker, needle) in [
+        ("/bin/false", "worker shard 0/2 failed"),
+        ("/bin/echo", "worker shard 0/2 protocol violation"),
+        ("/definitely/not/a/binary", "cannot spawn worker shard 0/2"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args([
+                "--size",
+                "tiny",
+                "sweep",
+                "--shards",
+                "2",
+                "--schemes",
+                "3bit",
+                "--orgs",
+                "baseline32",
+                "--cache",
+                cache.to_str().unwrap(),
+            ])
+            .env("REPRO_WORKER", worker)
+            .output()
+            .expect("repro runs");
+        assert!(!out.status.success(), "{worker} must fail the sweep");
+        let err = stderr(&out);
+        assert!(err.contains(needle), "{worker}: {err}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -616,6 +576,58 @@ fn sharded_sweeps_are_byte_identical_to_single_process_runs() {
     assert!(out.status.success(), "{}", stderr(&out));
     let text = String::from_utf8_lossy(&out.stdout).into_owned();
     assert!(text.contains("0 simulated, 22 from cache"), "{text}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn sharded_trace_sweeps_are_byte_identical_to_single_process_runs() {
+    // Trace-file jobs ride the same dispatch grammar: each worker resolves
+    // their digests from the forwarded --traces files.
+    let dir = temp_dir("sharded-traces");
+    let cache = dir.join("cache");
+    let traces = ["gsmencode", "pgp", "rawcaudio", "rawdaudio"]
+        .map(|name| {
+            format!(
+                "{}/../../tests/data/{name}.sctrace",
+                env!("CARGO_MANIFEST_DIR")
+            )
+        })
+        .join(",");
+    let base = [
+        "--size",
+        "tiny",
+        "sweep",
+        "--schemes",
+        "3bit",
+        "--orgs",
+        "baseline32,byte-serial",
+        "--traces",
+        &traces,
+    ];
+    let run = |tag: &str, extra: &[&str]| -> (Vec<u8>, Vec<u8>) {
+        let csv = dir.join(format!("{tag}.csv"));
+        let json = dir.join(format!("{tag}.json"));
+        let mut args = base.to_vec();
+        args.extend(extra);
+        args.extend(["--csv", csv.to_str().unwrap()]);
+        args.extend(["--json", json.to_str().unwrap()]);
+        let out = repro(&args);
+        assert!(out.status.success(), "{tag}: {}", stderr(&out));
+        (std::fs::read(&csv).unwrap(), std::fs::read(&json).unwrap())
+    };
+    let (single_csv, single_json) = run("single", &["--no-cache"]);
+    let (sharded_csv, sharded_json) = run(
+        "sharded",
+        &["--shards", "2", "--cache", cache.to_str().unwrap()],
+    );
+    assert_eq!(
+        single_csv, sharded_csv,
+        "sharded CSV must be byte-identical"
+    );
+    assert_eq!(
+        single_json, sharded_json,
+        "sharded JSON must be byte-identical"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -6,54 +6,39 @@
 //! ([`crate::try_run_jobs_traced`]) parameterized by an [`ExecBackend`]:
 //!
 //! * [`ExecBackend::LocalThreads`] — the in-process work-stealing executor
-//!   ([`crate::executor`]), behavior-preserving with the original engine.
-//! * [`ExecBackend::Subprocess`] — shards the **deduplicated** job list
-//!   `i/n` by stable [`JobSpec::job_id`] order across `repro worker`
-//!   child processes that all write through one shared atomic
-//!   [`crate::ResultCache`], then merges their shards bit-identically.
+//!   ([`crate::executor`]).
+//! * [`ExecBackend::Subprocess`] — the pipe transport: `repro worker` child
+//!   processes on this machine.
+//! * [`ExecBackend::Fleet`] — the HTTP transport: `repro serve` worker
+//!   servers, driven by `sigcomp-fabric`.
 //!
-//! # The worker protocol
+//! The two scale-out backends are thin transports over one shard-and-merge
+//! core ([`crate::proto`]): the same [`ShardPlan`] dedups and id-sorts the
+//! jobs and deals them round-robin, the same dispatch/report grammar carries
+//! every shard, and the same [`ShardPlan::merge`] restores outcomes from the
+//! cache. Their merged output is therefore **byte-identical to the
+//! single-process run for any shard count**.
 //!
-//! The parent serializes the deduped job list — sorted by `job_id` so the
-//! order is a pure function of the job *contents*, independent of
-//! submission order — one [`JobSpec::to_wire`] line per job, and pipes the
-//! **whole** list to every child's stdin. A child started with
-//! `--shard i/n` executes exactly the lines whose 0-based index satisfies
-//! `index % n == i`; because every child sees the same list in the same
-//! order, the partition is consistent without any coordination, and the
-//! same broadcast works unchanged for a future multi-host fan-out.
+//! # The pipe transport
 //!
-//! Children answer on stdout with a versioned report the parent verifies:
+//! The subprocess backend spawns one `repro worker --cache DIR` child per
+//! shard and writes that shard's [`encode_dispatch`] body, and only that
+//! shard's, to the child's stdin. The child runs it on the in-process
+//! executor against the shared [`crate::ResultCache`] and answers on stdout
+//! with the [`encode_report`](crate::encode_report) body a fleet worker
+//! would send over HTTP. Because the child is one-shot, the obs snapshot in
+//! its report is exactly its shard's delta; the parent folds it into its
+//! own global registry. `--traces` paths are forwarded so children can
+//! resolve [`crate::TraceSource::File`] jobs (the wire line carries only the
+//! content digest).
 //!
-//! ```text
-//! sigcomp-worker v2 shard 0/3
-//! job 00f3a6e2d41b9c70 simulated
-//! job 3b1e09c55a7d2f18 cached
-//! obs counter replay.jobs_simulated 1
-//! obs counter replay.jobs_cached 1
-//! done jobs=2 simulated=1 cached=1
-//! ```
-//!
-//! `obs` lines (v2) carry the worker's observability-registry snapshot in
-//! [`sigcomp_obs::Snapshot::to_wire`] form; the parent folds each shard's
-//! snapshot into its own global registry (the merge is commutative, so the
-//! totals are shard-order-independent) and keeps the per-shard snapshots in
-//! [`SweepSummary::shard_obs`](crate::SweepSummary::shard_obs).
-//!
-//! Results never travel over the pipe: each child stores its metrics into
-//! the shared [`crate::ResultCache`] (atomic write-to-temp + rename), and the
-//! parent restores every job from the cache afterwards — the cache *is*
-//! the merge point, exactly as when a CLI sweep and a server share a
-//! directory. Since cache hits are substitutable for simulations by
-//! construction, the merged [`SweepSummary`](crate::SweepSummary) is
-//! **byte-identical to the single-process run for any shard count**.
-//!
-//! Failures are first-class: a child that dies, is killed, or emits a
-//! malformed report becomes a named [`ExecError`], never a hang or a
-//! panic.
+//! Failures are first-class: a child that cannot be spawned, dies, is
+//! killed, or emits a malformed report becomes a named [`ExecError`] naming
+//! its shard, never a hang or a panic.
 
+use crate::proto::{encode_dispatch, parse_report, ShardPlan};
 use crate::spec::{JobSpec, TraceInput};
-use crate::sweep::{JobOutcome, SweepOptions, SweepShard, SweepSummary};
+use crate::sweep::{SweepOptions, SweepSummary};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::io::Write as _;
@@ -61,11 +46,6 @@ use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::OnceLock;
 use std::time::Instant;
-
-/// First line of a worker's stdout report (followed by ` shard i/n`); the
-/// version is bumped whenever the report grammar changes so a parent can
-/// never misread an incompatible worker.
-pub const WORKER_HEADER: &str = "sigcomp-worker v2";
 
 /// Where the jobs of a sweep execute.
 ///
@@ -236,9 +216,9 @@ pub enum ExecError {
         /// What was malformed.
         detail: String,
     },
-    /// Every worker succeeded yet the shared cache holds no entry for a
-    /// job — the merge point lost a result (e.g. the directory was cleaned
-    /// mid-run).
+    /// Every worker succeeded yet the merge cannot restore a job: the cache
+    /// holds no entry for it (e.g. the directory was cleaned mid-run), or no
+    /// report answered it.
     ResultMissing {
         /// The orphaned job's content hash.
         job_id: u64,
@@ -274,7 +254,7 @@ impl fmt::Display for ExecError {
             ),
             ExecError::ResultMissing { job_id } => write!(
                 f,
-                "job {job_id:016x} missing from the shared cache after all workers finished"
+                "job {job_id:016x} missing from the merge after all workers finished"
             ),
         }
     }
@@ -289,41 +269,12 @@ impl std::error::Error for ExecError {
     }
 }
 
-/// Parses a `--shard i/n` value into `(index, count)`.
-///
-/// # Errors
-///
-/// A message naming the malformation: not of the form `i/n`, a zero count,
-/// or an index not below the count (e.g. `3/2`).
-pub fn parse_shard(value: &str) -> Result<(usize, usize), String> {
-    let (index, count) = value
-        .split_once('/')
-        .ok_or_else(|| format!("invalid shard '{value}' (expected INDEX/COUNT, e.g. 0/3)"))?;
-    let index: usize = index
-        .parse()
-        .map_err(|_| format!("invalid shard '{value}': '{index}' is not an integer"))?;
-    let count: usize = count
-        .parse()
-        .map_err(|_| format!("invalid shard '{value}': '{count}' is not an integer"))?;
-    if count == 0 {
-        return Err(format!(
-            "invalid shard '{value}': the shard count must be positive"
-        ));
-    }
-    if index >= count {
-        return Err(format!(
-            "invalid shard '{value}': the shard index must be below the shard count"
-        ));
-    }
-    Ok((index, count))
-}
-
 /// A job list deduplicated by content hash: the first occurrence of each
 /// [`JobSpec::job_id`] leads; every position maps back to its leader.
 ///
 /// This is the *one* dedup-by-`job_id` implementation in the workspace —
-/// the serve batcher and the subprocess backend both group through it, so
-/// coalescing semantics can never drift between the two schedulers.
+/// the serve batcher and [`ShardPlan`] both group through it, so coalescing
+/// semantics can never drift between the schedulers.
 #[derive(Debug)]
 pub struct DedupedJobs {
     /// First occurrence of each distinct job id, in submission order.
@@ -377,27 +328,18 @@ pub fn dedup_jobs(jobs: &[JobSpec]) -> DedupedJobs {
     }
 }
 
-/// What one worker reported about its shard.
-#[derive(Debug)]
-struct ShardReport {
-    /// `(job_id, from_cache)` per executed job, in the worker's order.
-    jobs: Vec<(u64, bool)>,
-    /// The worker's observability-registry snapshot (v2 `obs` lines).
-    obs: sigcomp_obs::Snapshot,
-}
-
-/// Runs `jobs` on the subprocess backend: dedup, shard by stable `job_id`
-/// order, spawn `--shard i/n` workers over the shared cache, verify their
-/// reports, and reassemble outcomes in submission order.
+/// Runs `jobs` on the subprocess backend, the pipe transport over the
+/// shared [`ShardPlan`]: one `repro worker` child per shard, fed its
+/// dispatch body on stdin, answering with a report on stdout.
 ///
 /// Duplicate submissions (equal job ids) are coalesced: every follower
 /// position receives its leader's metrics with `from_cache = true`.
 ///
 /// # Errors
 ///
-/// Any [`ExecError`]; the job list is returned untouched by side effects on
-/// error except for cache entries already published by finished workers
-/// (which later runs simply reuse).
+/// Any [`ExecError`]. On error, the only side effects left behind are cache
+/// entries already published by finished workers (which later runs simply
+/// reuse).
 pub(crate) fn run_subprocess(
     jobs: &[JobSpec],
     _traces: &[TraceInput],
@@ -411,30 +353,9 @@ pub(crate) fn run_subprocess(
     }
     let cache = options.cache.as_ref().ok_or(ExecError::CacheRequired)?;
     let started = Instant::now();
-    if jobs.is_empty() {
-        return Ok(SweepSummary {
-            outcomes: Vec::new(),
-            totals: SweepShard::default(),
-            worker_loads: Vec::new(),
-            workers: 0,
-            wall: started.elapsed(),
-            backend: "subprocess",
-            shard_obs: Vec::new(),
-        });
-    }
-
-    let deduped = dedup_jobs(jobs);
-    // The wire order is sorted by job id: a pure function of the job
-    // contents, so parent and workers (and any future remote frontier)
-    // agree on shard membership regardless of submission order.
-    let mut ordered: Vec<(u64, usize)> = deduped
-        .unique
-        .iter()
-        .enumerate()
-        .map(|(u, job)| (job.job_id(), u))
-        .collect();
-    ordered.sort_unstable_by_key(|&(id, _)| id);
-    let shards = config.shards.min(ordered.len());
+    let plan = ShardPlan::new(jobs);
+    let shards = config.shards.min(plan.jobs().len());
+    let assignments = ShardPlan::partition(plan.jobs(), shards);
 
     // Threads per shard: an explicit --workers is forwarded as-is (it is
     // documented as "per shard"); otherwise the machine's parallelism is
@@ -442,24 +363,14 @@ pub(crate) fn run_subprocess(
     // host shards × cores ways.
     let threads_per_shard = options.workers.unwrap_or_else(|| {
         let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        (cores / shards).max(1)
+        (cores / shards.max(1)).max(1)
     });
 
-    let wire: String = ordered
-        .iter()
-        .map(|&(_, u)| {
-            let mut line = deduped.unique[u].to_wire();
-            line.push('\n');
-            line
-        })
-        .collect();
     let mut children: Vec<Child> = Vec::with_capacity(shards);
     for shard in 0..shards {
         let mut command = Command::new(&config.program);
         command
             .args(&config.args)
-            .arg("--shard")
-            .arg(format!("{shard}/{shards}"))
             .arg("--cache")
             .arg(cache.root())
             .arg("--workers")
@@ -487,20 +398,20 @@ pub(crate) fn run_subprocess(
         children.push(child);
     }
 
-    // One thread per child feeds its stdin (the full wire list — workers
-    // drain it to EOF before simulating) and then collects its output, so
-    // a slow or stuck sibling can neither block another child's feed nor
-    // let a long report fill its stdout pipe unread.
+    // One thread per child feeds its stdin (workers drain it to EOF before
+    // simulating) and then collects its output, so a slow or stuck sibling
+    // can neither block another child's feed nor let a long report fill its
+    // stdout pipe unread.
     let outputs: Vec<std::io::Result<std::process::Output>> = std::thread::scope(|scope| {
         let handles: Vec<_> = children
             .into_iter()
-            .map(|mut child| {
-                let wire = &wire;
+            .zip(&assignments)
+            .map(|(mut child, assigned)| {
                 scope.spawn(move || {
                     if let Some(mut stdin) = child.stdin.take() {
                         // A write failure means the child died early; its
                         // exit status carries the real diagnosis below.
-                        let _ = stdin.write_all(wire.as_bytes());
+                        let _ = stdin.write_all(encode_dispatch(assigned).as_bytes());
                     }
                     child.wait_with_output()
                 })
@@ -514,7 +425,7 @@ pub(crate) fn run_subprocess(
 
     // Verify every report before touching the cache.
     let mut reports = Vec::with_capacity(shards);
-    for (shard, output) in outputs.into_iter().enumerate() {
+    for ((shard, output), assigned) in outputs.into_iter().enumerate().zip(&assignments) {
         let output = output.map_err(|error| ExecError::WorkerFailed {
             shard,
             shards,
@@ -527,23 +438,23 @@ pub(crate) fn run_subprocess(
                 detail: output.status.to_string(),
             });
         }
-        let expected: HashSet<u64> = ordered
-            .iter()
-            .enumerate()
-            .filter(|&(rank, _)| rank % shards == shard)
-            .map(|(_, &(id, _))| id)
-            .collect();
-        let stdout = String::from_utf8_lossy(&output.stdout);
-        reports.push(parse_report(&stdout, shard, shards, &expected)?);
+        let expected: HashSet<u64> = assigned.iter().map(JobSpec::job_id).collect();
+        let report = parse_report(&String::from_utf8_lossy(&output.stdout), &expected).map_err(
+            |detail| ExecError::Protocol {
+                shard,
+                shards,
+                detail,
+            },
+        )?;
+        reports.push(report);
     }
 
-    // Fold every shard's observability snapshot into the parent's global
-    // registry. The merge is commutative, so the merged totals equal the
-    // single-process run's regardless of how the jobs were sharded.
-    let shard_obs: Vec<sigcomp_obs::Snapshot> = reports.iter().map(|r| r.obs.clone()).collect();
-    for (shard, snap) in shard_obs.iter().enumerate() {
+    // A one-shot child's snapshot is exactly its shard's delta: fold each
+    // into the parent's global registry. The merge is commutative, so the
+    // totals equal the single-process run's however the jobs were sharded.
+    for (shard, report) in reports.iter().enumerate() {
         sigcomp_obs::global()
-            .merge_snapshot(snap)
+            .merge_snapshot(&report.obs)
             .map_err(|e| ExecError::Protocol {
                 shard,
                 shards,
@@ -551,154 +462,16 @@ pub(crate) fn run_subprocess(
             })?;
     }
 
-    // Merge through the cache: every unique job's metrics are restored from
-    // the shared directory the workers published into. These loads are
-    // `load_unobserved`: the cache *traffic* already happened inside the
-    // workers (and was merged above); re-counting the restore would break
-    // the sharded-equals-single-process invariant on the obs totals.
-    let mut provenance: HashMap<u64, bool> = HashMap::new();
-    for report in &reports {
-        for &(id, from_cache) in &report.jobs {
-            provenance.insert(id, from_cache);
-        }
-    }
-    let mut metrics_of = HashMap::with_capacity(deduped.unique.len());
-    for &(id, _) in &ordered {
-        let metrics = cache
-            .load_unobserved(id)
-            .ok_or(ExecError::ResultMissing { job_id: id })?;
-        metrics_of.insert(id, metrics);
-    }
-
-    // Totals are folded per submitted *position* (like the local backend),
-    // so `simulated + cached == outcomes.len()` holds on every backend:
-    // follower positions coalesced onto their leader's run and count as
-    // cache-answered, and the leader carries the worker-reported provenance
-    // (fresh simulation vs shared-cache hit) — only freshly simulated jobs
-    // contribute to `simulated`/`instructions_simulated`.
-    let mut totals = SweepShard::default();
-    let mut outcomes = Vec::with_capacity(jobs.len());
-    for (pos, &leader) in deduped.leader_of.iter().enumerate() {
-        let spec = deduped.unique[leader];
-        let id = spec.job_id();
-        let metrics = metrics_of[&id];
-        let from_cache = deduped.is_follower(pos) || provenance[&id];
-        totals.activity.merge(&metrics.activity);
-        if from_cache {
-            totals.cached += 1;
-        } else {
-            totals.simulated += 1;
-            totals.instructions_simulated += metrics.instructions;
-        }
-        outcomes.push(JobOutcome {
-            spec,
-            metrics,
-            from_cache,
-        });
-    }
-
-    let worker_loads = reports.iter().map(|r| (r.jobs.len() as u64, 0)).collect();
+    let (outcomes, totals) = plan.merge(cache, &reports)?;
     Ok(SweepSummary {
         outcomes,
         totals,
-        worker_loads,
+        worker_loads: reports.iter().map(|r| (r.jobs.len() as u64, 0)).collect(),
         workers: shards,
         wall: started.elapsed(),
         backend: "subprocess",
-        shard_obs,
+        shard_obs: reports.into_iter().map(|r| r.obs).collect(),
     })
-}
-
-/// Parses and verifies one worker's stdout report against the job-id set
-/// the shard was assigned.
-fn parse_report(
-    stdout: &str,
-    shard: usize,
-    shards: usize,
-    expected: &HashSet<u64>,
-) -> Result<ShardReport, ExecError> {
-    let violation = |detail: String| ExecError::Protocol {
-        shard,
-        shards,
-        detail,
-    };
-    let mut lines = stdout.lines().filter(|l| !l.trim().is_empty());
-    let header = lines
-        .next()
-        .ok_or_else(|| violation("empty report".to_owned()))?;
-    let expected_header = format!("{WORKER_HEADER} shard {shard}/{shards}");
-    if header != expected_header {
-        return Err(violation(format!(
-            "bad header '{header}' (expected '{expected_header}')"
-        )));
-    }
-    let mut jobs = Vec::new();
-    let mut obs = sigcomp_obs::Snapshot::default();
-    let mut done = false;
-    for line in lines {
-        if let Some(rest) = line.strip_prefix("obs ") {
-            if done {
-                return Err(violation("obs line after the done line".to_owned()));
-            }
-            obs.parse_wire_line(rest)
-                .map_err(|e| violation(e.to_string()))?;
-        } else if let Some(rest) = line.strip_prefix("job ") {
-            if done {
-                return Err(violation("job line after the done line".to_owned()));
-            }
-            let (id, provenance) = rest
-                .split_once(' ')
-                .ok_or_else(|| violation(format!("malformed job line '{line}'")))?;
-            let id = u64::from_str_radix(id, 16)
-                .map_err(|_| violation(format!("malformed job id in '{line}'")))?;
-            let from_cache = match provenance {
-                "simulated" => false,
-                "cached" => true,
-                other => {
-                    return Err(violation(format!(
-                        "unknown provenance '{other}' in '{line}'"
-                    )))
-                }
-            };
-            if !expected.contains(&id) {
-                return Err(violation(format!(
-                    "job {id:016x} does not belong to shard {shard}/{shards}"
-                )));
-            }
-            if jobs.iter().any(|&(seen, _)| seen == id) {
-                return Err(violation(format!("job {id:016x} reported twice")));
-            }
-            jobs.push((id, from_cache));
-        } else if let Some(rest) = line.strip_prefix("done ") {
-            let declared = rest
-                .split_whitespace()
-                .find_map(|kv| kv.strip_prefix("jobs="))
-                .and_then(|v| v.parse::<usize>().ok())
-                .ok_or_else(|| violation(format!("malformed done line '{line}'")))?;
-            if declared != jobs.len() {
-                return Err(violation(format!(
-                    "done line declares {declared} jobs but {} were reported",
-                    jobs.len()
-                )));
-            }
-            done = true;
-        } else {
-            return Err(violation(format!("unexpected line '{line}'")));
-        }
-    }
-    if !done {
-        return Err(violation(
-            "report ended without a done line (worker died mid-shard?)".to_owned(),
-        ));
-    }
-    if jobs.len() != expected.len() {
-        return Err(violation(format!(
-            "shard executed {} of its {} assigned jobs",
-            jobs.len(),
-            expected.len()
-        )));
-    }
-    Ok(ShardReport { jobs, obs })
 }
 
 #[cfg(test)]
@@ -722,24 +495,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_values_parse_and_malformed_ones_are_named() {
-        assert_eq!(parse_shard("0/1"), Ok((0, 1)));
-        assert_eq!(parse_shard("2/3"), Ok((2, 3)));
-        for (raw, needle) in [
-            ("", "expected INDEX/COUNT"),
-            ("3", "expected INDEX/COUNT"),
-            ("a/2", "'a' is not an integer"),
-            ("1/b", "'b' is not an integer"),
-            ("0/0", "must be positive"),
-            ("3/2", "below the shard count"),
-            ("2/2", "below the shard count"),
-        ] {
-            let err = parse_shard(raw).unwrap_err();
-            assert!(err.contains(needle), "{raw:?}: {err}");
-        }
-    }
-
-    #[test]
     fn dedup_groups_by_job_id_with_first_occurrence_leading() {
         let a = spec(0, OrgKind::Baseline32);
         let b = spec(0, OrgKind::ByteSerial);
@@ -754,88 +509,6 @@ mod tests {
         let empty = dedup_jobs(&[]);
         assert!(empty.unique.is_empty());
         assert_eq!(empty.followers(), 0);
-    }
-
-    #[test]
-    fn worker_reports_are_verified_strictly() {
-        let job = spec(0, OrgKind::ByteSerial);
-        let id = job.job_id();
-        let expected: HashSet<u64> = [id].into_iter().collect();
-        let good = format!("{WORKER_HEADER} shard 0/2\njob {id:016x} simulated\ndone jobs=1\n");
-        let report = parse_report(&good, 0, 2, &expected).expect("valid report");
-        assert_eq!(report.jobs, vec![(id, false)]);
-        assert!(report.obs.is_empty());
-
-        // v2: obs lines carry the worker's registry snapshot.
-        let with_obs = format!(
-            "{WORKER_HEADER} shard 0/2\njob {id:016x} simulated\n\
-             obs counter replay.jobs_simulated 1\n\
-             obs hist replay.job count=1 sum=7 min=7 max=7 bounds=10,100 buckets=1,0,0\n\
-             done jobs=1\n"
-        );
-        let report = parse_report(&with_obs, 0, 2, &expected).expect("valid report with obs");
-        assert_eq!(report.obs.counter("replay.jobs_simulated"), 1);
-        assert_eq!(report.obs.histograms["replay.job"].count, 1);
-
-        for (stdout, needle) in [
-            (String::new(), "empty report"),
-            ("definitely not the header\n".to_owned(), "bad header"),
-            (
-                format!("{WORKER_HEADER} shard 1/2\ndone jobs=0\n"),
-                "bad header",
-            ),
-            (
-                format!("{WORKER_HEADER} shard 0/2\njob zz simulated\ndone jobs=1\n"),
-                "malformed job id",
-            ),
-            (
-                format!("{WORKER_HEADER} shard 0/2\njob {id:016x} teleported\ndone jobs=1\n"),
-                "unknown provenance",
-            ),
-            (
-                format!(
-                    "{WORKER_HEADER} shard 0/2\njob {:016x} simulated\ndone jobs=1\n",
-                    id ^ 1
-                ),
-                "does not belong to shard",
-            ),
-            (
-                format!(
-                    "{WORKER_HEADER} shard 0/2\njob {id:016x} simulated\n\
-                     job {id:016x} cached\ndone jobs=2\n"
-                ),
-                "reported twice",
-            ),
-            (
-                format!("{WORKER_HEADER} shard 0/2\njob {id:016x} simulated\ndone jobs=7\n"),
-                "declares 7 jobs",
-            ),
-            (
-                format!("{WORKER_HEADER} shard 0/2\njob {id:016x} simulated\n"),
-                "without a done line",
-            ),
-            (
-                format!("{WORKER_HEADER} shard 0/2\ndone jobs=0\n"),
-                "0 of its 1 assigned jobs",
-            ),
-            (
-                format!(
-                    "{WORKER_HEADER} shard 0/2\njob {id:016x} simulated\n\
-                     obs widget x 1\ndone jobs=1\n"
-                ),
-                "unknown metric kind",
-            ),
-            (
-                format!(
-                    "{WORKER_HEADER} shard 0/2\njob {id:016x} simulated\n\
-                     done jobs=1\nobs counter replay.jobs_simulated 1\n"
-                ),
-                "obs line after the done line",
-            ),
-        ] {
-            let err = parse_report(&stdout, 0, 2, &expected).unwrap_err();
-            assert!(err.to_string().contains(needle), "{stdout:?}: {err}");
-        }
     }
 
     #[test]

@@ -77,11 +77,11 @@ impl ResultCache {
         }
     }
 
-    /// [`ResultCache::load`] without the counter bumps. Used by the
-    /// subprocess and fleet backends when re-reading entries the workers
-    /// just published — those reads are bookkeeping, not cache traffic, and
-    /// counting them would make a sharded sweep's merged totals disagree
-    /// with the same sweep run in-process.
+    /// [`ResultCache::load`] without the counter bumps. Used by the shared
+    /// merge ([`crate::ShardPlan::merge`]) when re-reading entries the
+    /// workers just published — those reads are bookkeeping, not cache
+    /// traffic, and counting them would make a sharded sweep's merged totals
+    /// disagree with the same sweep run in-process.
     #[must_use]
     pub fn load_unobserved(&self, key: u64) -> Option<JobMetrics> {
         let text = fs::read_to_string(self.entry_path(key)).ok()?;
@@ -105,9 +105,10 @@ impl ResultCache {
 
     /// Stores an already-encoded entry ([`encode_entry`] text) under `key`,
     /// atomically, without bumping any traffic counter — the replication
-    /// path fleet frontiers use to publish entries received from remote
-    /// workers (the worker's own counters already accounted for the store;
-    /// see [`ResultCache::load_unobserved`] for the symmetric read side).
+    /// path the shared merge ([`crate::ShardPlan::merge`]) uses to publish
+    /// entries received from workers (the worker's own counters already
+    /// accounted for the store; see [`ResultCache::load_unobserved`] for the
+    /// symmetric read side).
     ///
     /// The text is validated first: replicating an undecodable entry would
     /// poison the cache with a file every later load retires.
@@ -137,16 +138,6 @@ impl ResultCache {
             let _ = fs::remove_file(&tmp);
         }
         result
-    }
-
-    /// The raw on-disk text of the entry under `key`, verbatim, or `None`
-    /// when absent or not a valid current-version entry — what a worker
-    /// ships over the fleet wire so the frontier can replicate the exact
-    /// bytes (and verify their [`entry_digest`]) without re-encoding.
-    #[must_use]
-    pub fn entry_text(&self, key: u64) -> Option<String> {
-        let text = fs::read_to_string(self.entry_path(key)).ok()?;
-        parse_metrics(&text).map(|_| text)
     }
 
     /// Number of entries currently stored.

@@ -127,10 +127,14 @@ impl SweepShard {
 #[derive(Debug, Default)]
 pub struct SweepOptions {
     /// Worker threads; `None` uses the machine's available parallelism. On
-    /// the subprocess backend this is the thread count *per shard*.
+    /// the subprocess backend this is the thread count *per shard*; on the
+    /// fleet backend it sizes the frontier's local fallback (each worker
+    /// server keeps its own thread count).
     pub workers: Option<usize>,
-    /// Result cache; `None` simulates everything. Required by
-    /// [`ExecBackend::Subprocess`], whose workers merge through it.
+    /// Result cache; `None` simulates everything. Required by both
+    /// scale-out backends ([`ExecBackend::Subprocess`] and
+    /// [`ExecBackend::Fleet`]): it is the merge point their shards'
+    /// results are replicated into and restored from.
     pub cache: Option<ResultCache>,
     /// Where the jobs execute (default: the in-process thread pool).
     pub backend: ExecBackend,
@@ -176,24 +180,28 @@ pub struct SweepSummary {
     pub outcomes: Vec<JobOutcome>,
     /// The worker shards folded together in worker order.
     pub totals: SweepShard,
-    /// `(jobs, steals)` per worker, in worker order. On the subprocess
-    /// backend a "worker" is one shard process (steals are always 0 there —
-    /// the shard partition is static).
+    /// `(jobs, steals)` per worker, in worker order. On the scale-out
+    /// backends a "worker" is one shard process (subprocess) or one worker
+    /// server that answered at least one dispatch, in address order,
+    /// followed by one row for the frontier's local fallback if it ran
+    /// (fleet). Steals are always 0 there: the shard partition is static.
     pub worker_loads: Vec<(u64, u64)>,
-    /// Worker threads (local backend) or shard processes (subprocess
-    /// backend) actually used.
+    /// Worker threads (local backend), shard processes (subprocess
+    /// backend) or [`SweepSummary::worker_loads`] rows (fleet backend)
+    /// actually used.
     pub workers: usize,
     /// Wall-clock time of the parallel phase.
     pub wall: Duration,
     /// Stable id of the backend that executed the sweep
     /// ([`ExecBackend::id`]): `"local"`, `"subprocess"` or `"fleet"`.
     pub backend: &'static str,
-    /// On the subprocess backend, each shard's observability snapshot as
-    /// reported over the worker protocol, in shard order (on the fleet
-    /// backend, each worker server's snapshot in dispatch order) — the
-    /// per-shard attribution behind the merged view the parent's global
-    /// registry carries. Empty on the local backend (metrics were recorded
-    /// into the parent's registry directly).
+    /// The observability snapshots the workers' reports carried. On the
+    /// subprocess backend, one per shard in shard order: each is that
+    /// shard's delta, and the parent's global registry holds their merge.
+    /// On the fleet backend, the latest snapshot of each worker server that
+    /// answered, in address order: cumulative over the server's lifetime,
+    /// so recorded for attribution, never folded. Empty on the local
+    /// backend (metrics were recorded into the parent's registry directly).
     pub shard_obs: Vec<sigcomp_obs::Snapshot>,
 }
 
@@ -347,22 +355,16 @@ fn apply_pipeline_gating(activity: &mut ActivityReport, org: &Organization, resu
 ///
 /// # Errors
 ///
-/// Any [`ExecError`] from the subprocess backend (a dead or misbehaving
-/// worker child, a missing cache); the local backend is infallible.
-pub fn try_run_sweep(spec: &SweepSpec, options: &SweepOptions) -> Result<SweepSummary, ExecError> {
-    try_run_jobs_traced(&spec.enumerate(), spec.trace_inputs(), options)
-}
-
-/// Infallible [`try_run_sweep`] for the local backend.
+/// Any [`ExecError`] from a scale-out backend (a dead or misbehaving
+/// worker, a missing cache); the local backend never fails.
 ///
 /// # Panics
 ///
-/// Panics if a workload named by the spec does not exist or fails to run, or
-/// if the configured backend reports an [`ExecError`] (use [`try_run_sweep`]
-/// when running on the fallible subprocess backend).
-#[must_use]
-pub fn run_sweep(spec: &SweepSpec, options: &SweepOptions) -> SweepSummary {
-    try_run_sweep(spec, options).unwrap_or_else(|e| panic!("sweep execution failed: {e}"))
+/// On the local backend, if a workload named by the spec does not exist or
+/// fails to run (a bug in the caller's sweep assembly, not a runtime
+/// condition).
+pub fn try_run_sweep(spec: &SweepSpec, options: &SweepOptions) -> Result<SweepSummary, ExecError> {
+    try_run_jobs_traced(&spec.enumerate(), spec.trace_inputs(), options)
 }
 
 /// Runs an explicit batch of jobs — the submission API that long-running
@@ -374,28 +376,21 @@ pub fn run_sweep(spec: &SweepSpec, options: &SweepOptions) -> SweepSummary {
 /// [`SweepSummary::outcomes`] comes back in `jobs` order. On the local
 /// backend duplicate specs in `jobs` are each answered — batch
 /// deduplication is the caller's concern, keyed by [`JobSpec::job_id`]
-/// (see [`crate::dedup_jobs`]); the subprocess backend dedups internally
-/// and answers follower positions from their leader's run.
+/// (see [`crate::dedup_jobs`]); the scale-out backends dedup internally
+/// and answer follower positions from their leader's run.
 ///
 /// # Errors
 ///
-/// Any [`ExecError`] from the subprocess backend; the local backend is
-/// infallible.
-pub fn try_run_jobs(jobs: &[JobSpec], options: &SweepOptions) -> Result<SweepSummary, ExecError> {
-    try_run_jobs_traced(jobs, &[], options)
-}
-
-/// Infallible [`try_run_jobs`] for the local backend.
+/// Any [`ExecError`] from a scale-out backend; the local backend never
+/// fails.
 ///
 /// # Panics
 ///
-/// Panics if a workload named by a job does not exist or fails to run, if a
-/// [`TraceSource::File`] job's digest has no matching trace (use
-/// [`run_jobs_traced`] to supply recorded traces), or if the configured
-/// backend reports an [`ExecError`].
-#[must_use]
-pub fn run_jobs(jobs: &[JobSpec], options: &SweepOptions) -> SweepSummary {
-    try_run_jobs(jobs, options).unwrap_or_else(|e| panic!("job execution failed: {e}"))
+/// On the local backend, if a workload named by a job does not exist or
+/// fails to run, or if a [`TraceSource::File`] job's digest has no matching
+/// trace (use [`try_run_jobs_traced`] to supply recorded traces).
+pub fn try_run_jobs(jobs: &[JobSpec], options: &SweepOptions) -> Result<SweepSummary, ExecError> {
+    try_run_jobs_traced(jobs, &[], options)
 }
 
 /// [`try_run_jobs`] with a set of recorded traces resolving the jobs'
@@ -406,8 +401,13 @@ pub fn run_jobs(jobs: &[JobSpec], options: &SweepOptions) -> SweepSummary {
 ///
 /// # Errors
 ///
-/// Any [`ExecError`] from the subprocess backend; the local backend is
-/// infallible.
+/// Any [`ExecError`] from a scale-out backend; the local backend never
+/// fails.
+///
+/// # Panics
+///
+/// On the local backend, if a workload named by a job does not exist or
+/// fails to run, or if a file job's digest matches none of `traces`.
 pub fn try_run_jobs_traced(
     jobs: &[JobSpec],
     traces: &[TraceInput],
@@ -420,24 +420,6 @@ pub fn try_run_jobs_traced(
         }
         ExecBackend::Fleet(config) => crate::backend::run_fleet(jobs, traces, options, config),
     }
-}
-
-/// Infallible [`try_run_jobs_traced`] for the local backend.
-///
-/// # Panics
-///
-/// Panics if a workload named by a job does not exist or fails to run, if a
-/// file job's digest matches none of `traces` — both indicate a bug in the
-/// caller's sweep assembly, not a runtime condition — or if the configured
-/// backend reports an [`ExecError`].
-#[must_use]
-pub fn run_jobs_traced(
-    jobs: &[JobSpec],
-    traces: &[TraceInput],
-    options: &SweepOptions,
-) -> SweepSummary {
-    try_run_jobs_traced(jobs, traces, options)
-        .unwrap_or_else(|e| panic!("job execution failed: {e}"))
 }
 
 /// The [`ExecBackend::LocalThreads`] engine: every job on the in-process

@@ -5,7 +5,7 @@
 
 use sigcomp::EnergyModel;
 use sigcomp_explore::{
-    config_points, run_sweep, to_csv, to_json, JobSpec, MemProfile, ResultCache, SweepOptions,
+    config_points, to_csv, to_json, try_run_sweep, JobSpec, MemProfile, ResultCache, SweepOptions,
     SweepSpec, TraceInput,
 };
 use sigcomp_workloads::{find, WorkloadSize};
@@ -21,9 +21,10 @@ fn small_spec() -> SweepSpec {
 #[test]
 fn parallel_and_serial_sweeps_are_bit_identical() {
     let spec = small_spec();
-    let serial = run_sweep(&spec, &SweepOptions::with_workers(1));
+    let serial = try_run_sweep(&spec, &SweepOptions::with_workers(1)).expect("sweep runs");
     for workers in [2, 4, 7] {
-        let parallel = run_sweep(&spec, &SweepOptions::with_workers(workers));
+        let parallel =
+            try_run_sweep(&spec, &SweepOptions::with_workers(workers)).expect("sweep runs");
 
         // Per-job outcomes match one for one, in the same order.
         assert_eq!(serial.outcomes, parallel.outcomes, "{workers} workers");
@@ -86,14 +87,14 @@ fn trace_file_jobs_are_deterministic_across_workers_and_cache_compatible() {
         .trace_files(std::slice::from_ref(&input));
     assert_eq!(spec.len(), 7);
 
-    let serial = run_sweep(&spec, &SweepOptions::with_workers(1));
-    let parallel = run_sweep(&spec, &SweepOptions::with_workers(4));
+    let serial = try_run_sweep(&spec, &SweepOptions::with_workers(1)).expect("sweep runs");
+    let parallel = try_run_sweep(&spec, &SweepOptions::with_workers(4)).expect("sweep runs");
     assert_eq!(serial.outcomes, parallel.outcomes);
 
     // And the file-sourced metrics equal the live kernel's for the same
     // scheme/org/mem (the trace IS that execution).
     let kernel_spec = SweepSpec::paper(WorkloadSize::Tiny).workloads(&["rawcaudio"]);
-    let live = run_sweep(&kernel_spec, &SweepOptions::with_workers(1));
+    let live = try_run_sweep(&kernel_spec, &SweepOptions::with_workers(1)).expect("sweep runs");
     for (file_job, live_job) in serial.outcomes.iter().zip(&live.outcomes) {
         assert_eq!(file_job.spec.org, live_job.spec.org);
         assert_eq!(file_job.metrics, live_job.metrics);
@@ -107,15 +108,17 @@ fn trace_file_jobs_are_deterministic_across_workers_and_cache_compatible() {
         std::process::id()
     ));
     let _ = std::fs::remove_dir_all(&dir);
-    let cold = run_sweep(
+    let cold = try_run_sweep(
         &spec,
         &SweepOptions::with_workers(2).cache(ResultCache::open(&dir).unwrap()),
-    );
+    )
+    .expect("sweep runs");
     assert_eq!(cold.simulated(), 7);
-    let warm = run_sweep(
+    let warm = try_run_sweep(
         &spec,
         &SweepOptions::with_workers(3).cache(ResultCache::open(&dir).unwrap()),
-    );
+    )
+    .expect("sweep runs");
     assert_eq!(warm.cached(), 7);
     for (c, w) in cold.outcomes.iter().zip(&warm.outcomes) {
         assert_eq!(c.metrics, w.metrics);
@@ -133,7 +136,7 @@ fn racing_executors_share_one_cache_without_tearing_or_duplicates() {
     let _ = std::fs::remove_dir_all(&dir);
 
     let spec = small_spec();
-    let reference = run_sweep(&spec, &SweepOptions::with_workers(2));
+    let reference = try_run_sweep(&spec, &SweepOptions::with_workers(2)).expect("sweep runs");
 
     let summaries: Vec<_> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..2)
@@ -141,11 +144,12 @@ fn racing_executors_share_one_cache_without_tearing_or_duplicates() {
                 let spec = spec.clone();
                 let dir = dir.clone();
                 scope.spawn(move || {
-                    run_sweep(
+                    try_run_sweep(
                         &spec,
                         &SweepOptions::with_workers(2 + racer)
                             .cache(ResultCache::open(&dir).expect("cache opens")),
                     )
+                    .expect("sweep runs")
                 })
             })
             .collect();
@@ -292,17 +296,19 @@ fn second_run_hits_the_cache_with_identical_results() {
         .workloads(&["rawdaudio"])
         .mems(&[MemProfile::Paper, MemProfile::SlowMemory]);
 
-    let cold = run_sweep(
+    let cold = try_run_sweep(
         &spec,
         &SweepOptions::with_workers(2).cache(ResultCache::open(&dir).unwrap()),
-    );
+    )
+    .expect("sweep runs");
     assert_eq!(cold.simulated(), spec.len() as u64);
     assert_eq!(cold.cached(), 0);
 
-    let warm = run_sweep(
+    let warm = try_run_sweep(
         &spec,
         &SweepOptions::with_workers(3).cache(ResultCache::open(&dir).unwrap()),
-    );
+    )
+    .expect("sweep runs");
     assert_eq!(warm.simulated(), 0);
     assert_eq!(warm.cached(), spec.len() as u64);
 
@@ -321,10 +327,11 @@ fn second_run_hits_the_cache_with_identical_results() {
         MemProfile::SlowMemory,
         MemProfile::SmallL1,
     ]);
-    let mixed = run_sweep(
+    let mixed = try_run_sweep(
         &wider,
         &SweepOptions::with_workers(2).cache(ResultCache::open(&dir).unwrap()),
-    );
+    )
+    .expect("sweep runs");
     assert_eq!(mixed.cached(), 2 * 7);
     assert_eq!(mixed.simulated(), 7);
 

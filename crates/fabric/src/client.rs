@@ -173,9 +173,9 @@ fn read_response(stream: &mut TcpStream) -> io::Result<HttpResponse> {
     let bad = |reason: &str| io::Error::new(io::ErrorKind::InvalidData, reason.to_owned());
     let mut raw = Vec::new();
     let mut buf = [0_u8; 16 * 1024];
-    let head_end = loop {
-        if let Some(pos) = find_blank_line(&raw) {
-            break pos;
+    let (head_end, body_start) = loop {
+        if let Some(found) = find_blank_line(&raw) {
+            break found;
         }
         if raw.len() > MAX_HEAD_BYTES {
             return Err(bad("response head exceeds the size cap"));
@@ -199,11 +199,7 @@ fn read_response(stream: &mut TcpStream) -> io::Result<HttpResponse> {
         .iter()
         .find(|(k, _)| k == "content-length")
         .and_then(|(_, v)| v.parse().ok());
-    let mut body = raw.split_off(head_end);
-    // `split_off` leaves the head in `raw`; the separator rode along at the
-    // front of `body`.
-    let sep = if body.starts_with(b"\r\n\r\n") { 4 } else { 2 };
-    body.drain(..sep.min(body.len()));
+    let mut body = raw.split_off(body_start);
     match content_length {
         Some(len) => {
             if len > MAX_RESPONSE_BYTES {
@@ -239,12 +235,20 @@ fn read_response(stream: &mut TcpStream) -> io::Result<HttpResponse> {
     })
 }
 
-/// Index just past the status line + headers, i.e. the start of the blank
-/// line, accepting both CRLF and bare-LF framing.
-fn find_blank_line(raw: &[u8]) -> Option<usize> {
-    raw.windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .or_else(|| raw.windows(2).position(|w| w == b"\n\n").map(|p| p + 1))
+/// Where the head ends and the body starts: the first line break followed
+/// by an empty line, accepting both CRLF and bare-LF framing. The head runs
+/// through that line break; the body starts after the empty line.
+fn find_blank_line(raw: &[u8]) -> Option<(usize, usize)> {
+    raw.iter().enumerate().find_map(|(i, &byte)| {
+        if byte != b'\n' {
+            return None;
+        }
+        match &raw[i + 1..] {
+            [b'\n', ..] => Some((i + 1, i + 2)),
+            [b'\r', b'\n', ..] => Some((i + 1, i + 3)),
+            _ => None,
+        }
+    })
 }
 
 fn parse_head(head: &str) -> io::Result<(u16, Vec<(String, String)>)> {
@@ -268,23 +272,6 @@ fn parse_head(head: &str) -> io::Result<(u16, Vec<(String, String)>)> {
     Ok((status, headers))
 }
 
-/// Parses a complete raw response (head + body already in hand) — the
-/// EOF-framed form, pinned by tests as the parser's baseline behavior.
-#[cfg(test)]
-fn parse_response(raw: &[u8]) -> io::Result<HttpResponse> {
-    let bad = |reason: &str| io::Error::new(io::ErrorKind::InvalidData, reason.to_owned());
-    let text = String::from_utf8_lossy(raw);
-    let (head, body) = text
-        .split_once("\r\n\r\n")
-        .ok_or_else(|| bad("response has no header/body separator"))?;
-    let (status, headers) = parse_head(head)?;
-    Ok(HttpResponse {
-        status,
-        headers,
-        body: body.to_owned(),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -292,15 +279,60 @@ mod tests {
     use std::net::TcpListener;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
+    /// Serves `script` verbatim to one client over loopback, then closes or
+    /// (with `hold_open`) keeps the connection open until the client hangs
+    /// up, and returns what [`read_response`] made of it. Held open, a
+    /// mis-framed body read blocks until the read timeout instead of being
+    /// rescued by EOF.
+    fn read_scripted(script: &'static [u8], hold_open: bool) -> io::Result<HttpResponse> {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let peer = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().expect("accept");
+            stream.write_all(script).expect("write");
+            if hold_open {
+                let _ = stream.read(&mut [0_u8; 1]);
+            }
+        });
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("read timeout");
+        let response = read_response(&mut stream);
+        drop(stream);
+        peer.join().expect("peer thread");
+        response
+    }
+
     #[test]
     fn responses_parse_with_status_headers_and_body() {
-        let raw = b"HTTP/1.1 503 Service Unavailable\r\nContent-Type: application/json\r\nRetry-After: 2\r\n\r\n{\"error\": \"full\"}";
-        let resp = parse_response(raw).expect("parses");
+        // CRLF head; no Content-Length, so the close frames the body.
+        let resp = read_scripted(
+            b"HTTP/1.1 503 Service Unavailable\r\nContent-Type: application/json\r\n\
+              Retry-After: 2\r\n\r\n{\"error\": \"full\"}",
+            false,
+        )
+        .expect("parses");
         assert_eq!(resp.status, 503);
         assert_eq!(resp.header("retry-after"), Some("2"));
         assert_eq!(resp.header("Retry-After"), Some("2"));
         assert_eq!(resp.header("x-missing"), None);
-        assert!(resp.body.contains("full"));
+        assert_eq!(resp.body, "{\"error\": \"full\"}");
+
+        // CRLF head with a Content-Length body on a connection left open.
+        let resp =
+            read_scripted(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok", true).expect("parses");
+        assert_eq!((resp.status, resp.body.as_str()), (200, "ok"));
+    }
+
+    #[test]
+    fn bare_lf_heads_frame_the_body_exactly() {
+        // The bare-LF blank line is shorter than CRLF's: the body starts
+        // right after it, not one byte later.
+        let resp =
+            read_scripted(b"HTTP/1.1 200 OK\nContent-Length: 2\n\nok", true).expect("parses");
+        assert_eq!((resp.status, resp.body.as_str()), (200, "ok"));
+        assert_eq!(resp.header("content-length"), Some("2"));
     }
 
     #[test]
@@ -308,9 +340,9 @@ mod tests {
         for (raw, needle) in [
             (&b"not http at all\r\n\r\n"[..], "not HTTP/1.x"),
             (&b"HTTP/1.1\r\n\r\n"[..], "no status code"),
-            (&b"HTTP/1.1 200 OK"[..], "no header/body separator"),
+            (&b"HTTP/1.1 200 OK"[..], "closed inside the response head"),
         ] {
-            let err = parse_response(raw).unwrap_err();
+            let err = read_scripted(raw, false).unwrap_err();
             assert!(err.to_string().contains(needle), "{err}");
         }
     }

@@ -7,32 +7,38 @@
 //! including zero workers, a worker list full of dead addresses, or a
 //! worker killed mid-sweep.
 //!
-//! The shape deliberately mirrors the subprocess backend: dedup, sort the
-//! unique jobs by content-hashed id, partition round-robin, execute, then
-//! restore *everything* from the shared [`ResultCache`] and fold totals per
-//! submitted position. Only the middle differs — instead of child
-//! processes on one machine, shards travel as `POST /fleet/dispatch` bodies
-//! to worker servers, and results come back as digest-verified cache-entry
-//! bytes that the frontier replicates into its own cache. Because the cache
-//! is the merge point and entries are keyed by config hash, the merge logic
-//! cannot tell (and does not care) which machine produced a result.
+//! It is the HTTP transport over the shard-and-merge core in
+//! [`sigcomp_explore::proto`], the same core the subprocess backend drives
+//! over a pipe. [`ShardPlan`] dedups and id-sorts the jobs and deals them
+//! round-robin; each shard travels as the shared dispatch body in a
+//! `POST /fleet/dispatch`; each response is the shared report, verified by
+//! [`parse_report`]; and [`ShardPlan::merge`] replicates the reported cache
+//! entries and restores every outcome from the frontier's cache.
+//!
+//! What stays here is what only HTTP needs: per-attempt timeouts with
+//! retry and backoff, dropping a dead worker and re-sharding its jobs over
+//! the survivors, a local fallback when no worker is left, and recording
+//! (not folding) the cumulative obs snapshots of long-lived workers. Trace
+//! jobs are refused: the wire carries only content digests, and worker
+//! servers have no trace channel.
 
 use crate::client::HttpClient;
 use crate::pool::{self, WorkerPool, DEFAULT_LIVENESS_TTL};
-use crate::proto::{self, FleetReport};
 use sigcomp_explore::{
-    dedup_jobs, ExecBackend, ExecError, FleetConfig, JobSpec, SweepOptions, SweepShard,
-    SweepSummary, TraceInput, TraceSource,
+    encode_dispatch, parse_report, ExecBackend, ExecError, FleetConfig, FleetReport, JobSpec,
+    ShardPlan, SweepOptions, SweepSummary, TraceInput, TraceSource,
 };
-use std::collections::{HashMap, HashSet};
+use sigcomp_obs::Snapshot;
+use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
 /// Upper bound on the exponential retry backoff.
 const MAX_BACKOFF: Duration = Duration::from_secs(2);
 
-/// Runs `jobs` across the fleet: dedup, shard round-robin over the live
+/// Runs `jobs` across the fleet: plan, shard round-robin over the live
 /// workers, dispatch with retry/backoff, re-shard a dead worker's jobs to
-/// the survivors, and degrade to local execution when no workers remain.
+/// the survivors, degrade to local execution when no workers remain, and
+/// merge.
 ///
 /// Workers come from [`FleetConfig::workers`] when non-empty, otherwise
 /// from the registered [`pool::global()`] members that heartbeated within
@@ -48,7 +54,7 @@ const MAX_BACKOFF: Duration = Duration::from_secs(2);
 /// then at worst a local fallback.
 pub fn run_fleet_jobs(
     jobs: &[JobSpec],
-    traces: &[TraceInput],
+    _traces: &[TraceInput],
     options: &SweepOptions,
     config: &FleetConfig,
 ) -> Result<SweepSummary, ExecError> {
@@ -64,79 +70,37 @@ pub fn run_fleet_jobs(
             job.job_id()
         )));
     }
-    let _ = traces; // kernel-only for now; kept for runner-signature parity
-    if jobs.is_empty() {
-        return Ok(SweepSummary {
-            outcomes: Vec::new(),
-            totals: SweepShard::default(),
-            worker_loads: Vec::new(),
-            workers: 0,
-            wall: started.elapsed(),
-            backend: "fleet",
-            shard_obs: Vec::new(),
-        });
-    }
-
-    let deduped = dedup_jobs(jobs);
-    // Sorted by job id: the dispatch order is a pure function of the job
-    // contents, so any fleet shape partitions the same list the same way.
-    let mut ordered: Vec<(u64, usize)> = deduped
-        .unique
-        .iter()
-        .enumerate()
-        .map(|(u, job)| (job.job_id(), u))
-        .collect();
-    ordered.sort_unstable_by_key(|&(id, _)| id);
-    let spec_of: HashMap<u64, JobSpec> = ordered
-        .iter()
-        .map(|&(id, u)| (id, deduped.unique[u]))
-        .collect();
+    let plan = ShardPlan::new(jobs);
 
     let pool = pool::global();
-    let mut live: Vec<String> = if config.workers.is_empty() {
+    let mut workers: Vec<String> = if config.workers.is_empty() {
         pool.live(DEFAULT_LIVENESS_TTL)
     } else {
         config.workers.clone()
     };
-    live.sort_unstable();
-    live.dedup();
+    workers.sort_unstable();
+    workers.dedup();
 
     let obs = sigcomp_obs::global();
     let client = HttpClient::new(Duration::from_millis(config.timeout_ms.max(1)));
-    let mut pending: Vec<u64> = ordered.iter().map(|&(id, _)| id).collect();
-    let mut provenance: HashMap<u64, bool> = HashMap::new();
-    let mut worker_loads: Vec<(u64, u64)> = Vec::new();
-    let mut shard_obs: Vec<sigcomp_obs::Snapshot> = Vec::new();
+    // Indices into `workers`; per worker, the jobs it answered and its
+    // latest (cumulative) obs snapshot, so every worker is one row.
+    let mut live: Vec<usize> = (0..workers.len()).collect();
+    let mut answered: Vec<Option<(u64, Snapshot)>> = vec![None; workers.len()];
+    let mut pending: Vec<JobSpec> = plan.jobs().to_vec();
+    let mut reports: Vec<FleetReport> = Vec::new();
 
     while !pending.is_empty() && !live.is_empty() {
-        // Round-robin partition of the pending (id-sorted) jobs over the
-        // live workers, skipping workers the round leaves empty.
-        let assignments: Vec<(String, Vec<u64>)> = live
-            .iter()
-            .enumerate()
-            .map(|(i, addr)| {
-                let ids: Vec<u64> = pending
-                    .iter()
-                    .enumerate()
-                    .filter(|(rank, _)| rank % live.len() == i)
-                    .map(|(_, &id)| id)
-                    .collect();
-                (addr.clone(), ids)
-            })
-            .filter(|(_, ids)| !ids.is_empty())
-            .collect();
-
-        let results: Vec<(String, Result<FleetReport, String>)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = assignments
+        let shards = ShardPlan::partition(&pending, live.len());
+        let results: Vec<(usize, Result<FleetReport, String>)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = live
                 .iter()
-                .map(|(addr, ids)| {
+                .zip(&shards)
+                .filter(|(_, shard)| !shard.is_empty())
+                .map(|(&w, shard)| {
                     let client = &client;
-                    let spec_of = &spec_of;
-                    scope.spawn(move || {
-                        let shard: Vec<JobSpec> = ids.iter().map(|id| spec_of[id]).collect();
-                        let outcome = dispatch_with_retry(client, addr, &shard, config, pool);
-                        (addr.clone(), outcome)
-                    })
+                    let addr = &workers[w];
+                    scope.spawn(move || (w, dispatch_with_retry(client, addr, shard, config, pool)))
                 })
                 .collect();
             handles
@@ -146,104 +110,76 @@ pub fn run_fleet_jobs(
         });
 
         let mut completed: HashSet<u64> = HashSet::new();
-        let mut survivors: Vec<String> = Vec::new();
+        let mut survivors: Vec<usize> = Vec::new();
         let mut lost = false;
-        for (addr, outcome) in results {
+        for (w, outcome) in results {
+            let addr = &workers[w];
             match outcome {
                 Ok(report) => {
-                    // Replicate the worker's verified entry bytes into the
-                    // local cache. Store failures are deliberately ignored
-                    // here: the restore pass below is the arbiter, and a
-                    // genuinely missing entry becomes ResultMissing there.
-                    for (id, text) in &report.entries {
-                        let _ = cache.store_entry_text(*id, text);
-                    }
-                    for &(id, from_cache) in &report.jobs {
-                        provenance.insert(id, from_cache);
-                        completed.insert(id);
-                    }
+                    let jobs = report.jobs.len() as u64;
+                    completed.extend(report.jobs.iter().map(|&(id, _)| id));
                     obs.counter("fleet.frontier.dispatches").incr();
-                    obs.counter("fleet.frontier.jobs_remote")
-                        .add(report.jobs.len() as u64);
-                    pool.note_dispatch(&addr);
-                    pool.update_obs(&addr, report.obs.clone());
-                    worker_loads.push((report.jobs.len() as u64, 0));
-                    shard_obs.push(report.obs);
-                    survivors.push(addr);
+                    obs.counter("fleet.frontier.jobs_remote").add(jobs);
+                    pool.note_dispatch(addr);
+                    pool.update_obs(addr, report.obs.clone());
+                    let row = answered[w].get_or_insert_with(Default::default);
+                    row.0 += jobs;
+                    row.1.clone_from(&report.obs);
+                    reports.push(report);
+                    survivors.push(w);
                 }
                 Err(_detail) => {
                     // The worker exhausted its attempts: drop it from this
                     // sweep and hand its jobs back to the pending set.
                     obs.counter("fleet.frontier.workers_lost").incr();
-                    pool.note_failure(&addr);
+                    pool.note_failure(addr);
                     lost = true;
                 }
             }
         }
-        pending.retain(|id| !completed.contains(id));
+        pending.retain(|job| !completed.contains(&job.job_id()));
         live = survivors;
         if lost && !pending.is_empty() && !live.is_empty() {
             obs.counter("fleet.frontier.reshards").incr();
         }
     }
+    let (mut worker_loads, shard_obs): (Vec<(u64, u64)>, Vec<Snapshot>) = answered
+        .into_iter()
+        .flatten()
+        .map(|(jobs, snap)| ((jobs, 0), snap))
+        .unzip();
 
     // Graceful degradation: anything still pending (no workers registered,
     // or the whole fleet died) runs locally over the same cache, so the
-    // sweep always completes and always merges identically.
+    // sweep always completes and always merges identically. The local run
+    // stored its results itself; its report carries provenance only.
     if !pending.is_empty() {
-        let local_specs: Vec<JobSpec> = pending.iter().map(|id| spec_of[id]).collect();
         let local_options = SweepOptions {
             workers: options.workers,
             cache: Some(cache.clone()),
             backend: ExecBackend::LocalThreads,
         };
-        let local = sigcomp_explore::try_run_jobs_traced(&local_specs, &[], &local_options)
+        let local = sigcomp_explore::try_run_jobs(&pending, &local_options)
             .map_err(|e| ExecError::Config(format!("local fallback failed: {e}")))?;
         obs.counter("fleet.frontier.jobs_local")
             .add(local.outcomes.len() as u64);
-        for outcome in &local.outcomes {
-            provenance.insert(outcome.spec.job_id(), outcome.from_cache);
-        }
         worker_loads.push((local.outcomes.len() as u64, 0));
-    }
-
-    // Merge through the cache, exactly like the subprocess backend: restore
-    // every unique job unobserved (the cache traffic happened where the job
-    // ran) and fold totals per submitted position.
-    let mut metrics_of = HashMap::with_capacity(ordered.len());
-    for &(id, _) in &ordered {
-        let metrics = cache
-            .load_unobserved(id)
-            .ok_or(ExecError::ResultMissing { job_id: id })?;
-        metrics_of.insert(id, metrics);
-    }
-    let mut totals = SweepShard::default();
-    let mut outcomes = Vec::with_capacity(jobs.len());
-    for (pos, &leader) in deduped.leader_of.iter().enumerate() {
-        let spec = deduped.unique[leader];
-        let id = spec.job_id();
-        let metrics = metrics_of[&id];
-        let from_cache = deduped.is_follower(pos) || provenance[&id];
-        totals.activity.merge(&metrics.activity);
-        if from_cache {
-            totals.cached += 1;
-        } else {
-            totals.simulated += 1;
-            totals.instructions_simulated += metrics.instructions;
-        }
-        outcomes.push(sigcomp_explore::JobOutcome {
-            spec,
-            metrics,
-            from_cache,
+        reports.push(FleetReport {
+            jobs: local
+                .outcomes
+                .iter()
+                .map(|o| (o.spec.job_id(), o.from_cache))
+                .collect(),
+            ..FleetReport::default()
         });
     }
 
-    let workers = worker_loads.len();
+    let (outcomes, totals) = plan.merge(cache, &reports)?;
     Ok(SweepSummary {
         outcomes,
         totals,
+        workers: worker_loads.len(),
         worker_loads,
-        workers,
         wall: started.elapsed(),
         backend: "fleet",
         shard_obs,
@@ -252,7 +188,7 @@ pub fn run_fleet_jobs(
 
 /// One worker's shard: up to [`FleetConfig::attempts`] `POST /fleet/dispatch`
 /// exchanges with exponential backoff, each response verified by
-/// [`proto::parse_report`] against the exact id set dispatched.
+/// [`parse_report`] against the exact id set dispatched.
 ///
 /// An overloaded worker's `503` honors its `Retry-After` header (capped at
 /// [`MAX_BACKOFF`]); every other failure — connect/read timeout, non-200
@@ -264,7 +200,7 @@ fn dispatch_with_retry(
     config: &FleetConfig,
     pool: &WorkerPool,
 ) -> Result<FleetReport, String> {
-    let body = proto::encode_dispatch(shard);
+    let body = encode_dispatch(shard);
     let expected: HashSet<u64> = shard.iter().map(JobSpec::job_id).collect();
     let attempts = config.attempts.max(1);
     let mut last_error = String::new();
@@ -278,7 +214,7 @@ fn dispatch_with_retry(
         let mut backoff = Duration::from_millis(100 << attempt.min(8)).min(MAX_BACKOFF);
         match client.post(addr, "/fleet/dispatch", &body) {
             Ok(response) if response.status == 200 => {
-                match proto::parse_report(&response.body, &expected) {
+                match parse_report(&response.body, &expected) {
                     Ok(report) => return Ok(report),
                     Err(detail) => last_error = format!("protocol violation: {detail}"),
                 }

@@ -1,32 +1,27 @@
 //! # sigcomp-fabric
 //!
 //! The distributed sweep fabric: a **frontier/worker topology over HTTP**
-//! that promotes the PR 5 subprocess scale-out to a fleet of machines while
+//! that extends the subprocess scale-out to a fleet of machines while
 //! preserving its merge invariant — *N hosts × M shards byte-identical to
 //! one process*.
 //!
 //! Workers are ordinary `repro serve` processes. They register with a
 //! frontier (`POST /register`), then heartbeat periodically with their
 //! capacity and observability snapshot (`POST /heartbeat`); the frontier
-//! tracks them in a [`WorkerPool`]. A sweep run on
-//! [`ExecBackend::Fleet`](sigcomp_explore::ExecBackend) is deduplicated,
-//! sorted by content-hashed [`JobSpec::job_id`](sigcomp_explore::JobSpec)
-//! (so the partition is a pure function of the job *contents*), sharded
-//! round-robin across the live workers, and dispatched as one
-//! `POST /fleet/dispatch` per worker carrying
-//! [`JobSpec::to_wire`](sigcomp_explore::JobSpec::to_wire) lines — the same
-//! wire grammar the subprocess backend broadcasts on stdin.
+//! tracks them in a [`WorkerPool`].
 //!
-//! Results come back as **replicated cache entries**: each worker answers
-//! with the exact on-disk [`ResultCache`](sigcomp_explore::ResultCache)
-//! entry text for every job, guarded by an FNV-1a digest
-//! ([`sigcomp_explore::entry_digest`]). The frontier verifies each digest,
-//! publishes the bytes into its own cache
-//! ([`ResultCache::store_entry_text`](sigcomp_explore::ResultCache::store_entry_text)),
-//! and restores every outcome from the cache in submission order — the
-//! cache is the merge point, generalized across machines. Every entry is
-//! keyed by config hash, so replication is conflict-free by construction:
-//! two workers racing the same key write identical bytes.
+//! A sweep on [`ExecBackend::Fleet`](sigcomp_explore::ExecBackend) runs on
+//! the shard-and-merge core that `sigcomp-explore` shares with the
+//! subprocess backend ([`sigcomp_explore::proto`]): one
+//! [`ShardPlan`](sigcomp_explore::ShardPlan) dedups and id-sorts the jobs
+//! and deals them round-robin over the live workers, each shard travels as
+//! the same dispatch body a `repro worker` child reads on stdin (here in a
+//! `POST /fleet/dispatch`), and each worker answers with the same report,
+//! carrying the exact on-disk cache-entry text of every job guarded by an
+//! FNV-1a digest. The one merge verifies, replicates the entries into the
+//! frontier's cache, and restores every outcome in submission order. Every
+//! entry is keyed by config hash, so replication is conflict-free by
+//! construction: two workers racing the same key write identical bytes.
 //!
 //! Robustness is first-class:
 //!
@@ -57,10 +52,7 @@ pub mod worker;
 pub use client::{HttpClient, HttpResponse};
 pub use frontier::run_fleet_jobs;
 pub use pool::{WorkerPool, WorkerStatus, DEFAULT_LIVENESS_TTL};
-pub use proto::{
-    encode_dispatch, encode_heartbeat, encode_register, encode_report, parse_dispatch,
-    parse_heartbeat, parse_register, parse_report, DispatchOutcome, FleetReport, FLEET_HEADER,
-};
+pub use proto::{encode_heartbeat, encode_register, parse_heartbeat, parse_register};
 pub use worker::Heartbeater;
 
 /// Registers the fleet runner with `sigcomp-explore`, making

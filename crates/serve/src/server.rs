@@ -35,9 +35,9 @@ use crate::metrics::ServerMetrics;
 use crate::reactor::{Completion, Handler, Reactor, ReactorConfig};
 use crate::registry::{SweepRegistry, SweepState};
 use sigcomp::ProcessNode;
-use sigcomp_explore::JobOutcome;
+use sigcomp_explore::{encode_report, parse_dispatch, JobOutcome, JobSpec, TraceSource};
 use sigcomp_fabric::pool::{self, DEFAULT_LIVENESS_TTL};
-use sigcomp_fabric::proto::{self, DispatchOutcome};
+use sigcomp_fabric::proto;
 use std::collections::VecDeque;
 use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -589,7 +589,7 @@ fn route(ctx: &Arc<Ctx>, request: &Request) -> Response {
             Err(response) => response,
         },
         ("POST", "/fleet/dispatch") => match body_text(request) {
-            Ok(text) => match proto::parse_dispatch(text) {
+            Ok(text) => match parse_dispatch(text) {
                 Ok(jobs) => handle_fleet_dispatch(ctx, &jobs),
                 Err(message) => Response::error(400, &message),
             },
@@ -661,13 +661,11 @@ fn handle_sweep(ctx: &Arc<Ctx>, spec: &sigcomp_explore::SweepSpec, sync: bool) -
     )
 }
 
-fn run_sweep_through_batcher(
-    ctx: &Arc<Ctx>,
-    jobs: &[sigcomp_explore::JobSpec],
-    node: ProcessNode,
-) -> Result<String, SubmitError> {
+/// Runs `jobs` through the batcher (memo, dedup, disk cache and all),
+/// answering in `jobs` order.
+fn run_through_batcher(ctx: &Ctx, jobs: &[JobSpec]) -> Result<Vec<JobOutcome>, SubmitError> {
     let results = ctx.batcher.submit_many(jobs)?;
-    let outcomes: Vec<JobOutcome> = jobs
+    Ok(jobs
         .iter()
         .zip(&results)
         .map(|(&spec, result)| JobOutcome {
@@ -675,30 +673,41 @@ fn run_sweep_through_batcher(
             metrics: result.metrics,
             from_cache: result.from_cache,
         })
-        .collect();
-    Ok(sweep_result_json(&outcomes, node))
+        .collect())
 }
 
-/// Answers a frontier's job shard: runs it through the batcher (memo,
-/// dedup, disk cache and all) and reports each job's metrics as verbatim
-/// cache-entry text so the frontier can replicate them into its own store.
-fn handle_fleet_dispatch(ctx: &Arc<Ctx>, jobs: &[sigcomp_explore::JobSpec]) -> Response {
-    match ctx.batcher.submit_many(jobs) {
-        Ok(results) => {
-            let outcomes: Vec<DispatchOutcome> = jobs
-                .iter()
-                .zip(&results)
-                .map(|(&spec, result)| DispatchOutcome {
-                    spec,
-                    metrics: result.metrics,
-                    from_cache: result.from_cache,
-                })
-                .collect();
-            let obs = sigcomp_obs::global().snapshot();
-            // The report is the sigcomp-fleet wire text, not JSON; the
-            // frontier's parser reads the body and ignores Content-Type.
-            Response::json(200, proto::encode_report(&outcomes, &obs))
-        }
+fn run_sweep_through_batcher(
+    ctx: &Arc<Ctx>,
+    jobs: &[JobSpec],
+    node: ProcessNode,
+) -> Result<String, SubmitError> {
+    Ok(sweep_result_json(&run_through_batcher(ctx, jobs)?, node))
+}
+
+/// Answers a frontier's job shard with the shared report: each job's
+/// metrics as verbatim cache-entry text the frontier replicates into its
+/// own store. Trace jobs are refused: the wire carries only their content
+/// digest, and a server has no trace channel to resolve it.
+fn handle_fleet_dispatch(ctx: &Arc<Ctx>, jobs: &[JobSpec]) -> Response {
+    if let Some(job) = jobs
+        .iter()
+        .find(|j| matches!(j.source, TraceSource::File { .. }))
+    {
+        return Response::error(
+            400,
+            &format!(
+                "job {:016x} is trace-sourced; the fleet protocol dispatches kernel jobs only",
+                job.job_id()
+            ),
+        );
+    }
+    match run_through_batcher(ctx, jobs) {
+        // The report is the sigcomp-fleet wire text, not JSON; the
+        // frontier's parser reads the body and ignores Content-Type.
+        Ok(outcomes) => Response::json(
+            200,
+            encode_report(&outcomes, &sigcomp_obs::global().snapshot()),
+        ),
         Err(e) => submit_error_response(ctx, e),
     }
 }
@@ -817,9 +826,10 @@ mod tests {
 
     #[test]
     fn fleet_dispatch_round_trips_the_wire_protocol() {
+        use sigcomp_explore::{encode_dispatch, parse_report};
         use std::collections::HashSet;
         let ctx = test_ctx();
-        let spec = sigcomp_explore::JobSpec {
+        let spec = JobSpec {
             scheme: sigcomp::ExtScheme::ThreeBit,
             org: sigcomp_pipeline::OrgKind::ByteSerial,
             workload: sigcomp_workloads::suite_names()[0],
@@ -827,13 +837,21 @@ mod tests {
             mem: sigcomp_explore::MemProfile::Paper,
             source: sigcomp_explore::TraceSource::Kernel,
         };
-        let r = post(&ctx, "/fleet/dispatch", &proto::encode_dispatch(&[spec]));
+        let r = post(&ctx, "/fleet/dispatch", &encode_dispatch(&[spec]));
         assert_eq!(r.status, 200, "{}", r.body);
         let expected: HashSet<u64> = [spec.job_id()].into();
-        let report = proto::parse_report(&r.body, &expected).expect("verifiable report");
+        let report = parse_report(&r.body, &expected).expect("verifiable report");
         assert_eq!(report.jobs.len(), 1);
         assert_eq!(report.entries.len(), 1);
         assert_eq!(post(&ctx, "/fleet/dispatch", "garbage").status, 400);
+        // The grammar carries trace jobs; this route refuses them by name.
+        let trace = JobSpec {
+            source: TraceSource::File { digest: 0xdead },
+            ..spec
+        };
+        let r = post(&ctx, "/fleet/dispatch", &encode_dispatch(&[trace]));
+        assert_eq!(r.status, 400);
+        assert!(r.body.contains("kernel jobs only"), "{}", r.body);
     }
 
     #[test]

@@ -12,7 +12,8 @@ use sigcomp::ext::{significant_bytes, ExtScheme};
 use sigcomp::ifetch::{compress_instruction, FunctRecoder};
 use sigcomp::EnergyModel;
 use sigcomp_explore::{
-    config_points, frontier_table, pareto_frontier, run_sweep, MemProfile, SweepOptions, SweepSpec,
+    config_points, frontier_table, pareto_frontier, try_run_sweep, MemProfile, SweepOptions,
+    SweepSpec,
 };
 use sigcomp_workloads::{SynthConfig, TraceSynthesizer, WorkloadSize};
 
@@ -60,7 +61,8 @@ fn main() {
         "sweeping {} configurations on all available cores...",
         spec.len()
     );
-    let summary = run_sweep(&spec, &SweepOptions::default());
+    let summary =
+        try_run_sweep(&spec, &SweepOptions::default()).expect("the local backend never fails");
     println!(
         "done on {} workers in {:.2} s ({} simulated)",
         summary.workers,

@@ -7,8 +7,8 @@
 
 use sigcomp::ProcessNode;
 use sigcomp_explore::{
-    run_sweep, to_csv, to_json, ExecBackend, FleetConfig, MemProfile, ResultCache, SweepOptions,
-    SweepSpec,
+    to_csv, to_json, try_run_sweep, ExecBackend, FleetConfig, MemProfile, ResultCache,
+    SweepOptions, SweepSpec,
 };
 use sigcomp_serve::{BatchConfig, ServeConfig, Server, ServerHandle};
 use sigcomp_workloads::WorkloadSize;
@@ -79,17 +79,18 @@ fn two_workers_merge_byte_identically_to_a_single_process_run() {
     let jobs = spec.enumerate().len() as u64;
 
     let (local_dir, local_cache) = temp_cache("two-local");
-    let local = run_sweep(
+    let local = try_run_sweep(
         &spec,
         &SweepOptions {
             workers: Some(2),
             cache: Some(local_cache),
             backend: ExecBackend::LocalThreads,
         },
-    );
+    )
+    .expect("sweep runs");
 
     let (fleet_dir, fleet_cache) = temp_cache("two-fleet");
-    let fleet = run_sweep(
+    let fleet = try_run_sweep(
         &spec,
         &SweepOptions {
             workers: Some(2),
@@ -100,7 +101,8 @@ fn two_workers_merge_byte_identically_to_a_single_process_run() {
                 attempts: 3,
             }),
         },
-    );
+    )
+    .expect("sweep runs");
 
     // Both workers took a shard, nothing ran locally.
     assert_eq!(fleet.backend, "fleet");
@@ -140,18 +142,19 @@ fn killing_a_worker_mid_sweep_reshards_and_stays_byte_identical() {
     assert_eq!(jobs, 231);
 
     let (local_dir, local_cache) = temp_cache("chaos-local");
-    let local = run_sweep(
+    let local = try_run_sweep(
         &spec,
         &SweepOptions {
             workers: Some(2),
             cache: Some(local_cache),
             backend: ExecBackend::LocalThreads,
         },
-    );
+    )
+    .expect("sweep runs");
 
     let (before_lost, before_reshards) = lost_and_resharded();
     let (fleet_dir, fleet_cache) = temp_cache("chaos-fleet");
-    let fleet = run_sweep(
+    let fleet = try_run_sweep(
         &spec,
         &SweepOptions {
             workers: Some(2),
@@ -162,7 +165,8 @@ fn killing_a_worker_mid_sweep_reshards_and_stays_byte_identical() {
                 attempts: 2,
             }),
         },
-    );
+    )
+    .expect("sweep runs");
     let (after_lost, after_reshards) = lost_and_resharded();
 
     // The frontier must have noticed the death and re-dispatched the dead
@@ -172,6 +176,9 @@ fn killing_a_worker_mid_sweep_reshards_and_stays_byte_identical() {
         after_reshards > before_reshards,
         "its shard must be re-dispatched"
     );
+    // One row per worker: the survivor answered twice (its own shard, then
+    // the re-shard) and the dead worker answered nothing.
+    assert_eq!(fleet.workers, 1, "{:?}", fleet.worker_loads);
     assert_eq!(
         fleet
             .worker_loads

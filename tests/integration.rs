@@ -7,7 +7,7 @@ use sigcomp::ext::{CompressedWord, ExtScheme};
 use sigcomp::ifetch::{compress_instruction, decompress_instruction, FunctRecoder};
 use sigcomp::{EnergyModel, ProcessNode};
 use sigcomp_explore::{
-    config_points, pareto_frontier, run_sweep, to_csv, to_json, ConfigPoint, SweepOptions,
+    config_points, pareto_frontier, to_csv, to_json, try_run_sweep, ConfigPoint, SweepOptions,
     SweepSpec,
 };
 use sigcomp_pipeline::{simulate_all, simulate_trace, OrgKind};
@@ -132,7 +132,7 @@ fn process_node_presets_shift_a_real_sweep_frontier() {
     // a leaky node credits the full-width compressed machine its mostly
     // gated-off lanes, pulling it onto the frontier even at a higher CPI.
     let spec = SweepSpec::paper(WorkloadSize::Tiny);
-    let summary = run_sweep(&spec, &SweepOptions::with_workers(4));
+    let summary = try_run_sweep(&spec, &SweepOptions::with_workers(4)).expect("sweep runs");
     let points = config_points(&summary.outcomes);
 
     let labels = |node: ProcessNode| -> Vec<String> {

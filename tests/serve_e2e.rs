@@ -1,11 +1,11 @@
 //! End-to-end exercise of the serving front-end over real loopback
 //! sockets: concurrent clients submitting overlapping configurations must
-//! receive responses **bit-identical** to a direct `run_sweep` of the same
+//! receive responses **bit-identical** to a direct `try_run_sweep` of the same
 //! specs, and the server's `/metrics` counters must prove the batching
 //! scheduler deduplicated the overlap (simulated count < requested count).
 
 use sigcomp::ExtScheme;
-use sigcomp_explore::{run_sweep, JobSpec, MemProfile, SweepOptions, SweepSpec};
+use sigcomp_explore::{try_run_sweep, JobSpec, MemProfile, SweepOptions, SweepSpec};
 use sigcomp_pipeline::OrgKind;
 use sigcomp_serve::{BatchConfig, Json, ServeConfig, Server, ServerHandle};
 use sigcomp_workloads::WorkloadSize;
@@ -79,7 +79,7 @@ fn concurrent_overlapping_clients_are_deduplicated_and_bit_identical() {
         .orgs(&[OrgKind::Baseline32, OrgKind::ByteSerial]);
     let jobs: Vec<JobSpec> = spec.enumerate();
     assert_eq!(jobs.len(), 4);
-    let direct = run_sweep(&spec, &SweepOptions::with_workers(2));
+    let direct = try_run_sweep(&spec, &SweepOptions::with_workers(2)).expect("sweep runs");
 
     let clients = 8;
     std::thread::scope(|scope| {
@@ -279,7 +279,7 @@ fn sync_sweep_over_http_matches_run_sweep() {
     let addr = server.addr();
 
     let spec = SweepSpec::paper(WorkloadSize::Tiny).workloads(&["epic"]);
-    let direct = run_sweep(&spec, &SweepOptions::with_workers(2));
+    let direct = try_run_sweep(&spec, &SweepOptions::with_workers(2)).expect("sweep runs");
 
     let (status, body) = http(
         addr,
