@@ -478,7 +478,9 @@ pub(crate) fn run_subprocess(
 mod tests {
     use super::*;
     use crate::cache::ResultCache;
+    use crate::proto::encode_report;
     use crate::spec::{MemProfile, SweepSpec, TraceSource};
+    use crate::sweep::{JobMetrics, JobOutcome};
     use sigcomp::ExtScheme;
     use sigcomp_pipeline::OrgKind;
     use sigcomp_workloads::{suite_names, WorkloadSize};
@@ -509,6 +511,103 @@ mod tests {
         let empty = dedup_jobs(&[]);
         assert!(empty.unique.is_empty());
         assert_eq!(empty.followers(), 0);
+    }
+
+    /// Runs the subprocess backend over one shard whose worker is a shell
+    /// script that drains its dispatch and answers with `report` verbatim.
+    fn run_scripted_worker(
+        name: &str,
+        jobs: &[JobSpec],
+        report: &str,
+    ) -> (ResultCache, Result<SweepSummary, ExecError>) {
+        let dir = std::env::temp_dir().join(format!(
+            "sigcomp-backend-verify-{name}-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("scratch dir");
+        let report_path = dir.join("report.txt");
+        std::fs::write(&report_path, report).expect("report written");
+        let cache = ResultCache::open(dir.join("cache")).expect("cache opens");
+        let mut config = SubprocessConfig::new(1, "/bin/sh");
+        config.args = vec![
+            "-c".to_owned(),
+            format!("cat >/dev/null; cat '{}'", report_path.display()),
+        ];
+        let options = SweepOptions {
+            cache: Some(cache.clone()),
+            ..SweepOptions::default()
+        };
+        let result = run_subprocess(jobs, &[], &options, &config);
+        (cache, result)
+    }
+
+    #[test]
+    fn worker_reports_are_verified_strictly() {
+        let jobs = [spec(0, OrgKind::Baseline32), spec(0, OrgKind::ByteSerial)];
+        let outcomes: Vec<JobOutcome> = jobs
+            .iter()
+            .zip(1u64..)
+            .map(|(&spec, seed)| JobOutcome {
+                spec,
+                metrics: JobMetrics {
+                    instructions: 100 + seed,
+                    cycles: 170 + seed,
+                    ..JobMetrics::default()
+                },
+                from_cache: false,
+            })
+            .collect();
+        let good = encode_report(&outcomes, &sigcomp_obs::Snapshot::default());
+
+        // A complete, digest-clean report is replicated into the cache.
+        let (cache, result) = run_scripted_worker("good", &jobs, &good);
+        let summary = result.expect("a valid report is accepted");
+        assert_eq!(summary.outcomes, outcomes);
+        for outcome in &outcomes {
+            assert_eq!(cache.load(outcome.spec.job_id()), Some(outcome.metrics));
+        }
+        let _ = std::fs::remove_dir_all(cache.root().parent().expect("scratch dir"));
+
+        let partial = encode_report(&outcomes[..1], &sigcomp_obs::Snapshot::default());
+        for (name, report, needle) in [
+            ("empty", String::new(), "empty report"),
+            ("header", "not a report\n".to_owned(), "bad report header"),
+            ("partial", partial, "answered 1 of its 2"),
+            (
+                "digest",
+                good.replacen("instructions=101", "instructions=999", 1),
+                "digest mismatch",
+            ),
+            (
+                "stranger",
+                good.replacen(
+                    &format!("job {:016x}", jobs[0].job_id()),
+                    "job 00000000deadbeef",
+                    1,
+                ),
+                "was not dispatched",
+            ),
+        ] {
+            let (cache, result) = run_scripted_worker(name, &jobs, &report);
+            let err = result.unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    ExecError::Protocol {
+                        shard: 0,
+                        shards: 1,
+                        ..
+                    }
+                ),
+                "{name}: {err}"
+            );
+            assert!(err.to_string().contains(needle), "{name}: {err}");
+            // Verification precedes the merge: a rejected report leaves
+            // nothing behind in the cache.
+            assert_eq!(cache.len().expect("cache lists"), 0, "{name}");
+            let _ = std::fs::remove_dir_all(cache.root().parent().expect("scratch dir"));
+        }
     }
 
     #[test]
