@@ -2,6 +2,7 @@
 //! through every stage model and report per-stage activity savings
 //! (Tables 5 and 6 of the paper).
 
+use crate::access::InstrAccess;
 use crate::activity::{ActivityReport, StageActivity};
 use crate::cost::{instr_cost, InstrCost};
 use crate::dcache::DCacheActivity;
@@ -11,7 +12,7 @@ use crate::pc::{PcActivity, PC_BITS};
 use crate::regfile::RegFileActivity;
 use crate::stats::SigStats;
 use sigcomp_isa::ExecRecord;
-use sigcomp_mem::{AccessKind, HierarchyConfig, HierarchyStats, MemoryHierarchy};
+use sigcomp_mem::{HierarchyConfig, HierarchyStats, MemoryHierarchy};
 
 /// Configuration of the activity study.
 #[derive(Debug, Clone)]
@@ -127,7 +128,9 @@ impl GateCounter {
 #[derive(Debug, Clone)]
 pub struct TraceAnalyzer {
     config: AnalyzerConfig,
-    hierarchy: MemoryHierarchy,
+    /// The analyzer's own hierarchy; `None` when the caller walks a shared
+    /// one ([`TraceAnalyzer::with_external_hierarchy`]).
+    hierarchy: Option<MemoryHierarchy>,
     fetch: FetchActivity,
     regfile: RegFileActivity,
     alu: StageActivity,
@@ -147,6 +150,21 @@ impl TraceAnalyzer {
     #[must_use]
     pub fn new(config: AnalyzerConfig) -> Self {
         let hierarchy = MemoryHierarchy::new(&config.hierarchy);
+        TraceAnalyzer {
+            hierarchy: Some(hierarchy),
+            ..Self::with_external_hierarchy(config)
+        }
+    }
+
+    /// Creates an analyzer without a memory hierarchy of its own, for
+    /// callers that walk one shared hierarchy (configured like
+    /// `config.hierarchy`) and feed the outcome to
+    /// [`TraceAnalyzer::observe_with_access`]. Such an analyzer cannot
+    /// [`observe`](TraceAnalyzer::observe) on its own, and its
+    /// [`hierarchy_stats`](TraceAnalyzer::hierarchy_stats) are all zero —
+    /// the counters live in the caller's hierarchy.
+    #[must_use]
+    pub fn with_external_hierarchy(config: AnalyzerConfig) -> Self {
         let dcache = DCacheActivity::new(config.scheme, &config.hierarchy.dl1);
         TraceAnalyzer {
             fetch: FetchActivity::new(),
@@ -161,7 +179,7 @@ impl TraceAnalyzer {
             rf_write_gate: GateCounter::default(),
             dcache_gate: GateCounter::default(),
             pc_gate: GateCounter::default(),
-            hierarchy,
+            hierarchy: None,
             config,
         }
     }
@@ -183,11 +201,34 @@ impl TraceAnalyzer {
     /// to distil the record once instead of once per model. The cost must
     /// come from `instr_cost(rec, ...)` under this analyzer's scheme and
     /// recoder, or the activity accounting is meaningless.
+    ///
+    /// # Panics
+    ///
+    /// If the analyzer was built without a hierarchy of its own
+    /// ([`TraceAnalyzer::with_external_hierarchy`]).
     pub fn observe_with_cost(&mut self, rec: &ExecRecord, cost: &InstrCost) {
+        let hierarchy = self
+            .hierarchy
+            .as_mut()
+            .expect("an external-hierarchy analyzer is fed through observe_with_access");
+        let access = InstrAccess::walk(hierarchy, rec);
+        self.observe_with_access(rec, cost, &access);
+    }
+
+    /// [`TraceAnalyzer::observe_with_cost`] with the record's walk through
+    /// the memory hierarchy supplied by the caller: only its L1-fill
+    /// outcome matters to the activity study. The walk must come from
+    /// [`InstrAccess::walk`] over a hierarchy configured like this
+    /// analyzer's, fed the same record stream.
+    pub fn observe_with_access(
+        &mut self,
+        rec: &ExecRecord,
+        cost: &InstrCost,
+        access: &InstrAccess,
+    ) {
         self.stats.observe(rec);
 
         // ---- instruction fetch (I-cache data array + I-TLB) ----------------
-        self.hierarchy.fetch_instruction(rec.pc);
         self.fetch.observe(&cost.fetch);
         self.fetch_gate
             .occupy(u64::from(cost.fetch.fetch_bytes), WORD_LANES);
@@ -230,24 +271,20 @@ impl TraceAnalyzer {
 
         // ---- data cache ------------------------------------------------------
         if let Some(mem) = rec.mem {
-            let kind = if mem.is_store {
-                AccessKind::Store
-            } else {
-                AccessKind::Load
-            };
-            let result = self.hierarchy.data_access(mem.addr, kind);
             self.dcache.access(mem.value, mem.width);
             if let Some(m) = cost.mem {
                 self.dcache_gate
                     .occupy(u64::from(m.sig_bytes), u64::from(m.width_bytes));
             }
-            if result.l1_fill.is_some() {
+            if access.data_l1_fill() {
                 // A line fill regenerates extension bits for every word of
                 // the 32-byte line. The analyzer does not track line
                 // contents, so the accessed word's value stands in for its
                 // neighbours (documented approximation; fills are a small
                 // fraction of accesses at the paper's miss rates).
-                let words = u64::from(self.hierarchy.l1_line_bytes() / 4);
+                // The paper's split L1s share one line size; the I-side
+                // field stands for both.
+                let words = u64::from(self.config.hierarchy.il1.line_bytes / 4);
                 let fill_sig = u64::from(significant_bytes(mem.value, self.config.scheme));
                 self.dcache.fill_line(mem.value, words);
                 self.dcache_gate
@@ -343,10 +380,15 @@ impl TraceAnalyzer {
         self.fetch.mean_fetch_bytes()
     }
 
-    /// Memory-hierarchy counters accumulated while analyzing.
+    /// Memory-hierarchy counters accumulated while analyzing (all zero for
+    /// an analyzer built [`with_external_hierarchy`]).
+    ///
+    /// [`with_external_hierarchy`]: TraceAnalyzer::with_external_hierarchy
     #[must_use]
     pub fn hierarchy_stats(&self) -> HierarchyStats {
-        self.hierarchy.stats()
+        self.hierarchy
+            .as_ref()
+            .map_or_else(HierarchyStats::default, MemoryHierarchy::stats)
     }
 }
 
@@ -422,6 +464,60 @@ mod tests {
         assert!(h.il1.accesses > 10_000);
         assert!(h.dl1.accesses > 3_000);
         assert!(h.dl1.miss_rate() < 0.2);
+    }
+
+    /// Streams stores and loads over 64 KB at a 32-byte stride, so every
+    /// data access misses (and fills) a 4 KB or 8 KB L1.
+    fn strided_loop(b: &mut ProgramBuilder) {
+        b.dlabel("buf");
+        b.space(64 * 1024);
+        b.la(reg::A0, "buf");
+        b.li(reg::T0, 0);
+        b.li(reg::T1, 2048);
+        b.label("loop");
+        b.sw(reg::T0, reg::A0, 0);
+        b.lw(reg::T4, reg::A0, 0);
+        b.addiu(reg::A0, reg::A0, 32);
+        b.addiu(reg::T0, reg::T0, 1);
+        b.bne(reg::T0, reg::T1, "loop");
+        b.halt();
+    }
+
+    #[test]
+    fn an_external_walk_plus_observe_with_access_equals_observe_with_cost() {
+        let mut b = ProgramBuilder::new();
+        strided_loop(&mut b);
+        let trace = Interpreter::new(&b.assemble().unwrap())
+            .run(1_000_000)
+            .unwrap();
+        // The sweep's small-L1 and slow-memory geometries.
+        let mut small_l1 = HierarchyConfig::paper();
+        small_l1.il1.size_bytes = 4 * 1024;
+        small_l1.dl1.size_bytes = 4 * 1024;
+        let mut slow_memory = HierarchyConfig::paper();
+        slow_memory.memory_latency = 100;
+        for hierarchy in [small_l1, slow_memory] {
+            for &scheme in ExtScheme::ALL {
+                let config = AnalyzerConfig {
+                    hierarchy,
+                    ..AnalyzerConfig::for_scheme(scheme)
+                };
+                let mut own = TraceAnalyzer::new(config.clone());
+                let mut external = TraceAnalyzer::with_external_hierarchy(config.clone());
+                let mut shared = MemoryHierarchy::new(&hierarchy);
+                for rec in &trace {
+                    let cost = instr_cost(rec, scheme, &config.recoder);
+                    own.observe_with_cost(rec, &cost);
+                    external.observe_with_access(rec, &cost, &InstrAccess::walk(&mut shared, rec));
+                }
+                let stats = own.hierarchy_stats();
+                assert!(stats.dl1.fills > 1_000, "the stride must fill L1 lines");
+                assert_eq!(stats, shared.stats());
+                assert_eq!(external.hierarchy_stats(), HierarchyStats::default());
+                assert_eq!(own.report(), external.report());
+                assert_eq!(own.stats().instructions(), external.stats().instructions());
+            }
+        }
     }
 
     #[test]

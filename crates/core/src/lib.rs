@@ -62,6 +62,7 @@
 #![forbid(unsafe_code)]
 #![warn(rust_2018_idioms)]
 
+pub mod access;
 pub mod activity;
 pub mod alu;
 pub mod analyzer;
@@ -74,6 +75,7 @@ pub mod pc;
 pub mod regfile;
 pub mod stats;
 
+pub use access::InstrAccess;
 pub use activity::{ActivityReport, EnergyModel, ProcessNode, StageActivity};
 pub use analyzer::{AnalyzerConfig, TraceAnalyzer};
 pub use cost::{instr_cost, InstrCost, MemCost};

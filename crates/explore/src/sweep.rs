@@ -1,12 +1,35 @@
-//! Running a sweep: per-job simulation, sharded accumulation, caching, and
-//! dispatch onto the configured execution backend.
+//! Running a sweep: fused per-input simulation, sharded accumulation,
+//! caching, and dispatch onto the configured execution backend.
+//!
+//! # The group model
+//!
+//! Every job of a sweep replays one dynamic instruction stream — a kernel's
+//! `(workload, size)` or a trace file's digest — under one extension scheme,
+//! one memory profile and one pipeline organization. Only the timing model
+//! depends on the organization: the record stream, its [`InstrCost`] vector,
+//! the §3 hierarchy walk and the activity study (Tables 5/6) are the same
+//! for every organization of a scheme and memory profile. The local
+//! executor's unit of work is therefore a **group**: the cache-missing jobs
+//! sharing a stream, a scheme and a memory profile. Per record a group runs
+//! one source ([`Benchmark::run_each`] or [`DecodedTrace::iter`]), one
+//! [`instr_cost`], one [`MemoryHierarchy`] walk whose latencies and L1-fill
+//! outcome serve the analyzer *and* every organization, and one
+//! [`TraceAnalyzer`]; only each organization's [`PipelineSim`] timing runs
+//! per job. A job's [`JobMetrics`] is the shared activity report re-weighted
+//! by its own organization's timing ([`JobMetrics::from_models`]).
+//!
+//! The single-job entry points ([`simulate_job`], [`simulate_trace`],
+//! [`simulate_decoded`]) run a group of one through the same code.
 
 use crate::backend::{ExecBackend, ExecError};
 use crate::cache::ResultCache;
 use crate::executor::run_parallel;
-use crate::spec::{JobSpec, SweepSpec, TraceInput, TraceSource};
-use sigcomp::{ActivityReport, EnergyModel, StageActivity, TraceAnalyzer};
+use crate::spec::{JobSpec, MemProfile, SweepSpec, TraceInput, TraceSource};
+use sigcomp::{
+    instr_cost, ActivityReport, EnergyModel, ExtScheme, InstrAccess, StageActivity, TraceAnalyzer,
+};
 use sigcomp_isa::{DecodedTrace, ExecRecord, Trace};
+use sigcomp_mem::MemoryHierarchy;
 use sigcomp_pipeline::{OrgKind, Organization, PipelineSim, SimResult, Stage};
 use sigcomp_workloads::{find, Benchmark, WorkloadSize};
 use std::collections::HashMap;
@@ -35,6 +58,31 @@ pub struct JobMetrics {
     pub stall_control: u64,
     /// Per-stage activity under this job's scheme vs the 32-bit baseline.
     pub activity: ActivityReport,
+}
+
+impl JobMetrics {
+    /// Assembles one job's metrics from its two models: the activity
+    /// study's report over the job's record stream and the timing result
+    /// of its organization. The report's datapath columns are re-weighted
+    /// with the organization's gated-lane budgets (see
+    /// [`apply_pipeline_gating`]); its switching counters are kept as-is.
+    #[must_use]
+    pub fn from_models(
+        mut activity: ActivityReport,
+        org: &Organization,
+        result: &SimResult,
+    ) -> Self {
+        apply_pipeline_gating(&mut activity, org, result);
+        JobMetrics {
+            instructions: result.instructions,
+            cycles: result.cycles,
+            branches: result.branches,
+            stall_structural: result.stalls.structural.iter().sum(),
+            stall_data_hazard: result.stalls.data_hazard,
+            stall_control: result.stalls.control,
+            activity,
+        }
+    }
 }
 
 /// One simulated (or cache-restored) point of the design space.
@@ -180,15 +228,17 @@ pub struct SweepSummary {
     pub outcomes: Vec<JobOutcome>,
     /// The worker shards folded together in worker order.
     pub totals: SweepShard,
-    /// `(jobs, steals)` per worker, in worker order. On the scale-out
+    /// `(jobs, steals)` per worker, in worker order. On the local backend a
+    /// worker takes whole groups (see the [module docs](self)), so its job
+    /// count sums its groups' jobs and a steal moves one group. On the scale-out
     /// backends a "worker" is one shard process (subprocess) or one worker
     /// server that answered at least one dispatch, in address order,
     /// followed by one row for the frontier's local fallback if it ran
     /// (fleet). Steals are always 0 there: the shard partition is static.
     pub worker_loads: Vec<(u64, u64)>,
-    /// Worker threads (local backend), shard processes (subprocess
-    /// backend) or [`SweepSummary::worker_loads`] rows (fleet backend)
-    /// actually used.
+    /// Worker threads (local backend; at most one per group), shard
+    /// processes (subprocess backend) or [`SweepSummary::worker_loads`] rows
+    /// (fleet backend) actually used.
     pub workers: usize,
     /// Wall-clock time of the parallel phase.
     pub wall: Duration,
@@ -229,11 +279,7 @@ impl SweepSummary {
 /// condition).
 #[must_use]
 pub fn simulate_job(spec: &JobSpec, benchmark: &Benchmark) -> JobMetrics {
-    let mut models = JobModels::new(spec);
-    benchmark
-        .run_each(|rec| models.observe(rec))
-        .unwrap_or_else(|e| panic!("kernel {} failed: {e}", benchmark.name()));
-    models.finish()
+    only(replay_kernel(std::slice::from_ref(spec), benchmark))
 }
 
 /// Simulates one design point against a recorded trace: the records are
@@ -241,11 +287,11 @@ pub fn simulate_job(spec: &JobSpec, benchmark: &Benchmark) -> JobMetrics {
 /// so the resulting metrics are bit-identical to the run that recorded them.
 #[must_use]
 pub fn simulate_trace(spec: &JobSpec, trace: &Trace) -> JobMetrics {
-    let mut models = JobModels::new(spec);
+    let mut group = GroupModels::new(std::slice::from_ref(spec));
     for rec in trace {
-        models.observe(rec);
+        group.observe(rec);
     }
-    models.finish()
+    only(group.finish())
 }
 
 /// [`simulate_trace`] over a decode-once arena: the records come out of the
@@ -253,58 +299,86 @@ pub fn simulate_trace(spec: &JobSpec, trace: &Trace) -> JobMetrics {
 /// same records in the same order, so the metrics are bit-identical.
 #[must_use]
 pub fn simulate_decoded(spec: &JobSpec, trace: &DecodedTrace) -> JobMetrics {
-    let mut models = JobModels::new(spec);
+    only(replay_decoded(std::slice::from_ref(spec), trace))
+}
+
+fn only(metrics: Vec<JobMetrics>) -> JobMetrics {
+    metrics
+        .into_iter()
+        .next()
+        .expect("a group of one answers one job")
+}
+
+/// Replays one kernel's live record stream for every job of a group.
+fn replay_kernel(jobs: &[JobSpec], benchmark: &Benchmark) -> Vec<JobMetrics> {
+    let mut group = GroupModels::new(jobs);
+    benchmark
+        .run_each(|rec| group.observe(rec))
+        .unwrap_or_else(|e| panic!("kernel {} failed: {e}", benchmark.name()));
+    group.finish()
+}
+
+/// Replays one decoded trace for every job of a group.
+fn replay_decoded(jobs: &[JobSpec], trace: &DecodedTrace) -> Vec<JobMetrics> {
+    let mut group = GroupModels::new(jobs);
     for rec in trace.iter() {
-        models.observe(&rec);
+        group.observe(&rec);
     }
-    models.finish()
+    group.finish()
 }
 
-/// The model stack one job drives — a single stream of [`ExecRecord`]s feeds
-/// both the cycle-level timing simulator and the activity study, whether the
-/// stream comes from a live interpreter or a replayed file.
-struct JobModels {
-    org: Organization,
-    sim: PipelineSim,
+/// The model stack one group drives: a single stream of [`ExecRecord`]s —
+/// from a live interpreter or a replayed file — feeds one cost vector, one
+/// hierarchy walk and one activity study per record, fanned out to one
+/// timing model per job.
+struct GroupModels {
+    hierarchy: MemoryHierarchy,
     analyzer: TraceAnalyzer,
+    sims: Vec<PipelineSim>,
 }
 
-impl JobModels {
-    fn new(spec: &JobSpec) -> Self {
-        let hierarchy = spec.mem.hierarchy();
-        let config = spec.analyzer_config();
-        let recoder = config.recoder.clone();
-        let org = spec.organization();
-        JobModels {
-            sim: PipelineSim::with_config(org.clone(), &hierarchy, recoder),
-            org,
-            analyzer: TraceAnalyzer::new(config),
+impl GroupModels {
+    /// Models for `jobs`, which must share a scheme and a memory profile
+    /// (their [`JobSpec::analyzer_config`] is then one and the same).
+    fn new(jobs: &[JobSpec]) -> Self {
+        let config = jobs[0].analyzer_config();
+        let sims = jobs
+            .iter()
+            .map(|job| {
+                // A mixed group would cache one job's metrics under another's id.
+                assert_eq!((job.scheme, job.mem), (jobs[0].scheme, jobs[0].mem));
+                PipelineSim::with_external_hierarchy(job.organization(), config.recoder.clone())
+            })
+            .collect();
+        GroupModels {
+            hierarchy: MemoryHierarchy::new(&config.hierarchy),
+            analyzer: TraceAnalyzer::with_external_hierarchy(config),
+            sims,
         }
     }
 
     fn observe(&mut self, rec: &ExecRecord) {
-        // Both models run under the same scheme and recoder (they come from
-        // the same JobSpec), so the record is distilled into its cost vector
-        // once and shared instead of once per model.
+        // Every model runs under the group's scheme, recoder and hierarchy,
+        // so the record is distilled and walked once and shared.
         let config = self.analyzer.config();
-        let cost = sigcomp::cost::instr_cost(rec, config.scheme, &config.recoder);
-        self.sim.observe_with_cost(rec, &cost);
-        self.analyzer.observe_with_cost(rec, &cost);
+        let cost = instr_cost(rec, config.scheme, &config.recoder);
+        let access = InstrAccess::walk(&mut self.hierarchy, rec);
+        for sim in &mut self.sims {
+            sim.observe_with_access(rec, &cost, &access);
+        }
+        self.analyzer.observe_with_access(rec, &cost, &access);
     }
 
-    fn finish(self) -> JobMetrics {
-        let mut activity = self.analyzer.report();
-        let result = self.sim.finish();
-        apply_pipeline_gating(&mut activity, &self.org, &result);
-        JobMetrics {
-            instructions: result.instructions,
-            cycles: result.cycles,
-            branches: result.branches,
-            stall_structural: result.stalls.structural.iter().sum(),
-            stall_data_hazard: result.stalls.data_hazard,
-            stall_control: result.stalls.control,
-            activity,
-        }
+    /// One [`JobMetrics`] per job, in the order the jobs were given.
+    fn finish(self) -> Vec<JobMetrics> {
+        let activity = self.analyzer.report();
+        self.sims
+            .into_iter()
+            .map(|sim| {
+                let org = sim.organization().clone();
+                JobMetrics::from_models(activity, &org, &sim.finish())
+            })
+            .collect()
     }
 }
 
@@ -422,14 +496,51 @@ pub fn try_run_jobs_traced(
     }
 }
 
-/// The [`ExecBackend::LocalThreads`] engine: every job on the in-process
-/// work-stealing executor, results reassembled in job order.
+/// The record stream a job replays: a kernel run live at one size, or a
+/// trace file identified by its content digest (its display name is not
+/// part of the stream).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum StreamKey {
+    Kernel(&'static str, WorkloadSize),
+    File(u64),
+}
+
+/// What the jobs of one group share (see the [module docs](self)).
+type GroupKey = (StreamKey, ExtScheme, MemProfile);
+
+fn group_key(job: &JobSpec) -> GroupKey {
+    let stream = match job.source {
+        TraceSource::Kernel => StreamKey::Kernel(job.workload, job.size),
+        TraceSource::File { digest } => StreamKey::File(digest),
+    };
+    (stream, job.scheme, job.mem)
+}
+
+/// Partitions job positions into groups, each in job order; groups are
+/// ordered by their first job, so the partition depends only on `jobs`.
+fn group_jobs(jobs: &[JobSpec]) -> Vec<Vec<usize>> {
+    let mut index: HashMap<GroupKey, usize> = HashMap::new();
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    for (position, job) in jobs.iter().enumerate() {
+        let g = *index.entry(group_key(job)).or_insert_with(|| {
+            groups.push(Vec::new());
+            groups.len() - 1
+        });
+        groups[g].push(position);
+    }
+    groups
+}
+
+/// The [`ExecBackend::LocalThreads`] engine: every group on the in-process
+/// work-stealing executor, each group's cache misses replayed in one fused
+/// pass, results reassembled in job order.
 fn run_jobs_local(jobs: &[JobSpec], traces: &[TraceInput], options: &SweepOptions) -> SweepSummary {
+    let groups = group_jobs(jobs);
     // Mirror the executor's clamp so the summary reports the worker count
     // actually used.
-    let workers = options.effective_workers().min(jobs.len().max(1));
+    let workers = options.effective_workers().min(groups.len().max(1));
 
-    // Each (workload, size) is assembled at most once, shared by every job
+    // Each (workload, size) is assembled at most once, shared by every group
     // that needs it — and not at all when all of its jobs hit the cache.
     let mut benchmarks: HashMap<(&'static str, WorkloadSize), OnceLock<Benchmark>> = HashMap::new();
     for job in jobs {
@@ -440,71 +551,128 @@ fn run_jobs_local(jobs: &[JobSpec], traces: &[TraceInput], options: &SweepOption
     let traces_by_digest: HashMap<u64, &TraceInput> =
         traces.iter().map(|t| (t.digest(), t)).collect();
 
-    // Handles are fetched once; the per-job hot path below records through
-    // them lock-free.
+    // Handles are fetched once; the per-group hot path below records
+    // through them lock-free. The fused counters stay outside the
+    // `replay.`/`explore.cache.` families, whose totals must not depend on
+    // how a batch was grouped (shards group differently).
     let obs = sigcomp_obs::global();
     let obs_simulated = obs.counter("replay.jobs_simulated");
     let obs_cached = obs.counter("replay.jobs_cached");
     let obs_instructions = obs.counter("replay.instructions");
+    let obs_groups = obs.counter("explore.fused.groups");
+    let obs_records = obs.counter("explore.fused.records");
     obs.gauge("explore.workers").set_max(workers as u64);
 
+    // Replays one group's cache misses from the stream they share.
+    let replay = |misses: &[JobSpec]| {
+        let first = misses[0];
+        match first.source {
+            TraceSource::Kernel => {
+                let benchmark = benchmarks[&(first.workload, first.size)].get_or_init(|| {
+                    find(first.workload, first.size)
+                        .unwrap_or_else(|| panic!("unknown workload {}", first.workload))
+                });
+                replay_kernel(misses, benchmark)
+            }
+            TraceSource::File { digest } => {
+                let input = traces_by_digest.get(&digest).unwrap_or_else(|| {
+                    panic!(
+                        "no trace with digest {digest:016x} for job {}",
+                        first.label()
+                    )
+                });
+                replay_decoded(misses, input.decoded())
+            }
+        }
+    };
+
     let started = Instant::now();
-    let (outcomes, reports) =
-        run_parallel::<JobOutcome, SweepShard, _>(jobs.len(), workers, |index, shard| {
-            let job = jobs[index];
-            let key = job.job_id();
-            let _span = sigcomp_obs::span!("replay.job", job_id = format_args!("{key:016x}"));
-            let (metrics, from_cache) = if let Some(metrics) =
-                options.cache.as_ref().and_then(|c| c.load(key))
-            {
-                (metrics, true)
-            } else {
-                let metrics = match job.source {
-                    TraceSource::Kernel => {
-                        let benchmark = benchmarks[&(job.workload, job.size)].get_or_init(|| {
-                            find(job.workload, job.size)
-                                .unwrap_or_else(|| panic!("unknown workload {}", job.workload))
-                        });
-                        simulate_job(&job, benchmark)
-                    }
-                    TraceSource::File { digest } => {
-                        let input = traces_by_digest.get(&digest).unwrap_or_else(|| {
-                            panic!("no trace with digest {digest:016x} for job {}", job.label())
-                        });
-                        simulate_decoded(&job, input.decoded())
-                    }
-                };
+    let (answers, reports) =
+        run_parallel::<Vec<JobOutcome>, SweepShard, _>(groups.len(), workers, |g, shard| {
+            let members = &groups[g];
+            let first = jobs[members[0]];
+            let _span = sigcomp_obs::span!(
+                "replay.job",
+                job_id = format_args!("{:016x}", first.job_id()),
+                jobs = members.len(),
+            );
+            let cached: Vec<Option<JobMetrics>> = members
+                .iter()
+                .map(|&p| {
+                    options
+                        .cache
+                        .as_ref()
+                        .and_then(|c| c.load(jobs[p].job_id()))
+                })
+                .collect();
+            let misses: Vec<JobSpec> = members
+                .iter()
+                .zip(&cached)
+                .filter(|(_, hit)| hit.is_none())
+                .map(|(&p, _)| jobs[p])
+                .collect();
+
+            let mut simulated = Vec::new();
+            if !misses.is_empty() {
+                simulated = replay(&misses);
+                obs_groups.incr();
+                obs_records.add(simulated[0].instructions);
                 if let Some(cache) = options.cache.as_ref() {
-                    // A failed store only costs a re-simulation next run.
-                    let _ = cache.store(key, &metrics);
+                    for (job, metrics) in misses.iter().zip(&simulated) {
+                        // A failed store only costs a re-simulation next run.
+                        let _ = cache.store(job.job_id(), metrics);
+                    }
                 }
-                (metrics, false)
-            };
-            if from_cache {
-                shard.cached += 1;
-                obs_cached.incr();
-            } else {
-                shard.simulated += 1;
-                shard.instructions_simulated += metrics.instructions;
-                obs_simulated.incr();
-                obs_instructions.add(metrics.instructions);
             }
-            shard.activity.merge(&metrics.activity);
-            JobOutcome {
-                spec: job,
-                metrics,
-                from_cache,
-            }
+
+            let mut simulated = simulated.into_iter();
+            members
+                .iter()
+                .zip(cached)
+                .map(|(&p, hit)| {
+                    let from_cache = hit.is_some();
+                    let metrics = hit.unwrap_or_else(|| {
+                        simulated.next().expect("one simulation per cache miss")
+                    });
+                    if from_cache {
+                        shard.cached += 1;
+                        obs_cached.incr();
+                    } else {
+                        shard.simulated += 1;
+                        shard.instructions_simulated += metrics.instructions;
+                        obs_simulated.incr();
+                        obs_instructions.add(metrics.instructions);
+                    }
+                    shard.activity.merge(&metrics.activity);
+                    JobOutcome {
+                        spec: jobs[p],
+                        metrics,
+                        from_cache,
+                    }
+                })
+                .collect()
         });
     let wall = started.elapsed();
     obs.histogram("explore.batch.wall", sigcomp_obs::DEFAULT_SPAN_BOUNDS_US)
         .observe(u64::try_from(wall.as_micros()).unwrap_or(u64::MAX));
 
+    let mut slots: Vec<Option<JobOutcome>> = vec![None; jobs.len()];
+    for (members, answer) in groups.iter().zip(answers) {
+        for (&p, outcome) in members.iter().zip(answer) {
+            slots[p] = Some(outcome);
+        }
+    }
+    let outcomes = slots
+        .into_iter()
+        .map(|o| o.expect("every job belongs to one group"))
+        .collect();
+
     let mut totals = SweepShard::default();
     let mut worker_loads = Vec::with_capacity(reports.len());
     for report in &reports {
         totals.merge(&report.shard);
-        worker_loads.push((report.jobs, report.steals));
+        // Loads count jobs, not the groups the executor handed out.
+        worker_loads.push((report.shard.simulated + report.shard.cached, report.steals));
     }
 
     SweepSummary {

@@ -77,12 +77,6 @@ impl MemoryHierarchy {
         &self.config
     }
 
-    /// Line size of the L1 caches in bytes.
-    #[must_use]
-    pub fn l1_line_bytes(&self) -> u32 {
-        self.config.il1.line_bytes
-    }
-
     /// Fetches an instruction word.
     pub fn fetch_instruction(&mut self, addr: u32) -> MemResult {
         let tlb_latency = self.itlb.access(addr);

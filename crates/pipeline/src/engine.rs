@@ -20,9 +20,9 @@
 use crate::organization::{Organization, Stage};
 use crate::predictor::BimodalPredictor;
 use sigcomp::cost::{instr_cost, InstrCost};
-use sigcomp::FunctRecoder;
+use sigcomp::{FunctRecoder, InstrAccess};
 use sigcomp_isa::{ExecRecord, Op};
-use sigcomp_mem::{AccessKind, HierarchyConfig, HierarchyStats, MemoryHierarchy};
+use sigcomp_mem::{HierarchyConfig, HierarchyStats, MemoryHierarchy};
 use std::fmt;
 
 /// Cycles lost to each cause, for the bottleneck study of §5.
@@ -72,7 +72,8 @@ pub struct SimResult {
     pub cycles: u64,
     /// Stall attribution.
     pub stalls: StallBreakdown,
-    /// Memory-hierarchy counters accumulated during the run.
+    /// Memory-hierarchy counters accumulated during the run (all zero for a
+    /// simulator built [`PipelineSim::with_external_hierarchy`]).
     pub hierarchy: HierarchyStats,
     /// Conditional branches executed.
     pub branches: u64,
@@ -142,11 +143,16 @@ impl fmt::Display for SimResult {
 /// Feed retired instructions with [`PipelineSim::observe`] (directly from the
 /// interpreter, a stored [`Trace`](sigcomp_isa::Trace) or the statistical
 /// synthesizer) and call [`PipelineSim::finish`] for the [`SimResult`].
+/// Callers that time several organizations over one record stream walk one
+/// shared hierarchy themselves and feed each simulator through
+/// [`PipelineSim::observe_with_access`].
 #[derive(Debug, Clone)]
 pub struct PipelineSim {
     org: Organization,
     recoder: FunctRecoder,
-    hierarchy: MemoryHierarchy,
+    /// The simulator's own hierarchy; `None` when the caller walks a shared
+    /// one ([`PipelineSim::with_external_hierarchy`]).
+    hierarchy: Option<MemoryHierarchy>,
     /// Pipeline depth, cached so the hot loop never re-asks the organization.
     depth: usize,
     /// The organization's stage list in a fixed-size array (depth ≤ 7).
@@ -203,6 +209,20 @@ impl PipelineSim {
         hierarchy: &HierarchyConfig,
         recoder: FunctRecoder,
     ) -> Self {
+        PipelineSim {
+            hierarchy: Some(MemoryHierarchy::new(hierarchy)),
+            ..Self::with_external_hierarchy(org, recoder)
+        }
+    }
+
+    /// Creates a simulator without a memory hierarchy of its own, for
+    /// callers that walk one shared hierarchy and feed the outcome to
+    /// [`PipelineSim::observe_with_access`]. Such a simulator cannot
+    /// [`observe`](PipelineSim::observe) on its own, and its
+    /// [`SimResult::hierarchy`] is all zero — the counters live in the
+    /// caller's hierarchy.
+    #[must_use]
+    pub fn with_external_hierarchy(org: Organization, recoder: FunctRecoder) -> Self {
         let depth = org.depth();
         debug_assert!(depth <= 7, "the fixed stage arrays hold up to 7 stages");
         let mut stages = [Stage::Fetch; 7];
@@ -214,7 +234,7 @@ impl PipelineSim {
             stage_pos[stage as usize] = i;
         }
         PipelineSim {
-            hierarchy: MemoryHierarchy::new(hierarchy),
+            hierarchy: None,
             recoder,
             depth,
             stages,
@@ -283,24 +303,42 @@ impl PipelineSim {
     /// distil the record once instead of once per model. The cost must come
     /// from `instr_cost(rec, ...)` under this simulator's scheme and
     /// recoder, or the timing is meaningless.
+    ///
+    /// # Panics
+    ///
+    /// If the simulator was built without a hierarchy of its own
+    /// ([`PipelineSim::with_external_hierarchy`]).
     pub fn observe_with_cost(&mut self, rec: &ExecRecord, cost: &InstrCost) {
+        let hierarchy = self
+            .hierarchy
+            .as_mut()
+            .expect("an external-hierarchy simulator is fed through observe_with_access");
+        let access = InstrAccess::walk(hierarchy, rec);
+        self.observe_with_access(rec, cost, &access);
+    }
+
+    /// [`PipelineSim::observe_with_cost`] with the record's walk through the
+    /// memory hierarchy supplied by the caller: its fetch and data
+    /// latencies lengthen the fetch and memory stages. The walk must come
+    /// from [`InstrAccess::walk`] over the hierarchy this organization is
+    /// timed against, fed the same record stream — one walk can then serve
+    /// every organization of a sweep.
+    pub fn observe_with_access(
+        &mut self,
+        rec: &ExecRecord,
+        cost: &InstrCost,
+        access: &InstrAccess,
+    ) {
         let cost = *cost;
         let depth = self.depth;
 
         // Per-stage occupancy, including cache/TLB miss penalties.
-        let imem = self.hierarchy.fetch_instruction(rec.pc);
         let mut occ = [0u64; 7];
         for (slot, &stage) in occ.iter_mut().zip(&self.stages[..depth]) {
             *slot = u64::from(self.org.occupancy(stage, &cost));
         }
-        occ[0] += u64::from(imem.latency.saturating_sub(1));
-        if let Some(mem) = rec.mem {
-            let kind = if mem.is_store {
-                AccessKind::Store
-            } else {
-                AccessKind::Load
-            };
-            let dmem = self.hierarchy.data_access(mem.addr, kind);
+        occ[0] += u64::from(access.fetch.latency.saturating_sub(1));
+        if let Some(dmem) = access.data {
             occ[self.mem_index] += u64::from(dmem.latency.saturating_sub(1));
         }
 
@@ -439,7 +477,10 @@ impl PipelineSim {
             instructions: self.instructions,
             cycles: self.completion,
             stalls: self.stalls,
-            hierarchy: self.hierarchy.stats(),
+            hierarchy: self
+                .hierarchy
+                .as_ref()
+                .map_or_else(HierarchyStats::default, MemoryHierarchy::stats),
             branches: self.branches,
             mispredictions: self.mispredictions,
             gated_byte_cycles: self.gated_byte_cycles,
@@ -634,6 +675,68 @@ mod tests {
         let s = r.to_string();
         assert!(s.contains("CPI"));
         assert!(s.contains("32-bit baseline"));
+    }
+
+    /// Streams stores and loads over 64 KB at a 32-byte stride: every data
+    /// access misses a 4 KB or 8 KB L1, and the first touches go to memory.
+    fn strided_trace() -> Trace {
+        let mut b = ProgramBuilder::new();
+        b.dlabel("buf");
+        b.space(64 * 1024);
+        b.la(reg::A0, "buf");
+        b.li(reg::T0, 0);
+        b.li(reg::T1, 2048);
+        b.label("loop");
+        b.sw(reg::T0, reg::A0, 0);
+        b.lw(reg::T4, reg::A0, 0);
+        b.addiu(reg::A0, reg::A0, 32);
+        b.addiu(reg::T0, reg::T0, 1);
+        b.bne(reg::T0, reg::T1, "loop");
+        b.halt();
+        Interpreter::new(&b.assemble().unwrap())
+            .run(1_000_000)
+            .unwrap()
+    }
+
+    #[test]
+    fn an_external_walk_plus_observe_with_access_equals_observe_with_cost() {
+        let trace = strided_trace();
+        let recoder = FunctRecoder::paper_default();
+        // The sweep's small-L1 and slow-memory geometries.
+        let mut small_l1 = HierarchyConfig::paper();
+        small_l1.il1.size_bytes = 4 * 1024;
+        small_l1.dl1.size_bytes = 4 * 1024;
+        let mut slow_memory = HierarchyConfig::paper();
+        slow_memory.memory_latency = 100;
+        for config in [small_l1, slow_memory] {
+            for &kind in OrgKind::ALL {
+                let org = Organization::new(kind);
+                let mut own = PipelineSim::with_config(org.clone(), &config, recoder.clone());
+                let mut external =
+                    PipelineSim::with_external_hierarchy(org.clone(), recoder.clone());
+                let mut shared = MemoryHierarchy::new(&config);
+                for rec in &trace {
+                    let cost = instr_cost(rec, org.scheme(), &recoder);
+                    own.observe_with_cost(rec, &cost);
+                    external.observe_with_access(rec, &cost, &InstrAccess::walk(&mut shared, rec));
+                }
+                let own = own.finish();
+                let external = external.finish();
+                assert!(own.hierarchy.dl1.misses > 1_000, "{}", own.organization);
+                assert!(own.hierarchy.memory_accesses > 0, "{}", own.organization);
+                // The standalone path keeps reporting its own counters; the
+                // external simulator leaves them to the caller's hierarchy.
+                assert_eq!(own.hierarchy, shared.stats());
+                assert_eq!(external.hierarchy, HierarchyStats::default());
+                assert_eq!(
+                    own,
+                    SimResult {
+                        hierarchy: own.hierarchy,
+                        ..external
+                    }
+                );
+            }
+        }
     }
 
     #[test]

@@ -29,7 +29,7 @@ use sigcomp_explore::{
 };
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
 /// Default [`BatchConfig::memo_capacity`]: metrics are ~300 bytes, so the
@@ -275,9 +275,15 @@ impl Batcher {
     /// [`SubmitError::ShuttingDown`] when the batcher is stopping;
     /// [`SubmitError::Overloaded`] when the queue is full.
     pub fn submit(&self, spec: JobSpec) -> Result<BatchedResult, SubmitError> {
-        match self.enqueue(spec, false)? {
+        let state = self.shared.state.lock().expect("queue poisoned");
+        let (state, enqueued) = self.enqueue_locked(state, spec, false);
+        drop(state);
+        match enqueued? {
             Enqueued::Ready(result) => Ok(*result),
-            Enqueued::Waiting(slot) => slot.wait(),
+            Enqueued::Waiting(slot) => {
+                self.shared.work_ready.notify_all();
+                slot.wait()
+            }
         }
     }
 
@@ -294,10 +300,30 @@ impl Batcher {
     /// [`SubmitError::ShuttingDown`] if any job was refused or failed;
     /// partial results are discarded.
     pub fn submit_many(&self, specs: &[JobSpec]) -> Result<Vec<BatchedResult>, SubmitError> {
-        let pending: Vec<Enqueued> = specs
-            .iter()
-            .map(|&spec| self.enqueue(spec, true))
-            .collect::<Result<_, _>>()?;
+        // The whole batch is queued under one lock hold and announced once,
+        // so the dispatcher drains it in `max_batch` cuts that depend only
+        // on `specs`. Waking it per job let it drain whatever had arrived so
+        // far, splitting a sweep at timing-dependent points — and a split
+        // group of same-stream jobs replays its stream once per piece.
+        let mut state = self.shared.state.lock().expect("queue poisoned");
+        let mut pending = Vec::with_capacity(specs.len());
+        let mut refused = None;
+        for &spec in specs {
+            let (next, enqueued) = self.enqueue_locked(state, spec, true);
+            state = next;
+            match enqueued {
+                Ok(enqueued) => pending.push(enqueued),
+                Err(e) => {
+                    refused = Some(e);
+                    break;
+                }
+            }
+        }
+        drop(state);
+        self.shared.work_ready.notify_all();
+        if let Some(e) = refused {
+            return Err(e);
+        }
         pending
             .into_iter()
             .map(|p| match p {
@@ -362,32 +388,42 @@ impl Batcher {
         )
     }
 
-    fn enqueue(&self, spec: JobSpec, block: bool) -> Result<Enqueued, SubmitError> {
+    /// Answers `spec` from the memo or queues it, under the caller's lock
+    /// hold; the caller announces queued work. Waiting for space releases
+    /// the lock, after waking the dispatcher to drain what is queued.
+    fn enqueue_locked<'a>(
+        &self,
+        mut state: MutexGuard<'a, QueueState>,
+        spec: JobSpec,
+        block: bool,
+    ) -> (MutexGuard<'a, QueueState>, Result<Enqueued, SubmitError>) {
         let metrics = &self.shared.metrics;
         ServerMetrics::incr(&metrics.jobs_requested);
-        let mut state = self.shared.state.lock().expect("queue poisoned");
         if let Some(cached) = state.memo.get(spec.job_id()) {
             ServerMetrics::incr(&metrics.jobs_memo_hits);
-            return Ok(Enqueued::Ready(Box::new(BatchedResult {
+            let hit = Enqueued::Ready(Box::new(BatchedResult {
                 metrics: cached,
                 from_cache: true,
-            })));
+            }));
+            return (state, Ok(hit));
         }
-        if !block && state.queue.len() >= self.shared.config.queue_capacity() && !state.shutdown {
+        let capacity = self.shared.config.queue_capacity();
+        if !block && state.queue.len() >= capacity && !state.shutdown {
             ServerMetrics::incr(&metrics.jobs_shed);
-            return Err(SubmitError::Overloaded);
+            return (state, Err(SubmitError::Overloaded));
         }
-        while state.queue.len() >= self.shared.config.queue_capacity() && !state.shutdown {
+        if state.queue.len() >= capacity {
+            self.shared.work_ready.notify_all();
+        }
+        while state.queue.len() >= capacity && !state.shutdown {
             state = self.shared.space_ready.wait(state).expect("queue poisoned");
         }
         if state.shutdown {
-            return Err(SubmitError::ShuttingDown);
+            return (state, Err(SubmitError::ShuttingDown));
         }
         let slot = Arc::new(Slot::default());
         state.queue.push_back((spec, Arc::clone(&slot)));
-        drop(state);
-        self.shared.work_ready.notify_all();
-        Ok(Enqueued::Waiting(slot))
+        (state, Ok(Enqueued::Waiting(slot)))
     }
 }
 
@@ -626,6 +662,39 @@ mod tests {
         assert_eq!(results[1].metrics, results[3].metrics);
         assert_ne!(results[0].metrics, results[1].metrics);
         assert!(metrics.jobs_simulated.load(Ordering::Relaxed) <= 2);
+    }
+
+    #[test]
+    fn submit_many_is_drained_in_cuts_that_depend_only_on_the_batch() {
+        // 2 workloads x 4 orgs: two fused groups of four jobs each.
+        let orgs = [
+            OrgKind::Baseline32,
+            OrgKind::ByteSerial,
+            OrgKind::ParallelSkewed,
+            OrgKind::ParallelCompressed,
+        ];
+        let jobs: Vec<JobSpec> = (0..2).flat_map(|w| orgs.map(|org| spec(w, org))).collect();
+
+        // The whole batch fits one executor batch: one dispatch, every time.
+        let (batcher, metrics) = batcher();
+        batcher.submit_many(&jobs).expect("batch runs");
+        assert_eq!(metrics.batches_dispatched.load(Ordering::Relaxed), 1);
+        assert_eq!(metrics.largest_batch.load(Ordering::Relaxed), 8);
+
+        // A queue smaller than the batch blocks the submitter, which hands
+        // the dispatcher the full queue before waiting for space.
+        let metrics = Arc::new(ServerMetrics::default());
+        let config = BatchConfig {
+            max_batch: 4,
+            queue_capacity: 4,
+            sim_workers: Some(2),
+            ..BatchConfig::default()
+        };
+        let batcher = Batcher::new(config, Arc::clone(&metrics));
+        let results = batcher.submit_many(&jobs).expect("batch runs");
+        assert_eq!(results.len(), 8);
+        assert_eq!(metrics.batches_dispatched.load(Ordering::Relaxed), 2);
+        assert_eq!(metrics.jobs_simulated.load(Ordering::Relaxed), 8);
     }
 
     #[test]
