@@ -30,7 +30,7 @@ use sigcomp::{
 };
 use sigcomp_isa::{DecodedTrace, ExecRecord, Trace};
 use sigcomp_mem::MemoryHierarchy;
-use sigcomp_pipeline::{OrgKind, Organization, PipelineSim, SimResult, Stage};
+use sigcomp_pipeline::{OrgKind, Organization, PipelineSim, SimResult, Stage, StageDemand};
 use sigcomp_workloads::{find, Benchmark, WorkloadSize};
 use std::collections::HashMap;
 use std::sync::OnceLock;
@@ -329,8 +329,8 @@ fn replay_decoded(jobs: &[JobSpec], trace: &DecodedTrace) -> Vec<JobMetrics> {
 
 /// The model stack one group drives: a single stream of [`ExecRecord`]s —
 /// from a live interpreter or a replayed file — feeds one cost vector, one
-/// hierarchy walk and one activity study per record, fanned out to one
-/// timing model per job.
+/// hierarchy walk, one stage demand and one activity study per record; the
+/// demand is fanned out to one timing model per job.
 struct GroupModels {
     hierarchy: MemoryHierarchy,
     analyzer: TraceAnalyzer,
@@ -363,8 +363,9 @@ impl GroupModels {
         let config = self.analyzer.config();
         let cost = instr_cost(rec, config.scheme, &config.recoder);
         let access = InstrAccess::walk(&mut self.hierarchy, rec);
+        let demand = StageDemand::new(rec, &cost, &access);
         for sim in &mut self.sims {
-            sim.observe_with_access(rec, &cost, &access);
+            sim.observe_demand(&demand);
         }
         self.analyzer.observe_with_access(rec, &cost, &access);
     }

@@ -16,12 +16,24 @@
 //!
 //! Cache and TLB misses lengthen the fetch/memory occupancy of the
 //! instruction that suffers them, using the hierarchy parameters of §3.
+//!
+//! Each record is distilled once into a [`StageDemand`]: every candidate
+//! stage occupancy and used-lane byte count any organization might take,
+//! the miss penalties of the record's hierarchy walk, its register slots
+//! and its control-flow flags. A [`PipelineSim`] never re-derives those; at
+//! construction it caches which candidate each of its stages takes (rule
+//! indices owned by the [`Organization`]) and where its result-producing
+//! and branch-resolving stages sit, and its one per-record body,
+//! [`PipelineSim::observe_demand`], only indexes the demand. A sweep timing
+//! all seven organizations of a scheme and hierarchy builds one demand per
+//! record and hands it to each of them.
 
+use crate::demand::{StageDemand, SINK_SLOT};
 use crate::organization::{Organization, Stage};
 use crate::predictor::BimodalPredictor;
 use sigcomp::cost::{instr_cost, InstrCost};
 use sigcomp::{FunctRecoder, InstrAccess};
-use sigcomp_isa::{ExecRecord, Op};
+use sigcomp_isa::ExecRecord;
 use sigcomp_mem::{HierarchyConfig, HierarchyStats, MemoryHierarchy};
 use std::fmt;
 
@@ -144,8 +156,9 @@ impl fmt::Display for SimResult {
 /// interpreter, a stored [`Trace`](sigcomp_isa::Trace) or the statistical
 /// synthesizer) and call [`PipelineSim::finish`] for the [`SimResult`].
 /// Callers that time several organizations over one record stream walk one
-/// shared hierarchy themselves and feed each simulator through
-/// [`PipelineSim::observe_with_access`].
+/// shared hierarchy themselves, distil each record into one
+/// [`StageDemand`] and feed it to every simulator through
+/// [`PipelineSim::observe_demand`].
 #[derive(Debug, Clone)]
 pub struct PipelineSim {
     org: Organization,
@@ -155,28 +168,34 @@ pub struct PipelineSim {
     hierarchy: Option<MemoryHierarchy>,
     /// Pipeline depth, cached so the hot loop never re-asks the organization.
     depth: usize,
-    /// The organization's stage list in a fixed-size array (depth ≤ 7).
-    stages: [Stage; 7],
+    /// Per-stage index into [`StageDemand`]'s candidate occupancies.
+    occ_rule: [usize; 7],
+    /// Per-stage index into [`StageDemand`]'s candidate used-lane bytes.
+    lane_rule: [usize; 7],
     /// Per-stage powered-lane budget, cached from the organization.
     lane_bytes: [u64; 7],
-    /// Stage → pipeline-index lookup, indexed by `Stage as usize`
-    /// (`usize::MAX` for stages the organization does not have).
-    stage_pos: [usize; 7],
     /// Index of the (low-order) execute stage.
     ex_index: usize,
     /// Index of the (low-order) memory stage.
     mem_index: usize,
+    /// Index of the register-read stage, where direct jumps resolve.
+    reg_read_index: usize,
+    /// Indices of the stages that publish a result for bypass: an ALU
+    /// result's, then a load value's.
+    produce_index: [usize; 2],
+    /// Indices of the branch-resolving stage for a long and for a short
+    /// instruction ([`Organization::resolve_stages`]).
+    resolve_index: [usize; 2],
     /// Whether the organization can gate unused byte lanes.
     gates: bool,
-    /// Whether stages stream bytes onward after one cycle.
-    streamed: bool,
     /// Enter times of the previous instruction, per stage.
     prev_enter: [u64; 7],
     /// Busy-until times of the previous instruction, per stage.
     prev_busy: [u64; 7],
     /// Cycle at which each architectural register's latest value is available
-    /// for bypass.
-    reg_ready: [u64; 32],
+    /// for bypass, plus a sink slot written by instructions without a
+    /// destination ([`SINK_SLOT`]).
+    reg_ready: [u64; SINK_SLOT + 1],
     /// Earliest cycle the next instruction may be fetched (control hazards).
     fetch_allowed: u64,
     /// Optional branch predictor (the paper's future-work extension).
@@ -217,7 +236,8 @@ impl PipelineSim {
 
     /// Creates a simulator without a memory hierarchy of its own, for
     /// callers that walk one shared hierarchy and feed the outcome to
-    /// [`PipelineSim::observe_with_access`]. Such a simulator cannot
+    /// [`PipelineSim::observe_with_access`] or
+    /// [`PipelineSim::observe_demand`]. Such a simulator cannot
     /// [`observe`](PipelineSim::observe) on its own, and its
     /// [`SimResult::hierarchy`] is all zero — the counters live in the
     /// caller's hierarchy.
@@ -225,32 +245,37 @@ impl PipelineSim {
     pub fn with_external_hierarchy(org: Organization, recoder: FunctRecoder) -> Self {
         let depth = org.depth();
         debug_assert!(depth <= 7, "the fixed stage arrays hold up to 7 stages");
-        let mut stages = [Stage::Fetch; 7];
-        stages[..depth].copy_from_slice(org.stages());
+        let mut occ_rule = [0; 7];
+        let mut lane_rule = [0; 7];
         let mut lane_bytes = [0u64; 7];
-        let mut stage_pos = [usize::MAX; 7];
         for (i, &stage) in org.stages().iter().enumerate() {
+            occ_rule[i] = org.occupancy_rule(stage) as usize;
+            lane_rule[i] = org.lane_rule(stage) as usize;
             lane_bytes[i] = u64::from(org.lane_bytes(stage));
-            stage_pos[stage as usize] = i;
         }
+        let index = |stage: Stage| {
+            org.stage_index(stage)
+                .unwrap_or_else(|| panic!("every organization has a {stage:?} stage"))
+        };
         PipelineSim {
             hierarchy: None,
             recoder,
             depth,
-            stages,
+            occ_rule,
+            lane_rule,
             lane_bytes,
-            stage_pos,
-            ex_index: org
-                .stage_index(Stage::Execute)
-                .expect("every organization has an execute stage"),
-            mem_index: org
-                .stage_index(Stage::Memory)
-                .expect("every organization has a memory stage"),
+            ex_index: index(Stage::Execute),
+            mem_index: index(Stage::Memory),
+            reg_read_index: index(Stage::RegRead),
+            produce_index: [
+                index(org.alu_result_stage()),
+                index(org.load_result_stage()),
+            ],
+            resolve_index: org.resolve_stages().map(index),
             gates: org.gates_lanes(),
-            streamed: org.is_streamed(),
             prev_enter: [0; 7],
             prev_busy: [0; 7],
-            reg_ready: [0; 32],
+            reg_ready: [0; SINK_SLOT + 1],
             fetch_allowed: 0,
             predictor: None,
             instructions: 0,
@@ -289,10 +314,6 @@ impl PipelineSim {
     }
 
     /// Feeds one retired instruction through the timing model.
-    ///
-    /// This is the replay hot loop: every per-record quantity comes from the
-    /// attributes cached at construction and fixed-size stack arrays — no
-    /// heap allocation per record.
     pub fn observe(&mut self, rec: &ExecRecord) {
         let cost = instr_cost(rec, self.org.scheme(), &self.recoder);
         self.observe_with_cost(rec, &cost);
@@ -329,18 +350,28 @@ impl PipelineSim {
         cost: &InstrCost,
         access: &InstrAccess,
     ) {
-        let cost = *cost;
+        self.observe_demand(&StageDemand::new(rec, cost, access));
+    }
+
+    /// Times one retired instruction from its [`StageDemand`], which must
+    /// be built from a cost vector under this simulator's scheme and
+    /// recoder and a walk of the hierarchy it is timed against. One demand
+    /// serves every organization sharing those.
+    ///
+    /// This is the replay hot loop: the organization's choices are rule
+    /// indices and stage positions cached at construction, and every
+    /// per-record quantity is a lookup in the demand — no heap allocation
+    /// and no per-stage match per record.
+    pub fn observe_demand(&mut self, demand: &StageDemand) {
         let depth = self.depth;
 
         // Per-stage occupancy, including cache/TLB miss penalties.
         let mut occ = [0u64; 7];
-        for (slot, &stage) in occ.iter_mut().zip(&self.stages[..depth]) {
-            *slot = u64::from(self.org.occupancy(stage, &cost));
+        for (slot, &rule) in occ.iter_mut().zip(&self.occ_rule[..depth]) {
+            *slot = demand.occupancy[rule];
         }
-        occ[0] += u64::from(access.fetch.latency.saturating_sub(1));
-        if let Some(dmem) = access.data {
-            occ[self.mem_index] += u64::from(dmem.latency.saturating_sub(1));
-        }
+        occ[0] += demand.fetch_extra;
+        occ[self.mem_index] += demand.data_extra;
 
         // Gated-lane occupancy: each occupied cycle powers the stage's lane
         // budget; the lanes the instruction's significant bytes don't need
@@ -349,7 +380,7 @@ impl PipelineSim {
         for (s, &stage_occ) in occ.iter().enumerate().take(depth) {
             let total = self.lane_bytes[s] * stage_occ;
             let used = if self.gates {
-                u64::from(self.org.stage_used_bytes(self.stages[s], &cost)).min(total)
+                demand.lanes[self.lane_rule[s]].min(total)
             } else {
                 total
             };
@@ -357,7 +388,10 @@ impl PipelineSim {
             self.total_byte_cycles[s] += total;
         }
 
-        let ex_index = self.ex_index;
+        // Source operands are bypassed into the execute stage.
+        let [rs, rt] = demand.src;
+        let operands_ready = self.reg_ready[rs].max(self.reg_ready[rt]);
+
         let mut enter = [0u64; 7];
         let mut busy = [0u64; 7];
 
@@ -370,26 +404,22 @@ impl PipelineSim {
                 self.prev_busy[s]
             };
 
+            // Every organization streams: a stage hands the low-order byte
+            // (plus extension bits) onward after one cycle even while it
+            // stays busy with the remaining bytes (§4: "while later
+            // sequential data bytes are being processed, earlier bytes can
+            // proceed up the pipeline").
             let (flow, control_bound) = if s == 0 {
                 (vacated, self.fetch_allowed)
             } else {
-                // Stage-to-stage advance latency: streamed organizations
-                // hand the low-order byte onward after one cycle; a
-                // non-streamed one holds the instruction until the stage
-                // has finished.
-                let advance = if self.streamed { 1 } else { occ[s - 1] };
-                (enter[s - 1] + advance, 0)
+                (enter[s - 1] + 1, 0)
             };
 
-            let mut hazard_bound = 0u64;
-            if s == ex_index {
-                let (rs, rt) = rec.instr.src_regs();
-                for reg in [rs, rt].into_iter().flatten() {
-                    if !reg.is_zero() {
-                        hazard_bound = hazard_bound.max(self.reg_ready[usize::from(reg)]);
-                    }
-                }
-            }
+            let hazard_bound = if s == self.ex_index {
+                operands_ready
+            } else {
+                0
+            };
 
             let structural_bound = if s == 0 { 0 } else { vacated };
             let start = flow
@@ -424,43 +454,31 @@ impl PipelineSim {
             busy[s] = start + occ[s];
         }
 
-        // Publish the destination register's bypass-ready time.
-        if let Some(dest) = rec.instr.dest_reg() {
-            let produce_stage = if rec.instr.op.is_load() {
-                self.org.load_result_stage(&cost)
-            } else {
-                self.org.alu_result_stage(&cost)
-            };
-            self.reg_ready[usize::from(dest)] = busy[self.stage_pos[produce_stage as usize]];
-        }
+        // Publish the destination register's bypass-ready time (an
+        // instruction without one writes the sink slot).
+        self.reg_ready[demand.dest] = busy[self.produce_index[usize::from(demand.is_load)]];
 
         // Control hazards. Without a predictor (the paper's configuration)
         // the next fetch waits for resolution; with one, only mispredicted
         // branches pay the resolution latency. Direct jumps resolve at
         // decode; indirect jumps always wait for the execute stage.
-        if cost.is_branch {
+        let resolved = busy[self.resolve_index[usize::from(demand.short_operand)]];
+        if demand.is_branch {
             self.branches += 1;
-            let resolve = self.org.branch_resolve_stage(&cost);
-            let idx = self.stage_pos[resolve as usize];
             let correct = match self.predictor.as_mut() {
-                Some(p) => p.update(rec.pc, cost.taken),
+                Some(p) => p.update(demand.pc, demand.taken),
                 None => false,
             };
             if !correct {
                 if self.predictor.is_some() {
                     self.mispredictions += 1;
                 }
-                self.fetch_allowed = self.fetch_allowed.max(busy[idx]);
+                self.fetch_allowed = self.fetch_allowed.max(resolved);
             }
-        } else if matches!(rec.instr.op, Op::Jr | Op::Jalr) {
-            let resolve = self.org.branch_resolve_stage(&cost);
-            self.fetch_allowed = self
-                .fetch_allowed
-                .max(busy[self.stage_pos[resolve as usize]]);
-        } else if cost.is_jump {
-            self.fetch_allowed = self
-                .fetch_allowed
-                .max(busy[self.stage_pos[Stage::RegRead as usize]]);
+        } else if demand.indirect_jump {
+            self.fetch_allowed = self.fetch_allowed.max(resolved);
+        } else if demand.is_jump {
+            self.fetch_allowed = self.fetch_allowed.max(busy[self.reg_read_index]);
         }
 
         self.completion = self.completion.max(busy[depth - 1]);

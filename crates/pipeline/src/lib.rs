@@ -17,7 +17,9 @@
 //! All models share one engine ([`PipelineSim`]): an in-order pipeline with
 //! no branch prediction, full bypassing, per-stage occupancies derived from
 //! the significance of the actual operand values, and the paper's cache/TLB
-//! hierarchy for miss penalties.
+//! hierarchy for miss penalties. Each record is distilled once into an
+//! organization-invariant [`StageDemand`]; an organization only names which
+//! of its candidates each stage takes, so one demand serves all seven.
 //!
 //! # Example
 //!
@@ -46,10 +48,12 @@
 #![forbid(unsafe_code)]
 #![warn(rust_2018_idioms)]
 
+mod demand;
 mod engine;
 mod organization;
 mod predictor;
 
+pub use demand::StageDemand;
 pub use engine::{PipelineSim, SimResult, StallBreakdown};
 pub use organization::{OrgKind, Organization, Stage};
 pub use predictor::BimodalPredictor;

@@ -2,8 +2,13 @@
 //!
 //! Every organization is an in-order pipeline without branch prediction; they
 //! differ in how many byte-wide datapath slices each stage has and in whether
-//! the stages are skewed (streamed byte by byte) or blocking.
+//! the high-order bytes get stages of their own (skewed). An organization
+//! owns one rule per stage naming which of a record's candidate occupancies
+//! and used-lane counts (see [`crate::StageDemand`]) that stage takes;
+//! [`Organization::occupancy`] and [`Organization::stage_used_bytes`]
+//! evaluate through the same rules the timing engine indexes.
 
+use crate::demand::{self, LaneRule, OccRule};
 use sigcomp::cost::InstrCost;
 use sigcomp::hash::{ConfigHash, StableHasher};
 use sigcomp::ExtScheme;
@@ -199,44 +204,30 @@ impl Organization {
         self.stages.iter().position(|&s| s == stage)
     }
 
-    /// Whether the stages stream bytes to the next stage as they are
-    /// produced: the low-order byte (plus extension bits) is handed onward
-    /// after one cycle even when the stage stays busy with the remaining
-    /// bytes. All of the paper's organizations work this way (§4: "while
-    /// later sequential data bytes are being processed, earlier bytes can
-    /// proceed up the pipeline"); the flag exists so ablation studies can
-    /// turn the skew off.
-    #[must_use]
-    pub fn is_streamed(&self) -> bool {
-        true
-    }
-
     /// Whether this instruction counts as "short" for the bypass paths of the
     /// skewed-with-bypasses organization: every operand, result and ALU slice
     /// fits in the low-order half of the datapath, so the high-order stages
     /// have nothing to do and the instruction can skip them.
     #[must_use]
     pub fn is_short_operand(&self, cost: &InstrCost) -> bool {
-        cost.max_operand_bytes() <= 2
-            && cost.alu_bytes() <= 2
-            && cost.result_bytes.unwrap_or(1) <= 2
-            && cost.mem.is_none_or(|m| m.sig_bytes <= 2)
+        demand::is_short_operand(cost)
     }
 
     /// The stage at whose completion a conditional branch (or
     /// register-indirect jump) is resolved and fetch may resume.
     #[must_use]
     pub fn branch_resolve_stage(&self, cost: &InstrCost) -> Stage {
+        self.resolve_stages()[usize::from(demand::is_short_operand(cost))]
+    }
+
+    /// The branch-resolving stage for an instruction that is not short and
+    /// for one that is ([`Organization::is_short_operand`]): only the
+    /// bypassed skewed organization resolves short ones early.
+    pub(crate) fn resolve_stages(&self) -> [Stage; 2] {
         match self.kind {
-            OrgKind::ParallelSkewed => Stage::ExecuteHi,
-            OrgKind::SkewedBypass => {
-                if self.is_short_operand(cost) {
-                    Stage::Execute
-                } else {
-                    Stage::ExecuteHi
-                }
-            }
-            _ => Stage::Execute,
+            OrgKind::ParallelSkewed => [Stage::ExecuteHi, Stage::ExecuteHi],
+            OrgKind::SkewedBypass => [Stage::ExecuteHi, Stage::Execute],
+            _ => [Stage::Execute, Stage::Execute],
         }
     }
 
@@ -247,7 +238,7 @@ impl Organization {
     /// stage is enough to keep a dependent instruction moving — the backward
     /// bypasses the paper's §6 mentions.
     #[must_use]
-    pub fn alu_result_stage(&self, _cost: &InstrCost) -> Stage {
+    pub fn alu_result_stage(&self) -> Stage {
         Stage::Execute
     }
 
@@ -255,7 +246,7 @@ impl Organization {
     /// As with ALU results, skewed consumers pick up the low-order bytes as
     /// soon as the first memory stage delivers them.
     #[must_use]
-    pub fn load_result_stage(&self, _cost: &InstrCost) -> Stage {
+    pub fn load_result_stage(&self) -> Stage {
         Stage::Memory
     }
 
@@ -271,40 +262,35 @@ impl Organization {
     /// bytes it has to wait for.
     #[must_use]
     pub fn occupancy(&self, stage: Stage, cost: &InstrCost) -> u32 {
+        demand::occupancies(cost)[self.occupancy_rule(stage) as usize]
+    }
+
+    /// Which candidate occupancy `stage` takes in this organization.
+    pub(crate) fn occupancy_rule(&self, stage: Stage) -> OccRule {
+        // The serial and semi-parallel datapaths stream the execute, memory
+        // and write-back bytes through stages of the given widths.
+        let serial = |ex, mem, wb| match stage {
+            Stage::Fetch => OccRule::Fetch3,
+            Stage::Execute => ex,
+            Stage::Memory => mem,
+            Stage::Writeback => wb,
+            Stage::RegRead | Stage::ExecuteHi | Stage::MemoryHi => OccRule::One,
+        };
         match self.kind {
-            OrgKind::Baseline32 => 1,
-            OrgKind::ByteSerial => self.serial_occupancy(stage, cost, 1),
-            OrgKind::HalfwordSerial => self.serial_occupancy(stage, cost, 2),
-            OrgKind::SemiParallel => match stage {
-                Stage::Fetch => fetch_cycles(cost, 3),
-                Stage::RegRead => 1,
-                Stage::Execute => div_ceil_u32(u32::from(serial_ex_bytes(cost)), 2).max(1),
-                Stage::Memory => mem_cycles(cost, 1),
-                Stage::Writeback => {
-                    div_ceil_u32(u32::from(cost.result_bytes.unwrap_or(0)), 2).max(1)
-                }
-                Stage::ExecuteHi | Stage::MemoryHi => 1,
-            },
+            OrgKind::Baseline32 => OccRule::One,
+            OrgKind::ByteSerial => serial(OccRule::Ex1, OccRule::Mem1, OccRule::Wb1),
+            OrgKind::HalfwordSerial => serial(OccRule::Ex2, OccRule::Mem2, OccRule::Wb2),
+            // §5: two bytes of register file and ALU, one byte of data cache.
+            OrgKind::SemiParallel => serial(OccRule::Ex2, OccRule::Mem1, OccRule::Wb2),
             OrgKind::ParallelSkewed | OrgKind::SkewedBypass => match stage {
-                Stage::Fetch => fetch_cycles(cost, 3),
-                _ => 1,
+                Stage::Fetch => OccRule::Fetch3,
+                _ => OccRule::One,
             },
             OrgKind::ParallelCompressed => match stage {
-                Stage::Fetch => fetch_cycles(cost, 3),
-                Stage::RegRead => {
-                    // The low-order bytes and the extension bits come out in
-                    // the first cycle; operands that extend beyond the low
-                    // halfword need one extra cycle to read the remaining
-                    // bytes in parallel.
-                    1 + u32::from(cost.max_operand_bytes() > 2)
-                }
-                Stage::Execute => 1,
-                Stage::Memory => match cost.mem {
-                    Some(m) if !m.is_store => 1 + u32::from(m.sig_bytes > 2),
-                    _ => 1,
-                },
-                Stage::Writeback => 1,
-                Stage::ExecuteHi | Stage::MemoryHi => 1,
+                Stage::Fetch => OccRule::Fetch3,
+                Stage::RegRead => OccRule::RegReadCompressed,
+                Stage::Memory => OccRule::LoadCompressed,
+                _ => OccRule::One,
             },
         }
     }
@@ -360,42 +346,24 @@ impl Organization {
     /// where [`Organization::gates_lanes`] holds).
     #[must_use]
     pub fn stage_used_bytes(&self, stage: Stage, cost: &InstrCost) -> u32 {
-        let split = matches!(self.kind, OrgKind::ParallelSkewed | OrgKind::SkewedBypass);
-        let ex = u32::from(serial_ex_bytes(cost));
-        let mem = cost.mem.map_or(0, |m| u32::from(m.sig_bytes));
-        match stage {
-            Stage::Fetch => u32::from(cost.fetch.fetch_bytes),
-            Stage::RegRead => u32::from(cost.regfile_read_bytes()),
-            Stage::Execute => {
-                if split {
-                    ex.min(2)
-                } else {
-                    ex
-                }
-            }
-            Stage::ExecuteHi => ex.saturating_sub(2),
-            Stage::Memory => {
-                if split {
-                    mem.min(2)
-                } else {
-                    mem
-                }
-            }
-            Stage::MemoryHi => mem.saturating_sub(2),
-            Stage::Writeback => u32::from(cost.result_bytes.unwrap_or(0)),
-        }
+        demand::lanes(cost)[self.lane_rule(stage) as usize]
     }
 
-    fn serial_occupancy(&self, stage: Stage, cost: &InstrCost, width: u32) -> u32 {
+    /// Which candidate used-lane byte count `stage` takes: the skewed
+    /// organizations split the execute and memory work, low half first,
+    /// remainder in the paired high stage.
+    pub(crate) fn lane_rule(&self, stage: Stage) -> LaneRule {
+        let split = matches!(self.kind, OrgKind::ParallelSkewed | OrgKind::SkewedBypass);
         match stage {
-            Stage::Fetch => fetch_cycles(cost, 3),
-            Stage::RegRead => 1,
-            Stage::Execute => div_ceil_u32(u32::from(serial_ex_bytes(cost)), width).max(1),
-            Stage::Memory => mem_cycles(cost, width),
-            Stage::Writeback => {
-                div_ceil_u32(u32::from(cost.result_bytes.unwrap_or(0)), width).max(1)
-            }
-            Stage::ExecuteHi | Stage::MemoryHi => 1,
+            Stage::Fetch => LaneRule::Fetch,
+            Stage::RegRead => LaneRule::RegRead,
+            Stage::Execute if split => LaneRule::ExLo,
+            Stage::Execute => LaneRule::Ex,
+            Stage::ExecuteHi => LaneRule::ExHi,
+            Stage::Memory if split => LaneRule::MemLo,
+            Stage::Memory => LaneRule::Mem,
+            Stage::MemoryHi => LaneRule::MemHi,
+            Stage::Writeback => LaneRule::Wb,
         }
     }
 }
@@ -411,34 +379,6 @@ impl fmt::Display for Organization {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
     }
-}
-
-/// Bytes the execute stage must stream through for one instruction: the ALU
-/// byte slices it operates, but never fewer than the operand bytes it has to
-/// receive from the skewed register read.
-fn serial_ex_bytes(cost: &InstrCost) -> u8 {
-    cost.alu_bytes().max(cost.max_operand_bytes())
-}
-
-/// Cycles to fetch a compressed instruction from `banks` byte-wide I-cache
-/// banks (the compressed organizations all use three banks plus the
-/// extension bit, as in Fig. 3).
-fn fetch_cycles(cost: &InstrCost, banks: u32) -> u32 {
-    div_ceil_u32(u32::from(cost.fetch.fetch_bytes), banks).max(1)
-}
-
-/// Cycles a load/store occupies a data-cache stage `width` bytes wide.
-/// Stores write all significant bytes plus the extension bits in one burst of
-/// `width`-sized chunks, like loads.
-fn mem_cycles(cost: &InstrCost, width: u32) -> u32 {
-    match cost.mem {
-        Some(m) => div_ceil_u32(u32::from(m.sig_bytes), width).max(1),
-        None => 1,
-    }
-}
-
-fn div_ceil_u32(a: u32, b: u32) -> u32 {
-    a.div_ceil(b)
 }
 
 #[cfg(test)]
@@ -594,7 +534,6 @@ mod tests {
         assert_eq!(org.occupancy(Stage::RegRead, &wide), 2);
         assert_eq!(org.occupancy(Stage::Memory, &load_cost(5)), 1);
         assert_eq!(org.occupancy(Stage::Memory, &load_cost(0x1234_5678)), 2);
-        assert!(org.is_streamed());
     }
 
     #[test]
@@ -608,7 +547,7 @@ mod tests {
         );
         assert!(org.is_short_operand(&narrow));
         assert_eq!(org.branch_resolve_stage(&narrow), Stage::Execute);
-        assert_eq!(org.load_result_stage(&narrow), Stage::Memory);
+        assert_eq!(org.load_result_stage(), Stage::Memory);
         let wide = cost_of(
             Instruction::r3(Op::Addu, T0, T1, T2),
             Some(0x1234_5678),
@@ -618,7 +557,7 @@ mod tests {
         assert!(!org.is_short_operand(&wide));
         assert_eq!(org.branch_resolve_stage(&wide), Stage::ExecuteHi);
         // ALU results stream forward from the low execute stage either way.
-        assert_eq!(org.alu_result_stage(&wide), Stage::Execute);
+        assert_eq!(org.alu_result_stage(), Stage::Execute);
     }
 
     #[test]
