@@ -55,7 +55,6 @@
 //!   --read-deadline-ms N per-connection read deadline: a partial request
 //!                        older than this is answered 408 and closed
 //!                        (default 10000)
-//!   --keep-alive on|off  honor client Connection: keep-alive (default on)
 //!   --frontier HOST:PORT register with (and heartbeat to) this frontier so
 //!                        it dispatches fleet shards here
 //!   --self-addr H:P      the address advertised to the frontier (default:
@@ -87,8 +86,9 @@
 //!   --check FILE         only validate FILE against the report schema
 //!   --compare FILE       diff the fresh report against baseline FILE:
 //!                        shape metrics must match, throughput metrics may
-//!                        regress at most 2x; each violation is named and
-//!                        the exit code fails
+//!                        regress at most 2x, the serve p99 must stay under
+//!                        a 250 ms budget; each violation is named and the
+//!                        exit code fails
 //!   --trajectory PATH    rolling history document each measuring run
 //!                        appends a compact row to
 //!                        (default: BENCH_trajectory.json)
@@ -163,7 +163,7 @@ energy options: [--workers N] [--schemes a,b] [--orgs all|a,b] [--mems a,b]
 [--cache DIR] [--no-cache]
 serve options: [--addr HOST:PORT] [--max-batch N] [--backend local|subprocess[:N]]
 [--memo-cap N] [--ticket-cap N] [--max-conns N] [--read-deadline-ms N]
-[--keep-alive on|off] [--workers N] [--cache DIR] [--no-cache]
+[--workers N] [--cache DIR] [--no-cache]
 [--obs-log FILE] [--frontier HOST:PORT] [--self-addr HOST:PORT]
 [--heartbeat-ms N]
 bench options: [--quick] [--label NAME] [--out PATH] [--corpus DIR]
@@ -203,7 +203,6 @@ struct SweepArgs {
     ticket_cap: Option<usize>,
     max_conns: Option<usize>,
     read_deadline_ms: Option<u64>,
-    keep_alive: Option<bool>,
     obs_log: Option<String>,
     bench_quick: bool,
     bench_label: Option<String>,
@@ -641,7 +640,6 @@ fn run_serve_command(args: &SweepArgs) -> ExitCode {
         finished_tickets: args.ticket_cap.unwrap_or(0),
         max_conns: args.max_conns.unwrap_or(0),
         read_deadline: std::time::Duration::from_millis(args.read_deadline_ms.unwrap_or(0)),
-        keep_alive: args.keep_alive.unwrap_or(true),
         ..ServeConfig::default()
     };
     let server = match Server::bind(config) {
@@ -778,17 +776,14 @@ fn run_bench_command(args: &SweepArgs) -> ExitCode {
     );
     println!(
         "serve:    {} clients x{} pipelined; reactor {} req in {:.2} s ({:.0} req/s, \
-         p50 {:.0} us, p99 {:.0} us), thread-per-conn {} req ({:.0} req/s) — {:.1}x keep-alive speedup",
+         p50 {:.0} us, p99 {:.0} us)",
         report.serve.clients,
         report.serve.pipeline_depth,
         report.serve.reactor.units,
         report.serve.reactor.wall_s,
         report.serve.reactor.rate(),
         report.serve.reactor_p50_us,
-        report.serve.reactor_p99_us,
-        report.serve.threaded.units,
-        report.serve.threaded.rate(),
-        report.serve.keepalive_speedup()
+        report.serve.reactor_p99_us
     );
 
     let json = report.to_json();
@@ -809,9 +804,9 @@ fn run_bench_command(args: &SweepArgs) -> ExitCode {
     println!("wrote {path}");
 
     // The regression gate: diff the fresh report against a baseline. Any
-    // violation (shape mismatch or a >2x throughput regression) is printed
-    // by name and fails the run — this is what CI diffs against the
-    // checked-in baseline.
+    // violation (shape mismatch, a >2x throughput regression, or a serve
+    // p99 over its absolute budget) is printed by name and fails the run —
+    // this is what CI diffs against the checked-in baseline.
     if let Some(baseline_path) = &args.bench_compare {
         let baseline = match std::fs::read_to_string(baseline_path) {
             Ok(text) => text,
@@ -1599,18 +1594,6 @@ fn main() -> ExitCode {
                 };
                 sweep_args.read_deadline_ms = Some(value);
             }
-            "--keep-alive" => {
-                let raw = value_of!("--keep-alive");
-                sweep_args.keep_alive = match raw.as_str() {
-                    "on" => Some(true),
-                    "off" => Some(false),
-                    _ => {
-                        return fail(&format!(
-                            "invalid value '{raw}' for --keep-alive (expected on or off)"
-                        ))
-                    }
-                };
-            }
             "--schemes" => {
                 let raw = value_of!("--schemes");
                 let Some(value) = parse_list(&raw, ExtScheme::parse) else {
@@ -1835,7 +1818,6 @@ fn main() -> ExitCode {
             (sweep_args.ticket_cap.is_some(), "--ticket-cap"),
             (sweep_args.max_conns.is_some(), "--max-conns"),
             (sweep_args.read_deadline_ms.is_some(), "--read-deadline-ms"),
-            (sweep_args.keep_alive.is_some(), "--keep-alive"),
             (sweep_args.self_addr.is_some(), "--self-addr"),
             (sweep_args.heartbeat_ms.is_some(), "--heartbeat-ms"),
         ] {

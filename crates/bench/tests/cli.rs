@@ -671,8 +671,8 @@ fn serve_backend_flag_is_validated() {
             "invalid value 'never' for --read-deadline-ms",
         ),
         (
-            &["serve", "--keep-alive", "maybe"],
-            "invalid value 'maybe' for --keep-alive (expected on or off)",
+            &["serve", "--keep-alive", "on"],
+            "unknown option '--keep-alive'",
         ),
         (
             &["table1", "--max-conns", "64"],
@@ -681,10 +681,6 @@ fn serve_backend_flag_is_validated() {
         (
             &["table1", "--read-deadline-ms", "500"],
             "--read-deadline-ms only applies to the serve and fleet serve subcommands",
-        ),
-        (
-            &["table1", "--keep-alive", "on"],
-            "--keep-alive only applies to the serve and fleet serve subcommands",
         ),
     ] {
         let out = repro(args);
@@ -696,8 +692,7 @@ fn serve_backend_flag_is_validated() {
 
 #[test]
 fn serve_on_the_subprocess_backend_answers_and_counts_dispatch() {
-    use std::io::{BufRead, BufReader, Read, Write};
-    use std::net::TcpStream;
+    use std::io::{BufRead, BufReader};
 
     let dir = temp_dir("serve-subprocess");
     let cache = dir.join("cache");
@@ -729,36 +724,22 @@ fn serve_on_the_subprocess_backend_answers_and_counts_dispatch() {
         }
     };
 
-    let request = |method: &str, path: &str, body: &str| -> (u16, String) {
-        let mut stream = TcpStream::connect(&addr).expect("connect");
-        let request = format!(
-            "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\n\r\n{body}",
-            body.len()
-        );
-        stream.write_all(request.as_bytes()).expect("send");
-        let mut raw = String::new();
-        stream.read_to_string(&mut raw).expect("read");
-        let status = raw.split(' ').nth(1).and_then(|s| s.parse().ok()).unwrap();
-        let payload = raw
-            .split_once("\r\n\r\n")
-            .map(|(_, b)| b.to_owned())
-            .unwrap_or_default();
-        (status, payload)
-    };
+    let client = sigcomp_fabric::HttpClient::new(std::time::Duration::from_mins(2));
 
     // A simulation served through sharded worker subprocesses...
-    let (status, body) = request(
-        "POST",
-        "/simulate",
-        "{\"workload\": \"rawcaudio\", \"size\": \"tiny\"}",
-    );
-    assert_eq!(status, 200, "{body}");
-    assert!(body.contains("\"cycles\": "), "{body}");
+    let simulate = client
+        .post(
+            &addr,
+            "/simulate",
+            "{\"workload\": \"rawcaudio\", \"size\": \"tiny\"}",
+        )
+        .expect("simulate");
+    assert_eq!(simulate.status, 200, "{}", simulate.body);
+    assert!(simulate.body.contains("\"cycles\": "), "{}", simulate.body);
 
     // ...is what the dispatch counters must attribute to the subprocess
     // backend.
-    let (status, metrics) = request("GET", "/metrics", "");
-    assert_eq!(status, 200, "{metrics}");
+    let metrics = client.get(&addr, "/metrics").expect("metrics").body;
     assert!(
         metrics.contains("\"dispatch\": {\"local\": 0, \"subprocess\": 1, \"fleet\": 0}"),
         "{metrics}"

@@ -2,30 +2,23 @@
 //! mirroring the hand-rolled server in `sigcomp-serve`.
 //!
 //! The client keeps **one pooled keep-alive connection per peer address**:
-//! requests send `Connection: keep-alive`, responses are read framed by
-//! their `Content-Length` (not to EOF), and the connection goes back into
-//! the pool for the next exchange. A worker heartbeating every couple of
-//! seconds therefore costs one TCP connection for its whole life, not one
-//! per beat. Reconnection is transparent: when a pooled connection turns
-//! out to be stale (the server idle-closed it between exchanges), the
+//! requests send `Connection: keep-alive`, and a [`ResponseParser`] reads
+//! each response by the shared [`crate::framing`] rules, so a response is
+//! framed by its `Content-Length` exactly as the server frames a request. A
+//! missing or garbled `Content-Length` is a named `InvalidData` error, never
+//! a read to EOF. A worker heartbeating every couple of seconds therefore
+//! costs one TCP connection for its whole life. When a pooled connection
+//! turns out to be stale (the server idle-closed it between exchanges), the
 //! exchange is retried once on a fresh connection; errors on that fresh
 //! connection propagate. A connect timeout, per-operation read/write
-//! timeouts, and a hard response-size cap bound every exchange: a stuck or
-//! dead peer must turn into a timely named error, never a hang.
+//! timeouts, and the framing's head and body caps bound every exchange.
 
+use crate::framing::{Framer, HttpError, Message, StatusLine};
 use std::collections::HashMap;
-use std::io::{self, Read as _, Write as _};
+use std::io::{self, Read, Write as _};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
-
-/// Hard cap on response bodies: a dispatch report for a large sweep runs to
-/// a few hundred KiB of cache-entry text, so 64 MiB is comfortably above
-/// any legitimate exchange while still bounding a misbehaving peer.
-const MAX_RESPONSE_BYTES: usize = 64 * 1024 * 1024;
-
-/// Hard cap on response heads (status line + headers).
-const MAX_HEAD_BYTES: usize = 64 * 1024;
 
 /// A parsed HTTP response.
 #[derive(Debug)]
@@ -42,21 +35,78 @@ impl HttpResponse {
     /// The first header named `name` (case-insensitive), if any.
     #[must_use]
     pub fn header(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
         self.headers
             .iter()
-            .find(|(k, _)| *k == name)
+            .find(|(k, _)| k.eq_ignore_ascii_case(name))
             .map(|(_, v)| v.as_str())
     }
+}
 
-    /// Whether the server committed to keeping the connection open: the
-    /// response is framed (`Content-Length`) and does not say
-    /// `Connection: close`.
-    fn reusable(&self) -> bool {
-        self.header("content-length").is_some()
-            && !self
-                .header("connection")
-                .is_some_and(|v| v.eq_ignore_ascii_case("close"))
+impl From<Message<StatusLine>> for HttpResponse {
+    fn from(message: Message<StatusLine>) -> Self {
+        HttpResponse {
+            status: message.start.status,
+            headers: message.headers,
+            body: String::from_utf8(message.body)
+                .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned()),
+        }
+    }
+}
+
+/// An incremental HTTP/1.1 response parser over one connection. Bytes read
+/// past a response stay buffered for the next call, so a pipelining client
+/// reads its responses back in order through one parser.
+#[derive(Debug, Default)]
+pub struct ResponseParser {
+    framer: Framer<StatusLine>,
+}
+
+impl ResponseParser {
+    /// A fresh parser with an empty buffer.
+    #[must_use]
+    pub fn new() -> Self {
+        ResponseParser::default()
+    }
+
+    /// Bytes buffered past the last response returned.
+    #[must_use]
+    pub fn buffered(&self) -> usize {
+        self.framer.buffered()
+    }
+
+    /// Reads from `reader` until one whole response is framed.
+    ///
+    /// # Errors
+    ///
+    /// The reader's own I/O error; `UnexpectedEof` when the peer closed
+    /// before sending a byte of the response; `InvalidData` naming the
+    /// framing rule a malformed, oversized or truncated response broke.
+    pub fn read_response(&mut self, reader: &mut impl Read) -> io::Result<HttpResponse> {
+        let invalid =
+            |e: &HttpError| io::Error::new(io::ErrorKind::InvalidData, format!("response: {e}"));
+        let mut chunk = [0_u8; 16 * 1024];
+        loop {
+            match self.framer.next_message() {
+                Ok(Some(message)) => return Ok(message.into()),
+                Ok(None) => {}
+                Err(e) => return Err(invalid(&e)),
+            }
+            let n = match reader.read(&mut chunk) {
+                Ok(n) => n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            };
+            if n == 0 {
+                return Err(match self.framer.closed() {
+                    HttpError::Closed => io::Error::new(
+                        io::ErrorKind::UnexpectedEof,
+                        "connection closed before the response",
+                    ),
+                    e => invalid(&e),
+                });
+            }
+            self.framer.push(&chunk[..n]);
+        }
     }
 }
 
@@ -88,7 +138,7 @@ impl HttpClient {
     /// # Errors
     ///
     /// Any I/O failure (unresolvable address, refused connection, timeout)
-    /// or a response that does not parse as HTTP/1.x.
+    /// or a response that does not frame as HTTP/1.x.
     pub fn get(&self, addr: &str, path: &str) -> io::Result<HttpResponse> {
         self.request("GET", addr, path, "")
     }
@@ -118,17 +168,31 @@ impl HttpClient {
         // so a failure on a *reused* connection — the server idle-closed it
         // between exchanges — is retried once on a fresh one. Fresh-
         // connection failures propagate: the peer is genuinely unwell.
-        if let Some(mut stream) = self.take_pooled(addr) {
-            if let Ok(response) = exchange(&mut stream, request.as_bytes()) {
-                if response.reusable() {
-                    self.pool_back(addr, stream);
-                }
+        if let Some(stream) = self.take_pooled(addr) {
+            if let Ok(response) = self.exchange(addr, stream, request.as_bytes()) {
                 return Ok(response);
             }
         }
-        let mut stream = self.connect(addr)?;
-        let response = exchange(&mut stream, request.as_bytes())?;
-        if response.reusable() {
+        let stream = self.connect(addr)?;
+        self.exchange(addr, stream, request.as_bytes())
+    }
+
+    /// Writes one request, reads one framed response, and pools the
+    /// connection again when the server left it open with nothing stray
+    /// buffered past the response.
+    fn exchange(
+        &self,
+        addr: &str,
+        mut stream: TcpStream,
+        request: &[u8],
+    ) -> io::Result<HttpResponse> {
+        stream.write_all(request)?;
+        let mut parser = ResponseParser::new();
+        let response = parser.read_response(&mut stream)?;
+        let closing = response
+            .header("connection")
+            .is_some_and(|v| v.eq_ignore_ascii_case("close"));
+        if parser.buffered() == 0 && !closing {
             self.pool_back(addr, stream);
         }
         Ok(response)
@@ -160,130 +224,18 @@ impl HttpClient {
     }
 }
 
-/// Writes one request and reads one framed response off the stream.
-fn exchange(stream: &mut TcpStream, request: &[u8]) -> io::Result<HttpResponse> {
-    stream.write_all(request)?;
-    read_response(stream)
-}
-
-/// Reads exactly one response: head until the blank line, then a body of
-/// exactly `Content-Length` bytes (or to EOF when the server did not frame
-/// it — such a response is terminal for the connection and never pooled).
-fn read_response(stream: &mut TcpStream) -> io::Result<HttpResponse> {
-    let bad = |reason: &str| io::Error::new(io::ErrorKind::InvalidData, reason.to_owned());
-    let mut raw = Vec::new();
-    let mut buf = [0_u8; 16 * 1024];
-    let (head_end, body_start) = loop {
-        if let Some(found) = find_blank_line(&raw) {
-            break found;
-        }
-        if raw.len() > MAX_HEAD_BYTES {
-            return Err(bad("response head exceeds the size cap"));
-        }
-        let n = stream.read(&mut buf)?;
-        if n == 0 {
-            return Err(if raw.is_empty() {
-                io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "connection closed before the response",
-                )
-            } else {
-                bad("connection closed inside the response head")
-            });
-        }
-        raw.extend_from_slice(&buf[..n]);
-    };
-    let head = String::from_utf8_lossy(&raw[..head_end]).into_owned();
-    let (status, headers) = parse_head(&head)?;
-    let content_length: Option<usize> = headers
-        .iter()
-        .find(|(k, _)| k == "content-length")
-        .and_then(|(_, v)| v.parse().ok());
-    let mut body = raw.split_off(body_start);
-    match content_length {
-        Some(len) => {
-            if len > MAX_RESPONSE_BYTES {
-                return Err(bad("response body exceeds the size cap"));
-            }
-            while body.len() < len {
-                let n = stream.read(&mut buf)?;
-                if n == 0 {
-                    return Err(bad("connection closed inside the response body"));
-                }
-                body.extend_from_slice(&buf[..n]);
-            }
-            body.truncate(len);
-        }
-        None => {
-            // Unframed: the close is the frame. Read to EOF (bounded).
-            loop {
-                if body.len() > MAX_RESPONSE_BYTES {
-                    return Err(bad("response body exceeds the size cap"));
-                }
-                let n = stream.read(&mut buf)?;
-                if n == 0 {
-                    break;
-                }
-                body.extend_from_slice(&buf[..n]);
-            }
-        }
-    }
-    Ok(HttpResponse {
-        status,
-        headers,
-        body: String::from_utf8_lossy(&body).into_owned(),
-    })
-}
-
-/// Where the head ends and the body starts: the first line break followed
-/// by an empty line, accepting both CRLF and bare-LF framing. The head runs
-/// through that line break; the body starts after the empty line.
-fn find_blank_line(raw: &[u8]) -> Option<(usize, usize)> {
-    raw.iter().enumerate().find_map(|(i, &byte)| {
-        if byte != b'\n' {
-            return None;
-        }
-        match &raw[i + 1..] {
-            [b'\n', ..] => Some((i + 1, i + 2)),
-            [b'\r', b'\n', ..] => Some((i + 1, i + 3)),
-            _ => None,
-        }
-    })
-}
-
-fn parse_head(head: &str) -> io::Result<(u16, Vec<(String, String)>)> {
-    let bad = |reason: &str| io::Error::new(io::ErrorKind::InvalidData, reason.to_owned());
-    let mut lines = head.lines();
-    let status_line = lines.next().ok_or_else(|| bad("empty response"))?;
-    if !status_line.starts_with("HTTP/1.") {
-        return Err(bad("response is not HTTP/1.x"));
-    }
-    let status: u16 = status_line
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| bad("response line carries no status code"))?;
-    let headers = lines
-        .filter_map(|line| {
-            line.split_once(':')
-                .map(|(k, v)| (k.trim().to_ascii_lowercase(), v.trim().to_owned()))
-        })
-        .collect();
-    Ok((status, headers))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::{BufRead as _, BufReader};
+    use crate::framing::RequestLine;
     use std::net::TcpListener;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// Serves `script` verbatim to one client over loopback, then closes or
     /// (with `hold_open`) keeps the connection open until the client hangs
-    /// up, and returns what [`read_response`] made of it. Held open, a
-    /// mis-framed body read blocks until the read timeout instead of being
-    /// rescued by EOF.
+    /// up, and returns what [`ResponseParser::read_response`] made of it.
+    /// Held open, a mis-framed body read blocks until the read timeout
+    /// instead of being rescued by EOF.
     fn read_scripted(script: &'static [u8], hold_open: bool) -> io::Result<HttpResponse> {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr");
@@ -298,7 +250,7 @@ mod tests {
         stream
             .set_read_timeout(Some(Duration::from_secs(5)))
             .expect("read timeout");
-        let response = read_response(&mut stream);
+        let response = ResponseParser::new().read_response(&mut stream);
         drop(stream);
         peer.join().expect("peer thread");
         response
@@ -306,10 +258,10 @@ mod tests {
 
     #[test]
     fn responses_parse_with_status_headers_and_body() {
-        // CRLF head; no Content-Length, so the close frames the body.
+        // CRLF head with a Content-Length body, then the close.
         let resp = read_scripted(
             b"HTTP/1.1 503 Service Unavailable\r\nContent-Type: application/json\r\n\
-              Retry-After: 2\r\n\r\n{\"error\": \"full\"}",
+              Retry-After: 2\r\nContent-Length: 17\r\n\r\n{\"error\": \"full\"}",
             false,
         )
         .expect("parses");
@@ -340,9 +292,24 @@ mod tests {
         for (raw, needle) in [
             (&b"not http at all\r\n\r\n"[..], "not HTTP/1.x"),
             (&b"HTTP/1.1\r\n\r\n"[..], "no status code"),
-            (&b"HTTP/1.1 200 OK"[..], "closed inside the response head"),
+            (&b"HTTP/1.1 200 OK"[..], "closed inside headers"),
+            // Unframed: the close no longer frames the body.
+            (
+                &b"HTTP/1.1 503 Service Unavailable\r\n\r\n{}"[..],
+                "content-length required",
+            ),
+            // A garbled length names the header instead of reading to EOF.
+            (
+                &b"HTTP/1.1 200 OK\r\nContent-Length: +2\r\n\r\nok"[..],
+                "invalid content-length",
+            ),
+            (
+                &b"HTTP/1.1 200 OK\r\nContent-Length: two\r\n\r\nok"[..],
+                "invalid content-length",
+            ),
         ] {
             let err = read_scripted(raw, false).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
             assert!(err.to_string().contains(needle), "{err}");
         }
     }
@@ -371,45 +338,27 @@ mod tests {
         let accepts = Arc::new(AtomicUsize::new(0));
         let counter = Arc::clone(&accepts);
         std::thread::spawn(move || {
-            while let Ok((stream, _)) = listener.accept() {
+            while let Ok((mut stream, _)) = listener.accept() {
                 counter.fetch_add(1, Ordering::SeqCst);
-                let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-                let mut stream = stream;
-                for _ in 0..responses_per_conn {
-                    // Read one request: head lines until blank, then the
-                    // Content-Length'd body.
-                    let mut body_len = 0_usize;
-                    let mut saw_request_line = false;
-                    loop {
-                        let mut line = String::new();
-                        match reader.read_line(&mut line) {
-                            Ok(0) => return,
-                            Ok(_) => {}
-                            Err(_) => return,
+                let mut requests = Framer::<RequestLine>::new();
+                let mut chunk = [0_u8; 1024];
+                let mut served = 0;
+                while served < responses_per_conn {
+                    match requests.next_message() {
+                        Ok(Some(_)) => {
+                            served += 1;
+                            let _ = stream.write_all(
+                                b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nConnection: keep-alive\r\n\r\nok",
+                            );
                         }
-                        if !saw_request_line {
-                            saw_request_line = true;
-                            continue;
-                        }
-                        let trimmed = line.trim();
-                        if trimmed.is_empty() {
-                            break;
-                        }
-                        if let Some(v) =
-                            trimmed.to_ascii_lowercase().strip_prefix("content-length:")
-                        {
-                            body_len = v.trim().parse().unwrap_or(0);
-                        }
+                        Ok(None) => match stream.read(&mut chunk) {
+                            Ok(n) if n > 0 => requests.push(&chunk[..n]),
+                            _ => break,
+                        },
+                        Err(_) => break,
                     }
-                    let mut body = vec![0_u8; body_len];
-                    if body_len > 0 && std::io::Read::read_exact(&mut reader, &mut body).is_err() {
-                        return;
-                    }
-                    let _ = stream.write_all(
-                        b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nConnection: keep-alive\r\n\r\nok",
-                    );
                 }
-                // Drop both halves: an unannounced close, as an idle
+                // Drop the socket: an unannounced close, as an idle
                 // timeout would produce.
             }
         });

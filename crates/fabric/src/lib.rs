@@ -38,18 +38,23 @@
 //! data plus an [`install_fleet_runner`](sigcomp_explore::install_fleet_runner)
 //! hook, and this crate registers its [`frontier`] runner via [`install`]
 //! (called by `sigcomp_serve::Server::bind` and every `repro fleet` path).
+//!
+//! HTTP/1.1 framing lives here too, in [`framing`]: the lowest crate both
+//! the serve front door and this crate's [`HttpClient`] depend on, so
+//! requests and responses are framed by one set of rules.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 #![warn(rust_2018_idioms)]
 
 pub mod client;
+pub mod framing;
 pub mod frontier;
 pub mod pool;
 pub mod proto;
 pub mod worker;
 
-pub use client::{HttpClient, HttpResponse};
+pub use client::{HttpClient, HttpResponse, ResponseParser};
 pub use frontier::run_fleet_jobs;
 pub use pool::{WorkerPool, WorkerStatus, DEFAULT_LIVENESS_TTL};
 pub use proto::{encode_heartbeat, encode_register, parse_heartbeat, parse_register};

@@ -1,35 +1,26 @@
-//! Minimal HTTP/1.1 request parsing and response writing.
+//! HTTP/1.1 requests in, responses out.
 //!
-//! Hand-rolled over `std::io` in the same spirit as the workspace's other
-//! wire formats: no external dependency, strict limits, and every failure
-//! mapped to a clean 4xx. The server speaks a deliberately small subset —
-//! `Content-Length` bodies only (chunked transfer encoding is rejected) —
-//! which is all the batching front-end needs and keeps the attack surface
-//! enumerable.
+//! Framing is not written here: [`RequestParser`] is a thin wrapper over the
+//! shared push framer in [`sigcomp_fabric::framing`], the same rules the
+//! fabric client reads responses with — one head scanner (CRLF or bare LF,
+//! one head-byte cap, `name: value` validation) and one strict
+//! `Content-Length` body framer (`1*DIGIT`, repeats must agree, chunked
+//! transfer encoding refused, 1 MiB request-body cap). Every failure is an
+//! [`HttpError`] with the 4xx status the reactor answers it with. The
+//! parser accepts raw socket bytes in whatever fragments the kernel
+//! delivers, tolerates a request split at any byte boundary, and yields
+//! multiple pipelined requests buffered in one read — exactly what the
+//! nonblocking reactor ([`crate::reactor`]) needs.
 //!
-//! The parser is **incremental**: [`RequestParser`] is a push parser that
-//! accepts raw socket bytes in whatever fragments the kernel delivers,
-//! tolerates a request split at any byte boundary, and yields multiple
-//! pipelined requests buffered in one read — exactly what the nonblocking
-//! reactor ([`crate::reactor`]) needs. [`read_request`] wraps the same
-//! parser for blocking readers (the legacy thread-per-connection path and
-//! the unit tests), so there is one set of framing rules, not two.
-//!
-//! Keep-alive is **opt-in**: [`Response::write_with_connection`] emits
+//! Keep-alive is **opt-in**: [`Response::to_bytes`] emits
 //! `Connection: keep-alive` only when the server decided to hold the
-//! connection open; the plain [`Response::write_to`] keeps the historical
-//! `Connection: close` so every pre-reactor client (which reads to EOF)
-//! still sees the stream end.
+//! connection open, and `Connection: close` otherwise, so a client that
+//! never asked for reuse (and reads to EOF) still sees the stream end.
 
-use std::fmt;
-use std::io::{self, BufRead, Write};
+use sigcomp_fabric::framing::{Framer, RequestLine};
+use std::fmt::Write as _;
 
-/// Upper bound on the request line plus all header bytes.
-pub const MAX_HEADER_BYTES: usize = 16 * 1024;
-
-/// Upper bound on a request body (a sweep spec is a few hundred bytes; a
-/// megabyte is already hostile).
-pub const MAX_BODY_BYTES: usize = 1024 * 1024;
+pub use sigcomp_fabric::framing::HttpError;
 
 /// A parsed HTTP request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -58,10 +49,10 @@ impl Request {
     /// (`Connection: keep-alive`, possibly in a comma-separated list).
     ///
     /// The server's reuse policy is opt-in rather than the HTTP/1.1
-    /// default-on: every pre-reactor client of this server reads responses
-    /// to EOF, so a silently persistent connection would hang them. Clients
-    /// that speak `Content-Length` framing (the fabric client, `load_gen`'s
-    /// keep-alive mode) send the header and get reuse.
+    /// default-on: a client that reads responses to EOF would hang on a
+    /// silently persistent connection. Clients that speak `Content-Length`
+    /// framing (the fabric client, `load_gen`'s keep-alive mode) send the
+    /// header and get reuse.
     #[must_use]
     pub fn wants_keep_alive(&self) -> bool {
         self.header("connection").is_some_and(|v| {
@@ -71,82 +62,15 @@ impl Request {
     }
 }
 
-/// Why a request could not be read.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum HttpError {
-    /// The peer closed the connection before sending a request line — not a
-    /// protocol error, just the end of the conversation.
-    Closed,
-    /// A malformed request line, header, or body framing problem.
-    BadRequest(&'static str),
-    /// The request line + headers exceeded [`MAX_HEADER_BYTES`].
-    HeadersTooLarge,
-    /// The declared body length exceeded [`MAX_BODY_BYTES`].
-    BodyTooLarge,
-    /// A method that carries a body arrived without `Content-Length`.
-    LengthRequired,
-    /// The underlying socket failed (timeout, reset, ...).
-    Io(io::ErrorKind),
-}
-
-impl HttpError {
-    /// The HTTP status code this error maps to.
-    #[must_use]
-    pub fn status(&self) -> u16 {
-        match self {
-            HttpError::Closed | HttpError::Io(_) => 400,
-            HttpError::BadRequest(_) => 400,
-            HttpError::HeadersTooLarge => 431,
-            HttpError::BodyTooLarge => 413,
-            HttpError::LengthRequired => 411,
-        }
-    }
-}
-
-impl fmt::Display for HttpError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            HttpError::Closed => write!(f, "connection closed"),
-            HttpError::BadRequest(why) => write!(f, "bad request: {why}"),
-            HttpError::HeadersTooLarge => {
-                write!(f, "request headers exceed {MAX_HEADER_BYTES} bytes")
-            }
-            HttpError::BodyTooLarge => write!(f, "request body exceeds {MAX_BODY_BYTES} bytes"),
-            HttpError::LengthRequired => write!(f, "content-length required"),
-            HttpError::Io(kind) => write!(f, "i/o error: {kind:?}"),
-        }
-    }
-}
-
-impl std::error::Error for HttpError {}
-
-impl From<io::Error> for HttpError {
-    fn from(e: io::Error) -> Self {
-        HttpError::Io(e.kind())
-    }
-}
-
 /// An incremental (push) HTTP/1.1 request parser.
 ///
 /// Feed raw socket bytes with [`RequestParser::push`]; drain complete
-/// requests with [`RequestParser::next_request`]. The parser tolerates
-/// requests split across arbitrary TCP segment boundaries (including inside
-/// the `\r\n` pair) and multiple pipelined requests arriving in one buffer,
-/// and enforces the same header/body limits as [`read_request`].
-///
-/// After an `Err` the connection's framing is lost and unrecoverable: the
-/// caller must answer with the error's status and close.
+/// requests with [`RequestParser::next_request`]. After an `Err` the
+/// connection's framing is lost and unrecoverable: the caller must answer
+/// with the error's status and close.
 #[derive(Debug, Default)]
 pub struct RequestParser {
-    buf: Vec<u8>,
-}
-
-/// A successfully scanned request head: the request (body still empty),
-/// its byte length, and the declared body length.
-struct Head {
-    request: Request,
-    len: usize,
-    body_len: usize,
+    framer: Framer<RequestLine>,
 }
 
 impl RequestParser {
@@ -158,14 +82,14 @@ impl RequestParser {
 
     /// Appends raw bytes received from the socket.
     pub fn push(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
+        self.framer.push(bytes);
     }
 
     /// Bytes buffered but not yet consumed by a complete request — nonzero
     /// means the peer is mid-request (the reactor's slowloris signal).
     #[must_use]
     pub fn buffered(&self) -> usize {
-        self.buf.len()
+        self.framer.buffered()
     }
 
     /// Tries to parse one complete request off the front of the buffer.
@@ -178,167 +102,20 @@ impl RequestParser {
     /// Any [`HttpError`] other than [`HttpError::Closed`]: malformed or
     /// oversized framing, detected as soon as the offending line completes.
     pub fn next_request(&mut self) -> Result<Option<Request>, HttpError> {
-        let Some(head) = self.scan_head()? else {
-            return Ok(None);
-        };
-        let total = head.len + head.body_len;
-        if self.buf.len() < total {
-            return Ok(None);
-        }
-        let mut request = head.request;
-        request.body = self.buf[head.len..total].to_vec();
-        self.buf.drain(..total);
-        Ok(Some(request))
+        Ok(self.framer.next_message()?.map(|message| Request {
+            method: message.start.method,
+            path: message.start.target,
+            headers: message.headers,
+            body: message.body,
+        }))
     }
 
-    /// The error to report when the peer hangs up with the parser in this
-    /// state: a clean EOF between requests is [`HttpError::Closed`]; EOF
-    /// mid-head or mid-body names what was truncated.
-    #[must_use]
-    pub fn closed(&self) -> HttpError {
-        if self.buf.is_empty() {
-            return HttpError::Closed;
-        }
-        match self.scan_head() {
-            Ok(Some(_)) => HttpError::BadRequest("body shorter than content-length"),
-            Ok(None) => HttpError::BadRequest("connection closed inside headers"),
-            Err(e) => e,
-        }
-    }
-
-    /// Scans the head (request line + headers + blank line) at the front of
-    /// the buffer, validating each line as soon as its terminator arrives.
-    /// `Ok(None)` means the head is still incomplete.
-    fn scan_head(&self) -> Result<Option<Head>, HttpError> {
-        let buf = &self.buf;
-        let mut pos = 0usize;
-        let mut request: Option<Request> = None;
-        loop {
-            let Some(nl) = buf[pos..].iter().position(|&b| b == b'\n') else {
-                // No terminator yet: a peer streaming an endless header
-                // line must hit the limit, not our memory.
-                return if buf.len() > MAX_HEADER_BYTES {
-                    Err(HttpError::HeadersTooLarge)
-                } else {
-                    Ok(None)
-                };
-            };
-            let line_end = pos + nl;
-            let next = line_end + 1;
-            if next > MAX_HEADER_BYTES {
-                return Err(HttpError::HeadersTooLarge);
-            }
-            let mut line = &buf[pos..line_end];
-            // CRLF canonical, bare LF tolerated.
-            if line.last() == Some(&b'\r') {
-                line = &line[..line.len() - 1];
-            }
-            let text = std::str::from_utf8(line)
-                .map_err(|_| HttpError::BadRequest("header line is not UTF-8"))?;
-            match &mut request {
-                None => {
-                    if text.is_empty() {
-                        return Err(HttpError::BadRequest("empty request line"));
-                    }
-                    request = Some(parse_request_line(text)?);
-                }
-                Some(req) => {
-                    if text.is_empty() {
-                        let req = req.clone();
-                        let body_len = body_length(&req)?;
-                        return Ok(Some(Head {
-                            request: req,
-                            len: next,
-                            body_len,
-                        }));
-                    }
-                    let (name, value) = text
-                        .split_once(':')
-                        .ok_or(HttpError::BadRequest("header line without ':'"))?;
-                    if name.is_empty() || name.contains(' ') {
-                        return Err(HttpError::BadRequest("malformed header name"));
-                    }
-                    req.headers
-                        .push((name.to_ascii_lowercase(), value.trim().to_owned()));
-                }
-            }
-            pos = next;
-        }
-    }
-}
-
-/// Validates and splits `METHOD /target HTTP/1.x`.
-fn parse_request_line(text: &str) -> Result<Request, HttpError> {
-    let mut parts = text.split(' ');
-    let method = parts.next().unwrap_or_default();
-    let path = parts
-        .next()
-        .ok_or(HttpError::BadRequest("request line is missing the target"))?;
-    let version = parts
-        .next()
-        .ok_or(HttpError::BadRequest("request line is missing the version"))?;
-    if parts.next().is_some() || !version.starts_with("HTTP/1.") {
-        return Err(HttpError::BadRequest("malformed request line"));
-    }
-    if method.is_empty() || !path.starts_with('/') {
-        return Err(HttpError::BadRequest("malformed request target"));
-    }
-    Ok(Request {
-        method: method.to_owned(),
-        path: path.to_owned(),
-        headers: Vec::new(),
-        body: Vec::new(),
-    })
-}
-
-/// Body framing rules: `Content-Length` only, required for body-carrying
-/// methods, bounded by [`MAX_BODY_BYTES`].
-fn body_length(request: &Request) -> Result<usize, HttpError> {
-    if request.header("transfer-encoding").is_some() {
-        return Err(HttpError::BadRequest(
-            "chunked transfer encoding is not supported",
-        ));
-    }
-    let length = match request.header("content-length") {
-        Some(value) => Some(
-            value
-                .parse::<usize>()
-                .map_err(|_| HttpError::BadRequest("invalid content-length"))?,
-        ),
-        None => None,
-    };
-    let length = match (length, request.method.as_str()) {
-        (Some(n), _) => n,
-        (None, "POST" | "PUT" | "PATCH") => return Err(HttpError::LengthRequired),
-        (None, _) => 0,
-    };
-    if length > MAX_BODY_BYTES {
-        return Err(HttpError::BodyTooLarge);
-    }
-    Ok(length)
-}
-
-/// Reads one request from `reader`, enforcing the header and body limits —
-/// the blocking wrapper over [`RequestParser`] used by the legacy
-/// thread-per-connection path and the tests.
-///
-/// # Errors
-///
-/// [`HttpError::Closed`] on a clean end-of-stream before any byte of a
-/// request; any other variant describes a malformed or oversized request.
-pub fn read_request(reader: &mut impl BufRead) -> Result<Request, HttpError> {
-    let mut parser = RequestParser::new();
-    loop {
-        if let Some(request) = parser.next_request()? {
-            return Ok(request);
-        }
-        let chunk = reader.fill_buf()?;
-        if chunk.is_empty() {
-            return Err(parser.closed());
-        }
-        let n = chunk.len();
-        parser.push(chunk);
-        reader.consume(n);
+    /// The error to report when the peer hangs up after
+    /// [`RequestParser::next_request`] returned `Ok(None)`: a clean EOF
+    /// between requests is [`HttpError::Closed`]; EOF mid-head or mid-body
+    /// names what was truncated.
+    pub fn closed(&mut self) -> HttpError {
+        self.framer.closed()
     }
 }
 
@@ -400,51 +177,28 @@ impl Response {
         Response::error(503, "connection limit reached").with_retry_after(retry_after_secs)
     }
 
-    /// Serializes the response (status line, `Content-Type`,
-    /// `Content-Length`, `Connection: close`, body) to `writer`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket write errors.
-    pub fn write_to(&self, writer: &mut impl Write) -> io::Result<()> {
-        self.write_with_connection(writer, false)
-    }
-
-    /// Serializes the response with an explicit connection disposition:
-    /// `Connection: keep-alive` when the server will keep serving this
-    /// connection, `Connection: close` when it will hang up after the body.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket write errors.
-    pub fn write_with_connection(
-        &self,
-        writer: &mut impl Write,
-        keep_alive: bool,
-    ) -> io::Result<()> {
-        write!(
-            writer,
+    /// The full serialized response — status line, `Content-Type`,
+    /// `Content-Length`, the connection disposition, any `Retry-After`,
+    /// body — as the reactor's write buffer. `keep_alive` says
+    /// `Connection: keep-alive` (the server keeps serving this connection)
+    /// rather than `Connection: close` (it hangs up after the body).
+    #[must_use]
+    pub fn to_bytes(&self, keep_alive: bool) -> Vec<u8> {
+        let mut out = String::with_capacity(self.body.len() + 128);
+        let _ = write!(
+            out,
             "HTTP/1.1 {} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {}\r\n",
             self.status,
             status_text(self.status),
             self.body.len(),
             if keep_alive { "keep-alive" } else { "close" },
-        )?;
+        );
         if let Some(seconds) = self.retry_after {
-            write!(writer, "Retry-After: {seconds}\r\n")?;
+            let _ = write!(out, "Retry-After: {seconds}\r\n");
         }
-        writer.write_all(b"\r\n")?;
-        writer.write_all(self.body.as_bytes())?;
-        writer.flush()
-    }
-
-    /// The full serialized response as bytes — the reactor's write buffer.
-    #[must_use]
-    pub fn to_bytes(&self, keep_alive: bool) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.body.len() + 128);
-        self.write_with_connection(&mut out, keep_alive)
-            .expect("writing to a Vec cannot fail");
-        out
+        out.push_str("\r\n");
+        out.push_str(&self.body);
+        out.into_bytes()
     }
 }
 
@@ -470,10 +224,16 @@ pub fn status_text(status: u16) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufReader;
+    use sigcomp_fabric::framing::{MAX_HEAD_BYTES, MAX_REQUEST_BODY_BYTES};
 
+    /// One request from a closed stream holding exactly `input`.
     fn parse(input: &[u8]) -> Result<Request, HttpError> {
-        read_request(&mut BufReader::new(input))
+        let mut parser = RequestParser::new();
+        parser.push(input);
+        match parser.next_request()? {
+            Some(request) => Ok(request),
+            None => Err(parser.closed()),
+        }
     }
 
     #[test]
@@ -508,7 +268,7 @@ mod tests {
         ] {
             let err = parse(truncated).unwrap_err();
             assert!(
-                matches!(err, HttpError::BadRequest(_)),
+                matches!(err, HttpError::Malformed(_)),
                 "{truncated:?} gave {err:?}"
             );
             assert_eq!(err.status(), 400);
@@ -527,7 +287,7 @@ mod tests {
         ] {
             let err = parse(bad).unwrap_err();
             assert!(
-                matches!(err, HttpError::BadRequest(_)),
+                matches!(err, HttpError::Malformed(_)),
                 "{bad:?} gave {err:?}"
             );
         }
@@ -536,20 +296,33 @@ mod tests {
     #[test]
     fn malformed_headers_are_rejected() {
         let err = parse(b"GET /x HTTP/1.1\r\nno-colon-here\r\n\r\n").unwrap_err();
-        assert_eq!(err, HttpError::BadRequest("header line without ':'"));
+        assert_eq!(err, HttpError::Malformed("header line without ':'"));
         let err = parse(b"GET /x HTTP/1.1\r\nbad name: v\r\n\r\n").unwrap_err();
-        assert_eq!(err, HttpError::BadRequest("malformed header name"));
+        assert_eq!(err, HttpError::Malformed("malformed header name"));
         let err = parse(b"GET /x HTTP/1.1\r\nHost: \xff\xfe\r\n\r\n").unwrap_err();
-        assert_eq!(err, HttpError::BadRequest("header line is not UTF-8"));
+        assert_eq!(err, HttpError::Malformed("header line is not UTF-8"));
     }
 
     #[test]
     fn bad_content_length_is_rejected() {
         let err = parse(b"POST /x HTTP/1.1\r\nContent-Length: nope\r\n\r\n").unwrap_err();
-        assert_eq!(err, HttpError::BadRequest("invalid content-length"));
+        assert_eq!(err, HttpError::Malformed("invalid content-length"));
         assert_eq!(err.status(), 400);
         let err = parse(b"POST /x HTTP/1.1\r\nContent-Length: -1\r\n\r\n").unwrap_err();
-        assert_eq!(err, HttpError::BadRequest("invalid content-length"));
+        assert_eq!(err, HttpError::Malformed("invalid content-length"));
+        // `1*DIGIT` only: a sign is not part of the grammar.
+        let err = parse(b"POST /x HTTP/1.1\r\nContent-Length: +5\r\n\r\nhello").unwrap_err();
+        assert_eq!(err, HttpError::Malformed("invalid content-length"));
+        // The request-smuggling shape: repeats that disagree on where the
+        // body ends.
+        let err =
+            parse(b"POST /x HTTP/1.1\r\nContent-Length: 3\r\nContent-Length: 10\r\n\r\nabcdefghij")
+                .unwrap_err();
+        assert_eq!(
+            err,
+            HttpError::Malformed("conflicting content-length headers")
+        );
+        assert_eq!(err.status(), 400);
     }
 
     #[test]
@@ -563,7 +336,7 @@ mod tests {
     fn oversized_bodies_are_rejected_without_reading_them() {
         let request = format!(
             "POST /x HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
-            MAX_BODY_BYTES + 1
+            MAX_REQUEST_BODY_BYTES + 1
         );
         let err = parse(request.as_bytes()).unwrap_err();
         assert_eq!(err, HttpError::BodyTooLarge);
@@ -575,7 +348,7 @@ mod tests {
         let err = parse(b"POST /x HTTP/1.1\r\nContent-Length: 10\r\n\r\nonly4").unwrap_err();
         assert_eq!(
             err,
-            HttpError::BadRequest("body shorter than content-length")
+            HttpError::Malformed("body shorter than content-length")
         );
     }
 
@@ -583,16 +356,16 @@ mod tests {
     fn oversized_headers_are_rejected() {
         let huge = format!(
             "GET /x HTTP/1.1\r\nX-Fill: {}\r\n\r\n",
-            "a".repeat(MAX_HEADER_BYTES)
+            "a".repeat(MAX_HEAD_BYTES)
         );
         let err = parse(huge.as_bytes()).unwrap_err();
-        assert_eq!(err, HttpError::HeadersTooLarge);
+        assert_eq!(err, HttpError::HeadTooLarge);
         assert_eq!(err.status(), 431);
         // An endless single line (no terminator at all) must also hit the
         // limit rather than buffering forever.
-        let endless = format!("GET /x{}", "a".repeat(MAX_HEADER_BYTES * 2));
+        let endless = format!("GET /x{}", "a".repeat(MAX_HEAD_BYTES * 2));
         let err = parse(endless.as_bytes()).unwrap_err();
-        assert_eq!(err, HttpError::HeadersTooLarge);
+        assert_eq!(err, HttpError::HeadTooLarge);
     }
 
     #[test]
@@ -600,7 +373,7 @@ mod tests {
         let err = parse(b"POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n").unwrap_err();
         assert_eq!(
             err,
-            HttpError::BadRequest("chunked transfer encoding is not supported")
+            HttpError::Malformed("chunked transfer encoding is not supported")
         );
     }
 
@@ -667,14 +440,14 @@ mod tests {
         assert_eq!(parser.next_request().unwrap(), None);
         assert_eq!(
             parser.closed(),
-            HttpError::BadRequest("connection closed inside headers")
+            HttpError::Malformed("connection closed inside headers")
         );
         let mut parser = RequestParser::new();
         parser.push(b"POST /x HTTP/1.1\r\nContent-Length: 8\r\n\r\nhalf");
         assert_eq!(parser.next_request().unwrap(), None);
         assert_eq!(
             parser.closed(),
-            HttpError::BadRequest("body shorter than content-length")
+            HttpError::Malformed("body shorter than content-length")
         );
     }
 
@@ -694,20 +467,14 @@ mod tests {
 
     #[test]
     fn responses_serialize_with_framing() {
-        let mut out = Vec::new();
-        Response::json(200, "{\"ok\": true}")
-            .write_to(&mut out)
-            .unwrap();
+        let out = Response::json(200, "{\"ok\": true}").to_bytes(false);
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("Content-Length: 12\r\n"));
         assert!(text.contains("Connection: close\r\n"));
         assert!(text.ends_with("\r\n\r\n{\"ok\": true}"));
 
-        let mut out = Vec::new();
-        Response::error(400, "broke \"here\"")
-            .write_to(&mut out)
-            .unwrap();
+        let out = Response::error(400, "broke \"here\"").to_bytes(false);
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("400 Bad Request"));
         assert!(text.contains("{\"error\": \"broke \\\"here\\\"\"}"));
@@ -739,8 +506,8 @@ mod tests {
         assert!(text.contains("Retry-After: 3\r\n"), "{text}");
         // 431: the oversized-head verdict, with its full reason phrase.
         let oversized = Response::error(
-            HttpError::HeadersTooLarge.status(),
-            &HttpError::HeadersTooLarge.to_string(),
+            HttpError::HeadTooLarge.status(),
+            &HttpError::HeadTooLarge.to_string(),
         );
         let text = String::from_utf8(oversized.to_bytes(false)).unwrap();
         assert!(
@@ -751,20 +518,16 @@ mod tests {
 
     #[test]
     fn retry_after_is_emitted_as_a_header() {
-        let mut out = Vec::new();
-        Response::error(503, "overloaded")
+        let out = Response::error(503, "overloaded")
             .with_retry_after(2)
-            .write_to(&mut out)
-            .unwrap();
+            .to_bytes(false);
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 503 Service Unavailable\r\n"));
         assert!(text.contains("Retry-After: 2\r\n"), "{text}");
         // The header block still terminates correctly before the body.
         assert!(text.contains("\r\n\r\n{\"error\""), "{text}");
 
-        let mut out = Vec::new();
-        Response::json(200, "{}").write_to(&mut out).unwrap();
-        let text = String::from_utf8(out).unwrap();
+        let text = String::from_utf8(Response::json(200, "{}").to_bytes(false)).unwrap();
         assert!(!text.contains("Retry-After"), "{text}");
     }
 }

@@ -6,7 +6,8 @@
 //! a batch CLI run.
 //!
 //! Everything is `std`-only, in the same spirit as the rest of the
-//! workspace: a hand-rolled incremental HTTP parser ([`http`]), a
+//! workspace: an incremental HTTP request parser ([`http`], over the
+//! framing rules shared with the fabric client), a
 //! hand-rolled JSON parser ([`json`]), and a nonblocking event-loop
 //! front door ([`reactor`]) — a fixed worker pool driving per-connection
 //! state machines over `set_nonblocking` sockets, with HTTP/1.1
@@ -59,9 +60,9 @@ pub mod registry;
 pub mod server;
 
 pub use batch::{BatchConfig, BatchedResult, Batcher, SubmitError, DEFAULT_MEMO_CAPACITY};
-pub use http::{read_request, HttpError, Request, RequestParser, Response};
+pub use http::{HttpError, Request, RequestParser, Response};
 pub use json::{Json, NumError};
 pub use metrics::ServerMetrics;
 pub use reactor::{Completion, Handler, Reactor, ReactorConfig};
 pub use registry::{SweepRegistry, SweepState};
-pub use server::{ServeConfig, ServeModel, Server, ServerHandle};
+pub use server::{ServeConfig, Server, ServerHandle};

@@ -40,9 +40,10 @@
 //! silently. A stalled response write past the write deadline closes the
 //! connection.
 //!
-//! Keep-alive is opt-in (`Connection: keep-alive` from the client *and*
-//! [`ReactorConfig::keep_alive`] on): every pre-reactor client reads
-//! responses to EOF and still sees `Connection: close` semantics.
+//! Keep-alive is opt-in (`Connection: keep-alive` from the client): a
+//! client that omits the header gets `Connection: close` and one request
+//! per connection, so a client that reads responses to EOF still sees the
+//! stream end.
 
 use crate::http::{Request, RequestParser, Response};
 use crate::metrics::ServerMetrics;
@@ -90,7 +91,7 @@ const LONG_PARK: Duration = Duration::from_millis(5);
 const LONG_PARK_AFTER: u32 = 256;
 
 /// Reactor tuning. Zero-valued fields select the documented defaults.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ReactorConfig {
     /// Event-loop worker threads (0 = min(available parallelism, 4)).
     pub workers: usize,
@@ -103,21 +104,6 @@ pub struct ReactorConfig {
     /// How long a response write may stall before the connection is dropped
     /// (zero = [`DEFAULT_WRITE_DEADLINE`]).
     pub write_deadline: Duration,
-    /// Honor client `Connection: keep-alive` requests. Off = every response
-    /// closes, the pre-reactor behavior.
-    pub keep_alive: bool,
-}
-
-impl Default for ReactorConfig {
-    fn default() -> Self {
-        ReactorConfig {
-            workers: 0,
-            max_conns: 0,
-            read_deadline: Duration::ZERO,
-            write_deadline: Duration::ZERO,
-            keep_alive: true,
-        }
-    }
 }
 
 impl ReactorConfig {
@@ -252,7 +238,6 @@ impl Reactor {
                 stop: Arc::clone(&stop),
                 read_deadline: config.effective_read_deadline(),
                 write_deadline: config.effective_write_deadline(),
-                keep_alive: config.keep_alive,
                 conns: Vec::new(),
             };
             let thread = std::thread::Builder::new()
@@ -395,7 +380,6 @@ struct Worker {
     stop: Arc<AtomicBool>,
     read_deadline: Duration,
     write_deadline: Duration,
-    keep_alive: bool,
     conns: Vec<Conn>,
 }
 
@@ -583,7 +567,7 @@ impl Worker {
         if conn.served > 0 {
             ServerMetrics::incr(&self.metrics.keepalive_reuses);
         }
-        conn.cur_keep_alive = self.keep_alive && request.wants_keep_alive();
+        conn.cur_keep_alive = request.wants_keep_alive();
         conn.req_started = now;
         let slot = Arc::new(ResponseSlot::default());
         conn.slot = Some(Arc::clone(&slot));
