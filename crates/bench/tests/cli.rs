@@ -254,6 +254,46 @@ fn trace_replay_and_stat_fail_cleanly_on_missing_and_corrupt_files() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Replays and sweeps a checked-in hostile header: both must fail with the
+/// named record-count error `trace stat` gives, never abort or panic.
+fn assert_hostile_trace_is_a_named_error(name: &str) {
+    let path = format!(
+        "{}/../../tests/data/fuzz/{name}.sctrace",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    let stat = repro(&["trace", "stat", &path]);
+    assert!(!stat.status.success());
+    let named = "record stream truncated inside record 2827";
+    assert!(stderr(&stat).contains(named), "stat: {}", stderr(&stat));
+    for args in [
+        vec!["trace", "replay", path.as_str()],
+        vec![
+            "--size",
+            "tiny",
+            "sweep",
+            "--no-cache",
+            "--traces",
+            path.as_str(),
+        ],
+    ] {
+        let out = repro(&args);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        assert!(err.contains(named), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+    }
+}
+
+#[test]
+fn a_huge_declared_record_count_is_a_named_error() {
+    assert_hostile_trace_is_a_named_error("pgp-records-huge");
+}
+
+#[test]
+fn a_u64_max_declared_record_count_is_a_named_error() {
+    assert_hostile_trace_is_a_named_error("pgp-records-max");
+}
+
 #[test]
 fn trace_record_stat_replay_round_trip() {
     let dir = temp_dir("roundtrip");

@@ -4,11 +4,12 @@
 //! runs its slice of the job list on this pool).
 //!
 //! Jobs are indices `0..n`. Each worker owns a deque seeded with a
-//! contiguous block of the job list; it pops from the front of its own deque
-//! and, when empty, steals from the back of the other workers' deques. All
-//! deques sit behind plain mutexes — jobs here are whole pipeline
-//! simulations (milliseconds to seconds each), so queue contention is
-//! negligible and `std` primitives are plenty.
+//! contiguous block of the job list ([`run_parallel`]) or dealt a
+//! round-robin share of a heaviest-first list ([`run_parallel_dealt`]); it
+//! pops from the front of its own deque and, when empty, steals from the
+//! back of the other workers' deques. All deques sit behind plain mutexes —
+//! jobs here are whole pipeline simulations (milliseconds to seconds each),
+//! so queue contention is negligible and `std` primitives are plenty.
 //!
 //! **Determinism:** workers return results tagged with their job index over
 //! a channel and the caller reassembles them into job order, so the output
@@ -54,17 +55,52 @@ where
     S: Send + Default,
     F: Fn(usize, &mut S) -> T + Sync,
 {
+    // Seed each deque with a contiguous block of jobs.
+    run_seeded(n_jobs, workers, run, |w, workers| {
+        (n_jobs * w / workers..n_jobs * (w + 1) / workers).collect()
+    })
+}
+
+/// [`run_parallel`] for jobs indexed heaviest first: the jobs are dealt
+/// round-robin (worker `w` is seeded with jobs `w`, `w + workers`, …), so
+/// every worker starts on one of the heaviest jobs, and an idle worker
+/// steals the lightest job left.
+///
+/// # Panics
+///
+/// Panics if `workers == 0` or if a worker thread panics.
+pub fn run_parallel_dealt<T, S, F>(
+    n_jobs: usize,
+    workers: usize,
+    run: F,
+) -> (Vec<T>, Vec<WorkerReport<S>>)
+where
+    T: Send,
+    S: Send + Default,
+    F: Fn(usize, &mut S) -> T + Sync,
+{
+    run_seeded(n_jobs, workers, run, |w, workers| {
+        (w..n_jobs).step_by(workers).collect()
+    })
+}
+
+/// The pool behind both entry points; `seed(worker, workers)` fills one
+/// worker's deque.
+fn run_seeded<T, S, F>(
+    n_jobs: usize,
+    workers: usize,
+    run: F,
+    seed: impl Fn(usize, usize) -> VecDeque<usize>,
+) -> (Vec<T>, Vec<WorkerReport<S>>)
+where
+    T: Send,
+    S: Send + Default,
+    F: Fn(usize, &mut S) -> T + Sync,
+{
     assert!(workers > 0, "need at least one worker");
     let workers = workers.min(n_jobs.max(1));
-
-    // Seed each deque with a contiguous block of jobs.
-    let queues: Vec<Mutex<VecDeque<usize>>> = (0..workers)
-        .map(|w| {
-            let lo = n_jobs * w / workers;
-            let hi = n_jobs * (w + 1) / workers;
-            Mutex::new((lo..hi).collect())
-        })
-        .collect();
+    let queues: Vec<Mutex<VecDeque<usize>>> =
+        (0..workers).map(|w| Mutex::new(seed(w, workers))).collect();
 
     let (result_tx, result_rx) = mpsc::channel::<(usize, T)>();
     let (report_tx, report_rx) = mpsc::channel::<WorkerReport<S>>();
@@ -184,6 +220,21 @@ mod tests {
             reports.iter().map(|r| r.steals).sum::<u64>() > 0,
             "expected at least one steal"
         );
+    }
+
+    #[test]
+    fn dealt_jobs_come_back_in_job_order() {
+        for workers in [1, 2, 3] {
+            let (results, reports) =
+                run_parallel_dealt::<usize, (), _>(10, workers, |job, ()| job * 3);
+            assert_eq!(results, (0..10).map(|j| j * 3).collect::<Vec<_>>());
+            assert_eq!(reports.iter().map(|r| r.jobs).sum::<u64>(), 10);
+        }
+        // One worker runs the dealt jobs in index order: heaviest first.
+        let (_, reports) = run_parallel_dealt::<(), Vec<usize>, _>(5, 1, |job, seen| {
+            seen.push(job);
+        });
+        assert_eq!(reports[0].shard, vec![0, 1, 2, 3, 4]);
     }
 
     #[test]

@@ -66,14 +66,16 @@ pub use backend::{
 pub use cache::{
     cache_stats, column_slug, decode_entry, encode_entry, entry_digest, CacheStats, ResultCache,
 };
-pub use executor::{run_parallel, WorkerReport};
+pub use executor::{run_parallel, run_parallel_dealt, WorkerReport};
 pub use proto::{
     encode_dispatch, encode_report, parse_dispatch, parse_report, FleetReport, ShardPlan,
     FLEET_HEADER,
 };
 pub use prune::{static_prune, PruneOutcome, PruneReason, PrunedJob};
 pub use report::{config_points, frontier_table, pareto_frontier, to_csv, to_json, ConfigPoint};
-pub use spec::{JobSpec, MemProfile, SweepSpec, TraceInput, TraceSource, SWEEP_FORMAT_VERSION};
+pub use spec::{
+    JobSpec, MemProfile, StreamKey, SweepSpec, TraceInput, TraceSource, SWEEP_FORMAT_VERSION,
+};
 pub use sweep::{
     simulate_decoded, simulate_job, simulate_trace, try_run_jobs, try_run_jobs_traced,
     try_run_sweep, JobMetrics, JobOutcome, SweepOptions, SweepShard, SweepSummary,

@@ -113,6 +113,18 @@ pub enum TraceSource {
     },
 }
 
+/// The record stream a job replays: a kernel run live at one size, or a
+/// trace file identified by its content digest (its display name is not
+/// part of the stream). Jobs with equal keys see the same records in the
+/// same order, whatever their scheme, memory profile and organization.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum StreamKey {
+    /// A built-in kernel at one size.
+    Kernel(&'static str, WorkloadSize),
+    /// A recorded trace, by the digest of its record stream.
+    File(u64),
+}
+
 /// A loaded portable trace, usable as a sweep axis alongside the built-in
 /// kernels.
 ///
@@ -280,6 +292,15 @@ impl JobSpec {
         self.mem.config_hash(&mut h);
         self.analyzer_config().config_hash(&mut h);
         h.finish()
+    }
+
+    /// The record stream this job replays.
+    #[must_use]
+    pub fn stream(&self) -> StreamKey {
+        match self.source {
+            TraceSource::Kernel => StreamKey::Kernel(self.workload, self.size),
+            TraceSource::File { digest } => StreamKey::File(digest),
+        }
     }
 
     /// Stable identifier of the job's stream source (`kernel` or `trace`),

@@ -4,34 +4,60 @@
 //! # The group model
 //!
 //! Every job of a sweep replays one dynamic instruction stream — a kernel's
-//! `(workload, size)` or a trace file's digest — under one extension scheme,
-//! one memory profile and one pipeline organization. Only the timing model
-//! depends on the organization: the record stream, its [`InstrCost`] vector,
-//! the §3 hierarchy walk and the activity study (Tables 5/6) are the same
-//! for every organization of a scheme and memory profile. The local
-//! executor's unit of work is therefore a **group**: the cache-missing jobs
-//! sharing a stream, a scheme and a memory profile. Per record a group runs
-//! one source ([`Benchmark::run_each`] or [`DecodedTrace::iter`]), one
-//! [`instr_cost`], one [`MemoryHierarchy`] walk whose latencies and L1-fill
-//! outcome serve the analyzer *and* every organization, and one
-//! [`TraceAnalyzer`]; only each organization's [`PipelineSim`] timing runs
-//! per job. A job's [`JobMetrics`] is the shared activity report re-weighted
-//! by its own organization's timing ([`JobMetrics::from_models`]).
+//! `(workload, size)` or a trace file's digest, its [`StreamKey`] — under
+//! one extension scheme, one memory profile and one pipeline organization.
+//! Each axis reaches only some of the per-record work:
+//!
+//! * the record stream is the same for every job of a stream;
+//! * the §3 hierarchy walk ([`InstrAccess::walk`]) depends only on the
+//!   memory profile;
+//! * the [`instr_cost`] vector depends only on the scheme (the recoder is
+//!   always the paper's);
+//! * the [`StageDemand`] and the activity study ([`TraceAnalyzer`],
+//!   Tables 5/6) depend on the scheme and the memory profile;
+//! * only the [`PipelineSim`] timing depends on the organization.
+//!
+//! The local executor's unit of work is therefore a **stream group**: the
+//! cache-missing jobs sharing a stream. Per record a group runs one source
+//! step ([`Benchmark::run_each`] or [`DecodedTrace::iter`]), one walk per
+//! memory profile, one cost vector per scheme, one demand and one analyzer
+//! per `(scheme, memory profile)` block with a miss, and one timing model
+//! per job. The 32-bit baseline needs less still: it occupies every stage
+//! for one cycle, gates no lanes and resolves every branch in execute, so
+//! its timing is the same under every scheme, and one baseline model per
+//! memory profile answers each scheme's baseline job. A job's
+//! [`JobMetrics`] is its block's activity report re-weighted by its own
+//! organization's timing ([`JobMetrics::from_models`]).
+//!
+//! # Planning
+//!
+//! A batch runs in two phases on the pool. First the result cache is
+//! probed job by job, so a warm batch builds no group at all. Then the
+//! misses are grouped by stream. While workers outnumber groups, the
+//! heaviest group is halved along its memory profiles, or along its
+//! schemes once it has one profile left; each piece re-runs only the shared
+//! prefix. The groups are dealt to the workers heaviest first, a group
+//! weighing its misses times its stream's records (a kernel's record count
+//! is unknown before it runs, so a kernel group weighs its misses alone).
+//! None of this reaches the outputs: outcomes come back in job order and
+//! shards hold only integer counters.
 //!
 //! The single-job entry points ([`simulate_job`], [`simulate_trace`],
 //! [`simulate_decoded`]) run a group of one through the same code.
 
 use crate::backend::{ExecBackend, ExecError};
 use crate::cache::ResultCache;
-use crate::executor::run_parallel;
-use crate::spec::{JobSpec, MemProfile, SweepSpec, TraceInput, TraceSource};
+use crate::executor::{run_parallel, run_parallel_dealt};
+use crate::spec::{JobSpec, MemProfile, StreamKey, SweepSpec, TraceInput};
 use sigcomp::{
-    instr_cost, ActivityReport, EnergyModel, ExtScheme, InstrAccess, StageActivity, TraceAnalyzer,
+    instr_cost, ActivityReport, EnergyModel, ExtScheme, FunctRecoder, InstrAccess, StageActivity,
+    TraceAnalyzer,
 };
 use sigcomp_isa::{DecodedTrace, ExecRecord, Trace};
 use sigcomp_mem::MemoryHierarchy;
 use sigcomp_pipeline::{OrgKind, Organization, PipelineSim, SimResult, Stage, StageDemand};
-use sigcomp_workloads::{find, Benchmark, WorkloadSize};
+use sigcomp_workloads::{find, Benchmark};
+use std::cmp::Reverse;
 use std::collections::HashMap;
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
@@ -229,18 +255,19 @@ pub struct SweepSummary {
     /// The worker shards folded together in worker order.
     pub totals: SweepShard,
     /// `(jobs, steals)` per worker, in worker order. On the local backend a
-    /// worker takes whole groups (see the [module docs](self)), so its job
-    /// count sums its groups' jobs and a steal moves one group. On the scale-out
+    /// worker probes single jobs and then takes whole groups (see the
+    /// [module docs](self)), so its job count sums its cache hits and its
+    /// groups' jobs, and a steal moves one probe or one group. On the scale-out
     /// backends a "worker" is one shard process (subprocess) or one worker
     /// server that answered at least one dispatch, in address order,
     /// followed by one row for the frontier's local fallback if it ran
     /// (fleet). Steals are always 0 there: the shard partition is static.
     pub worker_loads: Vec<(u64, u64)>,
-    /// Worker threads (local backend; at most one per group), shard
-    /// processes (subprocess backend) or [`SweepSummary::worker_loads`] rows
-    /// (fleet backend) actually used.
+    /// Worker threads (local backend; at most one per job probed or group
+    /// run), shard processes (subprocess backend) or
+    /// [`SweepSummary::worker_loads`] rows (fleet backend) actually used.
     pub workers: usize,
-    /// Wall-clock time of the parallel phase.
+    /// Wall-clock time of the parallel phases.
     pub wall: Duration,
     /// Stable id of the backend that executed the sweep
     /// ([`ExecBackend::id`]): `"local"`, `"subprocess"` or `"fleet"`.
@@ -327,57 +354,195 @@ fn replay_decoded(jobs: &[JobSpec], trace: &DecodedTrace) -> Vec<JobMetrics> {
     group.finish()
 }
 
-/// The model stack one group drives: a single stream of [`ExecRecord`]s —
-/// from a live interpreter or a replayed file — feeds one cost vector, one
-/// hierarchy walk, one stage demand and one activity study per record; the
-/// demand is fanned out to one timing model per job.
+/// The model stack one stream group drives (see the [module docs](self)):
+/// a single stream of [`ExecRecord`]s — from a live interpreter or a
+/// replayed file — feeds one hierarchy walk per memory profile, one cost
+/// vector per scheme, and one stage demand and one activity study per
+/// `(scheme, memory profile)` block; each demand is fanned out to its
+/// block's timing models.
 struct GroupModels {
+    recoder: FunctRecoder,
+    mems: Vec<MemModels>,
+    /// The current record's walk of each memory profile's hierarchy.
+    accesses: Vec<InstrAccess>,
+    schemes: Vec<SchemeModels>,
+    /// Where each job's answer comes from, in the order the jobs were given.
+    answers: Vec<Answer>,
+}
+
+/// The models of one memory profile.
+struct MemModels {
+    profile: MemProfile,
     hierarchy: MemoryHierarchy,
+    /// The scheme-independent baseline timing model, if any scheme's
+    /// baseline job under this profile is in the group.
+    baseline: Option<PipelineSim>,
+}
+
+/// One scheme's blocks, one per memory profile it has jobs under.
+struct SchemeModels {
+    scheme: ExtScheme,
+    blocks: Vec<BlockModels>,
+}
+
+/// The models of one `(scheme, memory profile)` block.
+struct BlockModels {
+    /// Index of the block's memory profile in the group.
+    mem: usize,
     analyzer: TraceAnalyzer,
+    /// The timing models of the block's non-baseline jobs.
     sims: Vec<PipelineSim>,
+    /// Whether this block's demand drives its profile's baseline model.
+    feeds_baseline: bool,
+}
+
+/// Which models answer one job.
+struct Answer {
+    org: Organization,
+    scheme: usize,
+    block: usize,
+    mem: usize,
+    /// The job's timing model in its block, or `None` for a baseline job,
+    /// which its memory profile's shared baseline model answers.
+    sim: Option<usize>,
+}
+
+/// The index of the first of `items` that `is` accepts, after pushing
+/// `new()` if none does.
+fn find_or_push<T>(items: &mut Vec<T>, is: impl Fn(&T) -> bool, new: impl FnOnce() -> T) -> usize {
+    items.iter().position(is).unwrap_or_else(|| {
+        items.push(new());
+        items.len() - 1
+    })
 }
 
 impl GroupModels {
-    /// Models for `jobs`, which must share a scheme and a memory profile
-    /// (their [`JobSpec::analyzer_config`] is then one and the same).
+    /// Models for `jobs`, which must share a stream.
     fn new(jobs: &[JobSpec]) -> Self {
-        let config = jobs[0].analyzer_config();
-        let sims = jobs
-            .iter()
-            .map(|job| {
-                // A mixed group would cache one job's metrics under another's id.
-                assert_eq!((job.scheme, job.mem), (jobs[0].scheme, jobs[0].mem));
-                PipelineSim::with_external_hierarchy(job.organization(), config.recoder.clone())
-            })
-            .collect();
+        let recoder = jobs[0].analyzer_config().recoder;
+        let mut mems: Vec<MemModels> = Vec::new();
+        let mut schemes: Vec<SchemeModels> = Vec::new();
+        let mut answers = Vec::with_capacity(jobs.len());
+        for job in jobs {
+            // A mixed group would cache one stream's metrics under another's id.
+            assert_eq!(job.stream(), jobs[0].stream());
+            let config = job.analyzer_config();
+            let mem = find_or_push(
+                &mut mems,
+                |m| m.profile == job.mem,
+                || MemModels {
+                    profile: job.mem,
+                    hierarchy: MemoryHierarchy::new(&config.hierarchy),
+                    baseline: None,
+                },
+            );
+            let scheme = find_or_push(
+                &mut schemes,
+                |s| s.scheme == job.scheme,
+                || SchemeModels {
+                    scheme: job.scheme,
+                    blocks: Vec::new(),
+                },
+            );
+            let blocks = &mut schemes[scheme].blocks;
+            let block = find_or_push(
+                blocks,
+                |b| b.mem == mem,
+                || BlockModels {
+                    mem,
+                    analyzer: TraceAnalyzer::with_external_hierarchy(config.clone()),
+                    sims: Vec::new(),
+                    feeds_baseline: false,
+                },
+            );
+            let org = job.organization();
+            let timing = PipelineSim::with_external_hierarchy(org.clone(), recoder.clone());
+            let sim = if job.org == OrgKind::Baseline32 {
+                if mems[mem].baseline.is_none() {
+                    mems[mem].baseline = Some(timing);
+                    blocks[block].feeds_baseline = true;
+                }
+                None
+            } else {
+                let sims = &mut blocks[block].sims;
+                sims.push(timing);
+                Some(sims.len() - 1)
+            };
+            answers.push(Answer {
+                org,
+                scheme,
+                block,
+                mem,
+                sim,
+            });
+        }
         GroupModels {
-            hierarchy: MemoryHierarchy::new(&config.hierarchy),
-            analyzer: TraceAnalyzer::with_external_hierarchy(config),
-            sims,
+            recoder,
+            accesses: Vec::with_capacity(mems.len()),
+            mems,
+            schemes,
+            answers,
         }
     }
 
     fn observe(&mut self, rec: &ExecRecord) {
-        // Every model runs under the group's scheme, recoder and hierarchy,
-        // so the record is distilled and walked once and shared.
-        let config = self.analyzer.config();
-        let cost = instr_cost(rec, config.scheme, &config.recoder);
-        let access = InstrAccess::walk(&mut self.hierarchy, rec);
-        let demand = StageDemand::new(rec, &cost, &access);
-        for sim in &mut self.sims {
-            sim.observe_demand(&demand);
+        // The walk depends only on the memory profile and the cost only on
+        // the scheme, so each is derived once per record and shared.
+        self.accesses.clear();
+        for mem in &mut self.mems {
+            self.accesses
+                .push(InstrAccess::walk(&mut mem.hierarchy, rec));
         }
-        self.analyzer.observe_with_access(rec, &cost, &access);
+        for scheme in &mut self.schemes {
+            let cost = instr_cost(rec, scheme.scheme, &self.recoder);
+            for block in &mut scheme.blocks {
+                let access = &self.accesses[block.mem];
+                let demand = StageDemand::new(rec, &cost, access);
+                for sim in &mut block.sims {
+                    sim.observe_demand(&demand);
+                }
+                if block.feeds_baseline {
+                    if let Some(baseline) = &mut self.mems[block.mem].baseline {
+                        baseline.observe_demand(&demand);
+                    }
+                }
+                block.analyzer.observe_with_access(rec, &cost, access);
+            }
+        }
     }
 
     /// One [`JobMetrics`] per job, in the order the jobs were given.
     fn finish(self) -> Vec<JobMetrics> {
-        let activity = self.analyzer.report();
-        self.sims
+        let blocks: Vec<Vec<(ActivityReport, Vec<SimResult>)>> = self
+            .schemes
             .into_iter()
-            .map(|sim| {
-                let org = sim.organization().clone();
-                JobMetrics::from_models(activity, &org, &sim.finish())
+            .map(|scheme| {
+                scheme
+                    .blocks
+                    .into_iter()
+                    .map(|b| {
+                        let results = b.sims.into_iter().map(PipelineSim::finish).collect();
+                        (b.analyzer.report(), results)
+                    })
+                    .collect()
+            })
+            .collect();
+        let baselines: Vec<Option<SimResult>> = self
+            .mems
+            .into_iter()
+            .map(|m| m.baseline.map(PipelineSim::finish))
+            .collect();
+        self.answers
+            .iter()
+            .map(|answer| {
+                let (activity, results) = &blocks[answer.scheme][answer.block];
+                let result = match answer.sim {
+                    Some(sim) => &results[sim],
+                    None => baselines[answer.mem]
+                        .as_ref()
+                        .expect("a baseline job has its profile's baseline model"),
+                };
+                JobMetrics::from_models(*activity, &answer.org, result)
             })
             .collect()
     }
@@ -462,15 +627,16 @@ pub fn try_run_sweep(spec: &SweepSpec, options: &SweepOptions) -> Result<SweepSu
 /// # Panics
 ///
 /// On the local backend, if a workload named by a job does not exist or
-/// fails to run, or if a [`TraceSource::File`] job's digest has no matching
-/// trace (use [`try_run_jobs_traced`] to supply recorded traces).
+/// fails to run, or if a [`TraceSource::File`](crate::TraceSource::File)
+/// job's digest has no matching trace (use [`try_run_jobs_traced`] to
+/// supply recorded traces).
 pub fn try_run_jobs(jobs: &[JobSpec], options: &SweepOptions) -> Result<SweepSummary, ExecError> {
     try_run_jobs_traced(jobs, &[], options)
 }
 
 /// [`try_run_jobs`] with a set of recorded traces resolving the jobs'
-/// [`TraceSource::File`] digests. Kernel jobs ignore `traces` entirely.
-/// (On the subprocess backend workers re-load traces from
+/// [`TraceSource::File`](crate::TraceSource::File) digests. Kernel jobs
+/// ignore `traces` entirely. (On the subprocess backend workers re-load traces from
 /// [`crate::SubprocessConfig::trace_paths`]; the wire protocol ships only
 /// content digests.)
 ///
@@ -497,85 +663,134 @@ pub fn try_run_jobs_traced(
     }
 }
 
-/// The record stream a job replays: a kernel run live at one size, or a
-/// trace file identified by its content digest (its display name is not
-/// part of the stream).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum StreamKey {
-    Kernel(&'static str, WorkloadSize),
-    File(u64),
-}
-
-/// What the jobs of one group share (see the [module docs](self)).
-type GroupKey = (StreamKey, ExtScheme, MemProfile);
-
-fn group_key(job: &JobSpec) -> GroupKey {
-    let stream = match job.source {
-        TraceSource::Kernel => StreamKey::Kernel(job.workload, job.size),
-        TraceSource::File { digest } => StreamKey::File(digest),
-    };
-    (stream, job.scheme, job.mem)
-}
-
-/// Partitions job positions into groups, each in job order; groups are
-/// ordered by their first job, so the partition depends only on `jobs`.
-fn group_jobs(jobs: &[JobSpec]) -> Vec<Vec<usize>> {
-    let mut index: HashMap<GroupKey, usize> = HashMap::new();
+/// Partitions the positions of the cache-missing jobs into stream groups
+/// and plans them for `workers` (see the [module docs](self)): each group
+/// in job order, split while workers outnumber groups, heaviest first.
+/// `records` gives a stream's record count where it is known up front.
+fn plan_groups(
+    jobs: &[JobSpec],
+    misses: impl Iterator<Item = usize>,
+    workers: usize,
+    records: impl Fn(StreamKey) -> Option<u64>,
+) -> Vec<Vec<usize>> {
+    let mut index: HashMap<StreamKey, usize> = HashMap::new();
     let mut groups: Vec<Vec<usize>> = Vec::new();
-    for (position, job) in jobs.iter().enumerate() {
-        let g = *index.entry(group_key(job)).or_insert_with(|| {
+    for position in misses {
+        let g = *index.entry(jobs[position].stream()).or_insert_with(|| {
             groups.push(Vec::new());
             groups.len() - 1
         });
         groups[g].push(position);
     }
+    let weight =
+        |group: &[usize]| group.len() as u64 * records(jobs[group[0]].stream()).unwrap_or(1);
+    while groups.len() < workers {
+        // Halve the heaviest group that can be halved (the first on ties).
+        let Some((g, (kept, split_off))) = (0..groups.len())
+            .filter_map(|g| split_group(jobs, &groups[g]).map(|halves| (g, halves)))
+            .min_by_key(|&(g, _)| Reverse(weight(&groups[g])))
+        else {
+            break;
+        };
+        groups[g] = kept;
+        groups.push(split_off);
+    }
+    // A stable sort: equal weights keep their first-miss order.
+    groups.sort_by_key(|group| Reverse(weight(group)));
     groups
 }
 
-/// The [`ExecBackend::LocalThreads`] engine: every group on the in-process
-/// work-stealing executor, each group's cache misses replayed in one fused
-/// pass, results reassembled in job order.
-fn run_jobs_local(jobs: &[JobSpec], traces: &[TraceInput], options: &SweepOptions) -> SweepSummary {
-    let groups = group_jobs(jobs);
-    // Mirror the executor's clamp so the summary reports the worker count
-    // actually used.
-    let workers = options.effective_workers().min(groups.len().max(1));
-
-    // Each (workload, size) is assembled at most once, shared by every group
-    // that needs it — and not at all when all of its jobs hit the cache.
-    let mut benchmarks: HashMap<(&'static str, WorkloadSize), OnceLock<Benchmark>> = HashMap::new();
-    for job in jobs {
-        if job.source == TraceSource::Kernel {
-            benchmarks.entry((job.workload, job.size)).or_default();
+/// Halves a group along its memory profiles, or along its schemes if it
+/// has only one profile; `None` for a single `(scheme, memory)` block.
+fn split_group(jobs: &[JobSpec], group: &[usize]) -> Option<(Vec<usize>, Vec<usize>)> {
+    fn halve<K: PartialEq>(
+        jobs: &[JobSpec],
+        group: &[usize],
+        key: impl Fn(&JobSpec) -> K,
+    ) -> Option<(Vec<usize>, Vec<usize>)> {
+        let mut keys = Vec::new();
+        for &p in group {
+            let k = key(&jobs[p]);
+            if !keys.contains(&k) {
+                keys.push(k);
+            }
         }
+        if keys.len() < 2 {
+            return None;
+        }
+        let first = &keys[..keys.len() / 2];
+        Some(group.iter().partition(|&&p| first.contains(&key(&jobs[p]))))
     }
+    halve(jobs, group, |job| job.mem).or_else(|| halve(jobs, group, |job| job.scheme))
+}
+
+/// The [`ExecBackend::LocalThreads`] engine: the cache probed job by job,
+/// then every stream group of the misses replayed in one fused pass on the
+/// in-process work-stealing executor, results reassembled in job order.
+fn run_jobs_local(jobs: &[JobSpec], traces: &[TraceInput], options: &SweepOptions) -> SweepSummary {
+    let workers = options.effective_workers();
     let traces_by_digest: HashMap<u64, &TraceInput> =
         traces.iter().map(|t| (t.digest(), t)).collect();
 
-    // Handles are fetched once; the per-group hot path below records
-    // through them lock-free. The fused counters stay outside the
-    // `replay.`/`explore.cache.` families, whose totals must not depend on
-    // how a batch was grouped (shards group differently).
+    // Handles are fetched once; the hot paths below record through them
+    // lock-free. The fused counters stay outside the `replay.`/
+    // `explore.cache.` families, whose totals must not depend on how a
+    // batch was grouped (shards group differently).
     let obs = sigcomp_obs::global();
     let obs_simulated = obs.counter("replay.jobs_simulated");
     let obs_cached = obs.counter("replay.jobs_cached");
     let obs_instructions = obs.counter("replay.instructions");
     let obs_groups = obs.counter("explore.fused.groups");
     let obs_records = obs.counter("explore.fused.records");
-    obs.gauge("explore.workers").set_max(workers as u64);
 
-    // Replays one group's cache misses from the stream they share.
+    let started = Instant::now();
+    // Probe the cache per job before grouping: a warm batch then builds no
+    // group, and its loads spread over every worker.
+    let (hits, probe_reports) = match options.cache.as_ref() {
+        Some(cache) => {
+            run_parallel::<Option<JobMetrics>, SweepShard, _>(jobs.len(), workers, |p, shard| {
+                let hit = cache.load(jobs[p].job_id());
+                if let Some(metrics) = &hit {
+                    shard.cached += 1;
+                    shard.activity.merge(&metrics.activity);
+                    obs_cached.incr();
+                }
+                hit
+            })
+        }
+        None => (vec![None; jobs.len()], Vec::new()),
+    };
+
+    let groups = plan_groups(
+        jobs,
+        (0..jobs.len()).filter(|&p| hits[p].is_none()),
+        workers,
+        |stream| match stream {
+            StreamKey::File(digest) => traces_by_digest
+                .get(&digest)
+                .map(|t| t.decoded().len() as u64),
+            StreamKey::Kernel(..) => None,
+        },
+    );
+
+    // Each (workload, size) with a miss is assembled once, shared by every
+    // piece of its group.
+    let mut benchmarks: HashMap<StreamKey, OnceLock<Benchmark>> = HashMap::new();
+    for group in &groups {
+        benchmarks.entry(jobs[group[0]].stream()).or_default();
+    }
+
+    // Replays one group's jobs from the stream they share.
     let replay = |misses: &[JobSpec]| {
         let first = misses[0];
-        match first.source {
-            TraceSource::Kernel => {
-                let benchmark = benchmarks[&(first.workload, first.size)].get_or_init(|| {
-                    find(first.workload, first.size)
-                        .unwrap_or_else(|| panic!("unknown workload {}", first.workload))
+        match first.stream() {
+            stream @ StreamKey::Kernel(workload, size) => {
+                let benchmark = benchmarks[&stream].get_or_init(|| {
+                    find(workload, size).unwrap_or_else(|| panic!("unknown workload {workload}"))
                 });
                 replay_kernel(misses, benchmark)
             }
-            TraceSource::File { digest } => {
+            StreamKey::File(digest) => {
                 let input = traces_by_digest.get(&digest).unwrap_or_else(|| {
                     panic!(
                         "no trace with digest {digest:016x} for job {}",
@@ -587,94 +802,74 @@ fn run_jobs_local(jobs: &[JobSpec], traces: &[TraceInput], options: &SweepOption
         }
     };
 
-    let started = Instant::now();
-    let (answers, reports) =
-        run_parallel::<Vec<JobOutcome>, SweepShard, _>(groups.len(), workers, |g, shard| {
-            let members = &groups[g];
-            let first = jobs[members[0]];
+    let (answers, group_reports) = if groups.is_empty() {
+        (Vec::new(), Vec::new())
+    } else {
+        run_parallel_dealt::<Vec<JobMetrics>, SweepShard, _>(groups.len(), workers, |g, shard| {
+            let misses: Vec<JobSpec> = groups[g].iter().map(|&p| jobs[p]).collect();
             let _span = sigcomp_obs::span!(
                 "replay.job",
-                job_id = format_args!("{:016x}", first.job_id()),
-                jobs = members.len(),
+                job_id = format_args!("{:016x}", misses[0].job_id()),
+                jobs = misses.len(),
             );
-            let cached: Vec<Option<JobMetrics>> = members
-                .iter()
-                .map(|&p| {
-                    options
-                        .cache
-                        .as_ref()
-                        .and_then(|c| c.load(jobs[p].job_id()))
-                })
-                .collect();
-            let misses: Vec<JobSpec> = members
-                .iter()
-                .zip(&cached)
-                .filter(|(_, hit)| hit.is_none())
-                .map(|(&p, _)| jobs[p])
-                .collect();
-
-            let mut simulated = Vec::new();
-            if !misses.is_empty() {
-                simulated = replay(&misses);
-                obs_groups.incr();
-                obs_records.add(simulated[0].instructions);
+            let simulated = replay(&misses);
+            obs_groups.incr();
+            obs_records.add(simulated[0].instructions);
+            for (job, metrics) in misses.iter().zip(&simulated) {
                 if let Some(cache) = options.cache.as_ref() {
-                    for (job, metrics) in misses.iter().zip(&simulated) {
-                        // A failed store only costs a re-simulation next run.
-                        let _ = cache.store(job.job_id(), metrics);
-                    }
+                    // A failed store only costs a re-simulation next run.
+                    let _ = cache.store(job.job_id(), metrics);
                 }
+                shard.simulated += 1;
+                shard.instructions_simulated += metrics.instructions;
+                shard.activity.merge(&metrics.activity);
+                obs_simulated.incr();
+                obs_instructions.add(metrics.instructions);
             }
-
-            let mut simulated = simulated.into_iter();
-            members
-                .iter()
-                .zip(cached)
-                .map(|(&p, hit)| {
-                    let from_cache = hit.is_some();
-                    let metrics = hit.unwrap_or_else(|| {
-                        simulated.next().expect("one simulation per cache miss")
-                    });
-                    if from_cache {
-                        shard.cached += 1;
-                        obs_cached.incr();
-                    } else {
-                        shard.simulated += 1;
-                        shard.instructions_simulated += metrics.instructions;
-                        obs_simulated.incr();
-                        obs_instructions.add(metrics.instructions);
-                    }
-                    shard.activity.merge(&metrics.activity);
-                    JobOutcome {
-                        spec: jobs[p],
-                        metrics,
-                        from_cache,
-                    }
-                })
-                .collect()
-        });
+            simulated
+        })
+    };
     let wall = started.elapsed();
     obs.histogram("explore.batch.wall", sigcomp_obs::DEFAULT_SPAN_BOUNDS_US)
         .observe(u64::try_from(wall.as_micros()).unwrap_or(u64::MAX));
 
-    let mut slots: Vec<Option<JobOutcome>> = vec![None; jobs.len()];
-    for (members, answer) in groups.iter().zip(answers) {
-        for (&p, outcome) in members.iter().zip(answer) {
-            slots[p] = Some(outcome);
+    let mut slots: Vec<Option<JobOutcome>> = hits
+        .into_iter()
+        .zip(jobs)
+        .map(|(hit, &spec)| {
+            hit.map(|metrics| JobOutcome {
+                spec,
+                metrics,
+                from_cache: true,
+            })
+        })
+        .collect();
+    for (group, answer) in groups.iter().zip(answers) {
+        for (&p, metrics) in group.iter().zip(answer) {
+            slots[p] = Some(JobOutcome {
+                spec: jobs[p],
+                metrics,
+                from_cache: false,
+            });
         }
     }
     let outcomes = slots
         .into_iter()
-        .map(|o| o.expect("every job belongs to one group"))
+        .map(|o| o.expect("every job is a cache hit or in one group"))
         .collect();
 
+    // A worker's row sums both phases; loads count jobs, not the groups
+    // the executor handed out.
     let mut totals = SweepShard::default();
-    let mut worker_loads = Vec::with_capacity(reports.len());
-    for report in &reports {
+    let mut worker_loads = vec![(0, 0); probe_reports.len().max(group_reports.len())];
+    for report in probe_reports.iter().chain(&group_reports) {
         totals.merge(&report.shard);
-        // Loads count jobs, not the groups the executor handed out.
-        worker_loads.push((report.shard.simulated + report.shard.cached, report.steals));
+        let (jobs, steals) = &mut worker_loads[report.worker];
+        *jobs += report.shard.simulated + report.shard.cached;
+        *steals += report.steals;
     }
+    let workers = worker_loads.len();
+    obs.gauge("explore.workers").set_max(workers as u64);
 
     SweepSummary {
         outcomes,
@@ -684,5 +879,65 @@ fn run_jobs_local(jobs: &[JobSpec], traces: &[TraceInput], options: &SweepOption
         wall,
         backend: "local",
         shard_obs: Vec::new(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::spec::{MemProfile, TraceSource};
+    use sigcomp_workloads::WorkloadSize;
+
+    fn job(workload: &'static str, scheme: ExtScheme, mem: MemProfile, digest: u64) -> JobSpec {
+        JobSpec {
+            scheme,
+            org: OrgKind::ByteSerial,
+            workload,
+            size: WorkloadSize::Tiny,
+            mem,
+            source: if digest == 0 {
+                TraceSource::Kernel
+            } else {
+                TraceSource::File { digest }
+            },
+        }
+    }
+
+    #[test]
+    fn groups_are_dealt_heaviest_first() {
+        let jobs = [
+            job("a", ExtScheme::TwoBit, MemProfile::Paper, 0),
+            job("short", ExtScheme::TwoBit, MemProfile::Paper, 1),
+            job("a", ExtScheme::ThreeBit, MemProfile::Paper, 0),
+            job("long", ExtScheme::TwoBit, MemProfile::Paper, 2),
+            job("b", ExtScheme::TwoBit, MemProfile::Paper, 0),
+        ];
+        let records = |stream| match stream {
+            StreamKey::File(1) => Some(10),
+            StreamKey::File(2) => Some(1000),
+            _ => None,
+        };
+        // Kernel streams weigh their misses; ties keep first-miss order.
+        let plan = plan_groups(&jobs, 0..jobs.len(), 1, records);
+        assert_eq!(plan, vec![vec![3], vec![1], vec![0, 2], vec![4]]);
+        // Cache hits never reach a group.
+        let plan = plan_groups(&jobs, [2, 4].into_iter(), 1, records);
+        assert_eq!(plan, vec![vec![2], vec![4]]);
+    }
+
+    #[test]
+    fn a_lone_stream_is_halved_by_memory_then_by_scheme() {
+        let mut jobs = Vec::new();
+        for &mem in &MemProfile::ALL[..2] {
+            for &scheme in ExtScheme::ALL {
+                jobs.push(job("a", scheme, mem, 0));
+            }
+        }
+        let plan = |workers| plan_groups(&jobs, 0..jobs.len(), workers, |_| None);
+        assert_eq!(plan(1), vec![(0..6).collect::<Vec<_>>()]);
+        assert_eq!(plan(2), vec![vec![0, 1, 2], vec![3, 4, 5]]);
+        assert_eq!(plan(3), vec![vec![3, 4, 5], vec![1, 2], vec![0]]);
+        // Six single (scheme, memory) blocks cannot be halved again.
+        assert_eq!(plan(8).len(), 6);
     }
 }

@@ -54,6 +54,11 @@ const SIDE_WORDS: [u8; 256] = {
     table
 };
 
+/// Most records [`DecodedTrace::from_reader`] reserves room for before
+/// reading any: a valid file up to this length reserves exactly once,
+/// and a hostile header costs at most this many records' worth of lanes.
+const MAX_RESERVED_RECORDS: usize = 1 << 20;
+
 /// A fully decoded trace in structure-of-arrays form.
 ///
 /// The fixed per-record lanes (`pc`, `word`, `flags`, pre-decoded `instr`)
@@ -96,7 +101,12 @@ impl DecodedTrace {
     /// Any stream violation, with the same named error the streaming path
     /// yields.
     pub fn from_reader<R: BufRead>(mut reader: TraceReader<R>) -> Result<Self, TraceFileError> {
-        let declared = usize::try_from(reader.records()).unwrap_or(0);
+        // The header's count is untrusted until the drain below proves it:
+        // reserve at most `MAX_RESERVED_RECORDS` up front, and let a longer
+        // stream grow the lanes with the records actually read.
+        let declared = usize::try_from(reader.records())
+            .unwrap_or(usize::MAX)
+            .min(MAX_RESERVED_RECORDS);
         let mut arena = DecodedTrace {
             pc: Vec::with_capacity(declared),
             word: Vec::with_capacity(declared),
@@ -315,6 +325,33 @@ mod tests {
         assert_eq!(arena.len(), trace.len());
         for (i, rec) in trace.iter().enumerate() {
             assert_eq!(&arena.get(i), rec, "record {i}");
+        }
+    }
+
+    #[test]
+    fn hostile_record_counts_reserve_a_bounded_arena() {
+        let trace = sample_trace();
+        let bytes = encoded(&trace);
+        let declared = format!("records={}", trace.len());
+        // A valid header reserves its exact count, once.
+        let reader = TraceReader::new(Cursor::new(&bytes)).unwrap();
+        let arena = DecodedTrace::from_reader(reader).unwrap();
+        assert_eq!(arena.pc.capacity(), trace.len());
+        let at = bytes
+            .windows(declared.len())
+            .position(|w| w == declared.as_bytes())
+            .expect("header declares the count");
+        for forged in ["999999999999", "18446744073709551615"] {
+            let mut hostile = bytes[..at].to_vec();
+            hostile.extend_from_slice(format!("records={forged}").as_bytes());
+            hostile.extend_from_slice(&bytes[at + declared.len()..]);
+            let reader = TraceReader::new(Cursor::new(&hostile)).unwrap();
+            match DecodedTrace::from_reader(reader) {
+                Err(TraceFileError::TruncatedRecord { index }) => {
+                    assert_eq!(index, trace.len() as u64);
+                }
+                other => panic!("records={forged}: expected TruncatedRecord, got {other:?}"),
+            }
         }
     }
 

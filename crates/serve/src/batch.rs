@@ -2,7 +2,9 @@
 //!
 //! Concurrent connections enqueue [`JobSpec`]s into one shared bounded
 //! queue. A single dispatcher thread drains the queue into batches of up to
-//! [`BatchConfig::max_batch`] jobs, **deduplicates** identical
+//! [`BatchConfig::max_batch`] jobs (a full cut ends on a record-stream
+//! boundary, so one stream is not replayed once per batch),
+//! **deduplicates** identical
 //! configurations by their content hash ([`sigcomp_explore::dedup_jobs`] —
 //! the same grouping the subprocess backend shards by, so coalescing
 //! semantics can never drift between the server and the CLI), answers what
@@ -459,7 +461,7 @@ fn dispatch_loop(shared: &Shared) {
             if state.queue.is_empty() && state.shutdown {
                 return;
             }
-            let n = state.queue.len().min(shared.config.max_batch());
+            let n = stream_cut(&state.queue, shared.config.max_batch());
             let batch = state.queue.drain(..n).collect();
             shared.space_ready.notify_all();
             batch
@@ -467,6 +469,26 @@ fn dispatch_loop(shared: &Shared) {
         shared.metrics.observe_batch(batch.len() as u64);
         run_batch(shared, batch);
     }
+}
+
+/// How many queued jobs the next batch takes: the whole queue while it is
+/// shorter than `max_batch`. A full `max_batch` cut may end inside a stream
+/// whose remaining jobs are queued behind it (or still being queued), and
+/// each piece of a split stream replays it again; so the cut shrinks back
+/// to the last stream boundary inside it. A cut with no boundary inside
+/// stays full: `max_batch` is a hard upper bound.
+fn stream_cut<T>(queue: &VecDeque<(JobSpec, T)>, max_batch: usize) -> usize {
+    if queue.len() < max_batch {
+        return queue.len();
+    }
+    (1..=max_batch)
+        .rev()
+        .find(|&k| {
+            queue
+                .get(k)
+                .is_some_and(|next| next.0.stream() != queue[k - 1].0.stream())
+        })
+        .unwrap_or(max_batch)
 }
 
 /// Deduplicates one drained batch by job id, places the unique residue on
@@ -695,6 +717,51 @@ mod tests {
         assert_eq!(results.len(), 8);
         assert_eq!(metrics.batches_dispatched.load(Ordering::Relaxed), 2);
         assert_eq!(metrics.jobs_simulated.load(Ordering::Relaxed), 8);
+    }
+
+    /// Every scheme × organization of one tiny kernel: one stream, 21 jobs.
+    fn stream_jobs(workload_index: usize) -> Vec<JobSpec> {
+        ExtScheme::ALL
+            .iter()
+            .flat_map(|&scheme| {
+                OrgKind::ALL.iter().map(move |&org| JobSpec {
+                    scheme,
+                    ..spec(workload_index, org)
+                })
+            })
+            .collect()
+    }
+
+    #[test]
+    fn batch_cuts_fall_on_stream_boundaries() {
+        // 3 streams x 21 jobs + 1: a 64-job cut may end inside the fourth
+        // stream, so it shrinks to the boundary at 63.
+        let mut jobs: Vec<JobSpec> = (0..3).flat_map(stream_jobs).collect();
+        jobs.push(stream_jobs(3)[0]);
+        assert_eq!(jobs.len(), 64);
+        let queue: VecDeque<(JobSpec, ())> = jobs.iter().map(|&j| (j, ())).collect();
+        assert_eq!(stream_cut(&queue, 64), 63);
+        assert_eq!(stream_cut(&queue, 65), 64, "a shorter queue is taken whole");
+        assert_eq!(stream_cut(&queue, 63), 63, "already on a boundary");
+        assert_eq!(stream_cut(&queue, 50), 42);
+        assert_eq!(
+            stream_cut(&queue, 20),
+            20,
+            "no boundary inside: keep the cut"
+        );
+
+        let metrics = Arc::new(ServerMetrics::default());
+        let config = BatchConfig {
+            max_batch: 64,
+            queue_capacity: 128,
+            sim_workers: Some(2),
+            ..BatchConfig::default()
+        };
+        let batcher = Batcher::new(config, Arc::clone(&metrics));
+        let results = batcher.submit_many(&jobs).expect("batch runs");
+        assert_eq!(results.len(), 64);
+        assert_eq!(metrics.batches_dispatched.load(Ordering::Relaxed), 2);
+        assert_eq!(metrics.largest_batch.load(Ordering::Relaxed), 63);
     }
 
     #[test]

@@ -1,18 +1,20 @@
 //! Differential oracle for the fused local engine.
 //!
-//! The local backend replays each (stream, scheme, memory) group once: one
-//! record source, one cost vector, one hierarchy walk and one activity study
-//! per record, fanned out to every organization's timing model. The
-//! reference below is the per-job stack the fusion replaced — a private
-//! hierarchy in both the timing simulator and the analyzer, each walking it
-//! through `observe_with_cost` — and these tests pin the engine to it job
-//! for job, over every tiny kernel and a golden-corpus trace, under
-//! shuffled, duplicated and partly cached batches.
+//! The local backend replays each stream group once: one record source per
+//! record, one hierarchy walk per memory profile, one cost vector per
+//! scheme, one activity study per (scheme, memory) block and one timing
+//! model per job, with a single baseline model per memory profile shared by
+//! every scheme. The reference below is the per-job stack the fusion
+//! replaced — a private hierarchy in both the timing simulator and the
+//! analyzer, each walking it through `observe_with_cost` — and these tests
+//! pin the engine to it job for job, over every tiny kernel and a
+//! golden-corpus trace, under shuffled, duplicated and partly cached
+//! batches and every worker count.
 
 use sigcomp::{instr_cost, ExtScheme, TraceAnalyzer};
 use sigcomp_explore::{
-    try_run_jobs, try_run_jobs_traced, JobMetrics, JobSpec, MemProfile, ResultCache, SweepOptions,
-    SweepSummary, TraceInput, TraceSource,
+    try_run_jobs, try_run_jobs_traced, try_run_sweep, JobMetrics, JobSpec, MemProfile, ResultCache,
+    SweepOptions, SweepSpec, SweepSummary, TraceInput, TraceSource,
 };
 use sigcomp_isa::ExecRecord;
 use sigcomp_pipeline::{OrgKind, PipelineSim};
@@ -221,4 +223,125 @@ fn workers_are_clamped_to_the_group_count_and_loads_count_jobs() {
     assert_eq!(summary.worker_loads.len(), 1);
     let loads: u64 = summary.worker_loads.iter().map(|&(jobs, _)| jobs).sum();
     assert_eq!(loads, jobs.len() as u64);
+}
+
+#[test]
+fn a_stream_group_with_scattered_hits_simulates_only_its_misses() {
+    let records = kernel_records();
+    let jobs = kernel_jobs(&["rawdaudio"]);
+    // Cached up front: one whole (scheme, memory) block, the baseline job
+    // of every scheme but 3-bit at the paper profile (so only one scheme's
+    // baseline misses there), the 2-bit baseline at slow memory (so the
+    // profile's shared baseline model is not the first scheme's), and a
+    // scattered fifth of the remaining non-baseline jobs.
+    let warm = |(i, job): &(usize, &JobSpec)| {
+        let baseline = job.org == OrgKind::Baseline32;
+        (job.scheme == ExtScheme::Halfword && job.mem == MemProfile::WideL2)
+            || (baseline && job.mem == MemProfile::Paper && job.scheme != ExtScheme::ThreeBit)
+            || (baseline && job.mem == MemProfile::SlowMemory && job.scheme == ExtScheme::TwoBit)
+            || (!baseline && i % 5 == 2)
+    };
+    let warmed: Vec<JobSpec> = jobs
+        .iter()
+        .enumerate()
+        .filter(warm)
+        .map(|(_, j)| *j)
+        .collect();
+    let dir = std::env::temp_dir().join(format!("sigcomp-fused-scatter-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cache = ResultCache::open(&dir).expect("cache dir");
+    let first = try_run_jobs(&warmed, &SweepOptions::with_workers(2).cache(cache.clone()))
+        .expect("local backend");
+    assert_eq!(first.totals.simulated, warmed.len() as u64);
+
+    let summary =
+        try_run_jobs(&jobs, &SweepOptions::with_workers(2).cache(cache)).expect("local backend");
+    assert_eq!(summary.outcomes.len(), jobs.len());
+    for (outcome, job) in summary.outcomes.iter().zip(&jobs) {
+        assert_eq!(outcome.spec, *job);
+        assert_eq!(outcome.from_cache, warmed.contains(job), "{}", job.label());
+        assert_eq!(
+            outcome.metrics,
+            reference(job, &records[job.workload]),
+            "{}: fused metrics diverge from the per-job reference",
+            job.label()
+        );
+    }
+    assert_eq!(summary.totals.cached, warmed.len() as u64);
+    assert_eq!(summary.totals.simulated, (jobs.len() - warmed.len()) as u64);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_one_stream_multi_memory_sweep_is_identical_at_every_worker_count() {
+    let records = kernel_records();
+    let jobs = kernel_jobs(&["pgp"]);
+    let serial = try_run_jobs(&jobs, &SweepOptions::with_workers(1)).expect("local backend");
+    assert_matches_reference(&serial, &jobs, &records);
+    for workers in [2, 4, 8] {
+        let summary =
+            try_run_jobs(&jobs, &SweepOptions::with_workers(workers)).expect("local backend");
+        // The stream is split by memory profile, then by scheme, until
+        // every worker has a piece.
+        assert_eq!(summary.workers, workers, "one stream keeps {workers} busy");
+        assert_eq!(summary.outcomes, serial.outcomes, "{workers} workers");
+        assert_eq!(summary.totals.simulated, serial.totals.simulated);
+        assert_eq!(
+            summary.totals.instructions_simulated,
+            serial.totals.instructions_simulated
+        );
+        assert_eq!(summary.totals.activity, serial.totals.activity);
+    }
+}
+
+/// Runs `test` alone in a child process of this test binary, so the
+/// process-wide metrics registry sees only its own sweeps.
+fn in_own_process(test: &str, body: impl FnOnce()) {
+    const CHILD: &str = "SIGCOMP_FUSED_REPLAY_CHILD";
+    if std::env::var_os(CHILD).is_some() {
+        body();
+        return;
+    }
+    let out = std::process::Command::new(std::env::current_exe().expect("test binary"))
+        .args([test, "--exact", "--test-threads=1"])
+        .env(CHILD, "1")
+        .output()
+        .expect("test binary runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success() && stdout.contains("1 passed"),
+        "{test} failed in its own process:\n{stdout}{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
+#[test]
+fn fused_counters_count_each_stream_once() {
+    in_own_process("fused_counters_count_each_stream_once", || {
+        let obs = sigcomp_obs::global();
+        let counters = || {
+            let snapshot = obs.snapshot();
+            (
+                snapshot.counter("explore.fused.groups"),
+                snapshot.counter("explore.fused.records"),
+            )
+        };
+        let stream_records: u64 = kernel_records().values().map(|r| r.len() as u64).sum();
+
+        // The default sweep's 3 schemes x 7 organizations of each kernel are
+        // one group, and each kernel's records are replayed once.
+        let (groups, replayed) = counters();
+        let spec = SweepSpec::paper(WorkloadSize::Tiny).schemes(ExtScheme::ALL);
+        let summary = try_run_sweep(&spec, &SweepOptions::with_workers(2)).expect("local backend");
+        assert_eq!(summary.totals.simulated, suite_names().len() as u64 * 3 * 7);
+        let (groups_after, replayed_after) = counters();
+        assert_eq!(groups_after - groups, suite_names().len() as u64);
+        assert_eq!(replayed_after - replayed, stream_records);
+
+        // Four memory profiles on one worker are still one group.
+        let jobs = kernel_jobs(&["rawcaudio"]);
+        try_run_jobs(&jobs, &SweepOptions::with_workers(1)).expect("local backend");
+        let (groups_last, _) = counters();
+        assert_eq!(groups_last - groups_after, 1);
+    });
 }

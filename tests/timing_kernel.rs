@@ -14,7 +14,10 @@
 //!   branch prediction, over every tiny kernel and the golden corpus;
 //! * the rule-based `Organization` formulas must equal the literal ones for
 //!   every `(kind, stage)` on an exhaustive grid of cost shapes, including
-//!   corners real streams rarely reach.
+//!   corners real streams rarely reach;
+//! * the 32-bit baseline's `SimResult` must be the same under every scheme,
+//!   for every memory profile, which lets a sweep share one baseline model
+//!   across schemes.
 
 use sigcomp::alu::AluOutcome;
 use sigcomp::ifetch::CompressedInstr;
@@ -401,6 +404,42 @@ fn kernel_equals_the_literal_reference_over_the_golden_corpus() {
         let records = collect_records(TraceReader::open(&path).unwrap())
             .unwrap_or_else(|e| panic!("loading {workload}: {e}"));
         assert_kernel_matches_reference(workload, records.records());
+    }
+}
+
+/// The sweep engine runs one 32-bit baseline model per memory profile and
+/// hands its result to every scheme's baseline job. That is sound only
+/// while the baseline's full `SimResult` ignores the scheme: it occupies
+/// every stage for one cycle, gates no lanes and resolves every branch in
+/// execute.
+#[test]
+fn baseline_timing_is_the_same_under_every_scheme() {
+    let recoder = FunctRecoder::paper_default();
+    for &name in suite_names() {
+        let benchmark = find(name, WorkloadSize::Tiny).expect("suite kernel");
+        for &mem in MemProfile::ALL {
+            let results: Vec<SimResult> = ExtScheme::ALL
+                .iter()
+                .map(|&scheme| {
+                    let org = Organization::with_scheme(OrgKind::Baseline32, scheme);
+                    let mut sim = PipelineSim::with_config(org, &mem.hierarchy(), recoder.clone());
+                    benchmark
+                        .run_each(|rec| sim.observe(rec))
+                        .expect("kernel runs");
+                    sim.finish()
+                })
+                .collect();
+            assert!(results[0].instructions > 0, "{name}: empty stream");
+            for (result, scheme) in results.iter().zip(ExtScheme::ALL).skip(1) {
+                assert_eq!(
+                    result,
+                    &results[0],
+                    "{name} / {} / {}: baseline timing depends on the scheme",
+                    scheme.id(),
+                    mem.id()
+                );
+            }
+        }
     }
 }
 
