@@ -2,112 +2,10 @@
 //! design-space sweeps (single-process or sharded across worker processes),
 //! record/replay portable traces, and serve simulations over HTTP.
 //!
-//! ```text
-//! repro [--size tiny|default|large] [table1|table2|table3|table4|table5|table6|
-//!        fig4|fig6|fig8|fig10|bottleneck|sweep|energy|serve|bench|all]
-//! repro trace record|replay|stat|golden …
-//! repro worker --cache DIR [--workers N] [--traces a,b] [--obs-log FILE]
-//! repro fleet serve|sweep|status …
-//!
-//! sweep options:
-//!   --workers N          worker threads (default: available parallelism;
-//!                        with --shards, threads per shard process)
-//!   --shards N           fan the sweep out across N `repro worker` child
-//!                        processes sharing the result cache; merged output
-//!                        is byte-identical to the single-process run
-//!                        (requires the cache: incompatible with --no-cache;
-//!                        set REPRO_WORKER to interpose a worker launcher)
-//!   --schemes a,b        extension schemes: 2bit,3bit,halfword (default: all)
-//!   --orgs a,b           organizations by id, or "all" (default: all)
-//!   --mems a,b           memory profiles: paper,small-l1,wide-l2,slow-memory
-//!                        (default: paper)
-//!   --traces a,b         recorded .sctrace files to sweep alongside kernels
-//!   --energy-model a,b   process-node energy models the reports are
-//!                        evaluated under: paper-180nm,generic-45nm,modern-7nm
-//!                        (default: paper-180nm; post-processing only — the
-//!                        exports use the first, the frontier is printed per
-//!                        model)
-//!   --cache DIR          result-cache directory (default: target/sweep-cache)
-//!   --no-cache           disable the result cache
-//!   --csv PATH           write per-job results as CSV
-//!   --json PATH          write per-job results as JSON
-//!   --obs-log FILE       stream observability span events as JSONL (sweep,
-//!                        serve and bench; workers append to FILE.shard-<i>)
-//!
-//! energy (a per-preset comparison of the same sweep; accepts
-//! --schemes/--orgs/--mems and the --workers/--cache options):
-//!   repro [--size S] energy
-//!
-//! serve options (plus --workers/--cache/--no-cache as above):
-//!   --addr HOST:PORT     listen address (default: 127.0.0.1:7878)
-//!   --max-batch N        jobs coalesced per executor batch (default: 64)
-//!   --backend B          where batches execute: local (default) or
-//!                        subprocess[:SHARDS] — sharded `repro worker`
-//!                        children merging through the shared cache
-//!                        (requires --cache)
-//!   --memo-cap N         in-memory result-memo entries retained (default
-//!                        4096, oldest evicted first)
-//!   --ticket-cap N       finished /sweep tickets retained for polling
-//!                        (default 64, oldest evicted first)
-//!   --max-conns N        reactor connection cap; above it new connections
-//!                        are shed with a fast 503 + Retry-After
-//!                        (default 1024)
-//!   --read-deadline-ms N per-connection read deadline: a partial request
-//!                        older than this is answered 408 and closed
-//!                        (default 10000)
-//!   --frontier HOST:PORT register with (and heartbeat to) this frontier so
-//!                        it dispatches fleet shards here
-//!   --self-addr H:P      the address advertised to the frontier (default:
-//!                        the bound listen address)
-//!   --heartbeat-ms N     heartbeat interval (default 2000)
-//!
-//! fleet (the frontier/worker topology over HTTP; see `sigcomp_fabric`):
-//!   fleet serve …        a worker: `serve` plus registration — same options,
-//!                        --frontier names the frontier to announce to
-//!   fleet sweep …        run a sweep as the frontier of a worker fleet:
-//!                        the sweep options above (cache required) plus
-//!                          --fleet a:p,b:p   worker addresses to dispatch to
-//!                                            (default: none — degrades to a
-//!                                            local run over the same cache)
-//!                          --timeout-ms N    per-dispatch timeout (60000)
-//!                          --attempts N      dispatch attempts per worker
-//!                                            before re-sharding its jobs (3)
-//!   fleet status --frontier H:P   print a frontier's /fleet document
-//!                        (workers, liveness, merged worker obs)
-//!
-//! bench (the self-timed perf harness; see `sigcomp_bench::perf`): replays
-//! the golden corpus, runs the standard tiny sweep cache-cold and
-//! cache-warm against a throwaway cache, and times repeated Pareto-frontier
-//! extraction, writing a schema-checked `BENCH_<label>.json`:
-//!   --quick              shrunk phases for CI smoke runs
-//!   --label NAME         report label (default: local)
-//!   --out PATH           report path (default: BENCH_<label>.json)
-//!   --corpus DIR         replay a pre-recorded golden corpus directory
-//!   --check FILE         only validate FILE against the report schema
-//!   --compare FILE       diff the fresh report against baseline FILE:
-//!                        shape metrics must match, throughput metrics may
-//!                        regress at most 2x, the serve p99 must stay under
-//!                        a 250 ms budget; each violation is named and the
-//!                        exit code fails
-//!   --trajectory PATH    rolling history document each measuring run
-//!                        appends a compact row to
-//!                        (default: BENCH_trajectory.json)
-//!
-//! worker (the pipe transport of a sharded sweep; normally spawned by
-//! `repro sweep --shards` or `repro serve --backend subprocess`, not by
-//! hand): reads a `sigcomp-fleet v1` dispatch body holding its shard's jobs
-//! on stdin, runs them against the shared cache, and answers on stdout with
-//! the same report a fleet worker sends over HTTP.
-//!
-//! trace subcommands:
-//!   trace record WORKLOAD|--all --out PATH [--size S]
-//!                        run kernels live and write .sctrace files
-//!                        (--all writes <PATH>/<workload>.sctrace)
-//!   trace replay FILE [--schemes a,b] [--orgs all|a,b] [--mems a,b]
-//!                        replay a recorded trace through the models
-//!   trace stat FILE      header, digest and instruction-mix summary
-//!   trace golden DIR     regenerate the golden conformance corpus
-//! ```
+//! `USAGE` below is the reference for every subcommand and option; `repro
+//! --help` (or `--help` after any subcommand) prints it. Each option is one
+//! entry of `OPTIONS`: its value grammar and the subcommands it applies to,
+//! read by one parser, `parse`.
 //!
 //! With no subcommand (or `all`) every paper artefact is printed in paper
 //! order (`all` does not include `sweep`, `serve`, `bench` or `trace`).
@@ -170,54 +68,455 @@ bench options: [--quick] [--label NAME] [--out PATH] [--corpus DIR]
 [--compare BASELINE.json] [--trajectory PATH] [--obs-log FILE], or
 `repro bench --check FILE` to schema-validate a report";
 
-fn usage() -> ExitCode {
-    eprintln!("{USAGE}");
-    ExitCode::FAILURE
-}
-
 /// Reports a malformed invocation: the specific problem first, the usage
 /// text after, and a failing exit code back to the shell.
 fn fail(message: &str) -> ExitCode {
     eprintln!("repro: {message}");
-    usage()
+    eprintln!("{USAGE}");
+    ExitCode::FAILURE
 }
 
-/// Options that only affect the `sweep` and `serve` subcommands.
-#[derive(Default)]
-struct SweepArgs {
-    workers: Option<usize>,
-    shards: Option<usize>,
-    schemes: Option<Vec<ExtScheme>>,
-    orgs: Option<Vec<OrgKind>>,
-    mems: Option<Vec<MemProfile>>,
-    traces: Option<Vec<String>>,
-    energy_models: Option<Vec<ProcessNode>>,
-    cache_dir: Option<String>,
-    no_cache: bool,
-    csv: Option<String>,
-    json: Option<String>,
-    addr: Option<String>,
-    max_batch: Option<usize>,
-    backend: Option<BackendChoice>,
-    memo_cap: Option<usize>,
-    ticket_cap: Option<usize>,
-    max_conns: Option<usize>,
-    read_deadline_ms: Option<u64>,
-    obs_log: Option<String>,
-    bench_quick: bool,
-    bench_label: Option<String>,
-    bench_out: Option<String>,
-    bench_corpus: Option<String>,
-    bench_check: Option<String>,
-    bench_compare: Option<String>,
-    bench_trajectory: Option<String>,
-    fleet_workers: Option<Vec<String>>,
-    frontier: Option<String>,
-    self_addr: Option<String>,
-    heartbeat_ms: Option<u64>,
-    timeout_ms: Option<u64>,
-    attempts: Option<u32>,
-    static_prune: Option<f64>,
+/// Reports a failure of a well-formed invocation: the message alone (no
+/// usage text) and a failing exit code.
+fn failure(message: &str) -> ExitCode {
+    eprintln!("{message}");
+    ExitCode::FAILURE
+}
+
+/// A subcommand: what an option's scope is made of.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Cmd {
+    /// `table1` … `bottleneck` and `all`: the paper's artefacts.
+    Paper,
+    Sweep,
+    FleetSweep,
+    Energy,
+    Serve,
+    FleetServe,
+    FleetStatus,
+    Bench,
+    TraceRecord,
+    TraceReplay,
+    TraceStat,
+    TraceGolden,
+    Analyze,
+    Worker,
+}
+
+use Cmd::{
+    Analyze, Bench, Energy, FleetServe, FleetStatus, FleetSweep, Paper, Serve, Sweep, TraceGolden,
+    TraceRecord, TraceReplay, TraceStat, Worker,
+};
+
+impl Cmd {
+    /// The subcommand's name as errors print it.
+    fn name(self) -> &'static str {
+        match self {
+            Paper => "table/figure",
+            Sweep => "sweep",
+            FleetSweep => "fleet sweep",
+            Energy => "energy",
+            Serve => "serve",
+            FleetServe => "fleet serve",
+            FleetStatus => "fleet status",
+            Bench => "bench",
+            TraceRecord => "trace record",
+            TraceReplay => "trace replay",
+            TraceStat => "trace stat",
+            TraceGolden => "trace golden",
+            Analyze => "analyze",
+            Worker => "worker",
+        }
+    }
+}
+
+/// The paper artefacts, in the order `all` prints them.
+#[rustfmt::skip]
+const PAPER: [&str; 11] = [
+    "table1", "table2", "table3", "table4", "table5", "table6",
+    "fig4", "fig6", "fig8", "fig10", "bottleneck",
+];
+
+/// The value grammar of one option.
+#[derive(Clone, Copy)]
+enum Kind {
+    /// A switch: takes no value.
+    Switch,
+    /// Free text: a path, an address, a label.
+    Text,
+    /// A positive integer.
+    Count,
+    /// A non-empty comma list of free-text items, named for errors.
+    List(&'static str),
+    Size,
+    Schemes,
+    Orgs,
+    Mems,
+    Nodes,
+    Backend,
+    /// A non-negative saving percentage.
+    Percent,
+}
+
+/// A parsed option value, typed by its option's `Kind`.
+enum Value {
+    Switch,
+    Text(String),
+    Count(usize),
+    List(Vec<String>),
+    Size(WorkloadSize),
+    Schemes(Vec<ExtScheme>),
+    Orgs(Vec<OrgKind>),
+    Mems(Vec<MemProfile>),
+    Nodes(Vec<ProcessNode>),
+    Backend(BackendChoice),
+    Percent(f64),
+}
+
+/// Joins `words` as prose: `a`, `a and b`, `a, b and c`.
+fn prose(words: &[&str], conjunction: &str) -> String {
+    match words.split_last() {
+        Some((last, rest)) if !rest.is_empty() => {
+            format!("{} {conjunction} {last}", rest.join(", "))
+        }
+        _ => words.concat(),
+    }
+}
+
+/// The accepted ids of a comma-list option, for its error message.
+fn subset<T: Copy>(all: &[T], id: fn(T) -> &'static str) -> String {
+    let ids: Vec<&str> = all.iter().map(|&item| id(item)).collect();
+    format!("comma-separated subset of {}", ids.join(", "))
+}
+
+impl Kind {
+    /// Parses one option value, or says what was expected instead.
+    fn parse(self, raw: &str) -> Result<Value, String> {
+        fn list<T>(raw: &str, parse: fn(&str) -> Option<T>) -> Option<Vec<T>> {
+            raw.split(',').map(|part| parse(part.trim())).collect()
+        }
+        match self {
+            Kind::Switch => Ok(Value::Switch),
+            Kind::Text => Ok(Value::Text(raw.to_owned())),
+            Kind::Count => raw
+                .parse()
+                .ok()
+                .filter(|&n: &usize| n > 0)
+                .map(Value::Count)
+                .ok_or_else(|| "expected a positive integer".to_owned()),
+            Kind::List(what) => {
+                let items: Vec<String> = raw
+                    .split(',')
+                    .map(str::trim)
+                    .filter(|item| !item.is_empty())
+                    .map(str::to_owned)
+                    .collect();
+                if items.is_empty() {
+                    return Err(format!("expected a comma-separated list of {what}"));
+                }
+                Ok(Value::List(items))
+            }
+            Kind::Size => WorkloadSize::parse(raw)
+                .map(Value::Size)
+                .ok_or_else(|| "expected tiny, default or large".to_owned()),
+            Kind::Schemes => list(raw, ExtScheme::parse)
+                .map(Value::Schemes)
+                .ok_or_else(|| format!("expected a {}", subset(ExtScheme::ALL, ExtScheme::id))),
+            Kind::Orgs if raw == "all" => Ok(Value::Orgs(OrgKind::ALL.to_vec())),
+            Kind::Orgs => list(raw, OrgKind::parse).map(Value::Orgs).ok_or_else(|| {
+                format!("expected 'all' or a {}", subset(OrgKind::ALL, OrgKind::id))
+            }),
+            Kind::Mems => list(raw, MemProfile::parse)
+                .map(Value::Mems)
+                .ok_or_else(|| format!("expected a {}", subset(MemProfile::ALL, MemProfile::id))),
+            Kind::Nodes => list(raw, ProcessNode::parse)
+                .map(Value::Nodes)
+                .ok_or_else(|| format!("expected a {}", subset(ProcessNode::ALL, ProcessNode::id))),
+            Kind::Backend => parse_backend(raw).map(Value::Backend),
+            Kind::Percent => raw
+                .parse()
+                .ok()
+                .filter(|&p: &f64| p.is_finite() && p >= 0.0)
+                .map(Value::Percent)
+                .ok_or_else(|| "expected a non-negative saving percentage".to_owned()),
+        }
+    }
+}
+
+/// One command-line option: its flag, value grammar and scope.
+struct Opt {
+    name: &'static str,
+    /// A one-letter spelling (`-o` for `--out`).
+    short: Option<&'static str>,
+    kind: Kind,
+    /// The subcommands it applies to.
+    scope: &'static [Cmd],
+}
+
+const fn opt(name: &'static str, kind: Kind, scope: &'static [Cmd]) -> Opt {
+    Opt {
+        name,
+        short: None,
+        kind,
+        scope,
+    }
+}
+
+impl Opt {
+    /// The error for this option given outside its scope.
+    fn scope_error(&self) -> String {
+        let names: Vec<&str> = self.scope.iter().map(|cmd| cmd.name()).collect();
+        let noun = if names.len() == 1 {
+            "subcommand"
+        } else {
+            "subcommands"
+        };
+        format!(
+            "{} only applies to the {} {noun}",
+            self.name,
+            prose(&names, "and")
+        )
+    }
+}
+
+/// Every option `repro` takes; `USAGE` documents each one. `--help`/`-h`
+/// is the only flag outside the table: every subcommand takes it.
+#[rustfmt::skip]
+const OPTIONS: &[Opt] = &[
+    opt("--size", Kind::Size, &[
+        Paper, Sweep, FleetSweep, Energy, Serve, FleetServe, FleetStatus, Bench, TraceRecord, Analyze,
+    ]),
+    opt("--workers",          Kind::Count,    &[Sweep, FleetSweep, Energy, Serve, FleetServe, Worker]),
+    opt("--cache",            Kind::Text,     &[Sweep, FleetSweep, Energy, Serve, FleetServe, Worker]),
+    opt("--no-cache",         Kind::Switch,   &[Sweep, FleetSweep, Energy, Serve, FleetServe]),
+    opt("--shards",           Kind::Count,    &[Sweep]),
+    opt("--schemes",          Kind::Schemes,  &[Sweep, FleetSweep, Energy, TraceReplay]),
+    opt("--orgs",             Kind::Orgs,     &[Sweep, FleetSweep, Energy, TraceReplay]),
+    opt("--mems",             Kind::Mems,     &[Sweep, FleetSweep, Energy, TraceReplay]),
+    opt("--traces",           Kind::List(".sctrace paths"), &[Sweep, FleetSweep, Worker]),
+    opt("--energy-model",     Kind::Nodes,    &[Sweep, FleetSweep, TraceReplay]),
+    opt("--csv",              Kind::Text,     &[Sweep, FleetSweep, Analyze]),
+    opt("--json",             Kind::Text,     &[Sweep, FleetSweep, Analyze]),
+    opt("--static-prune",     Kind::Percent,  &[Sweep, FleetSweep]),
+    opt("--obs-log",          Kind::Text,     &[Sweep, FleetSweep, Serve, FleetServe, Bench, Worker]),
+    opt("--fleet",            Kind::List("host:port worker addresses"), &[FleetSweep]),
+    opt("--timeout-ms",       Kind::Count,    &[FleetSweep, FleetStatus]),
+    opt("--attempts",         Kind::Count,    &[FleetSweep]),
+    opt("--addr",             Kind::Text,     &[Serve, FleetServe]),
+    opt("--max-batch",        Kind::Count,    &[Serve, FleetServe]),
+    opt("--backend",          Kind::Backend,  &[Serve, FleetServe]),
+    opt("--memo-cap",         Kind::Count,    &[Serve, FleetServe]),
+    opt("--ticket-cap",       Kind::Count,    &[Serve, FleetServe]),
+    opt("--max-conns",        Kind::Count,    &[Serve, FleetServe]),
+    opt("--read-deadline-ms", Kind::Count,    &[Serve, FleetServe]),
+    opt("--self-addr",        Kind::Text,     &[Serve, FleetServe]),
+    opt("--heartbeat-ms",     Kind::Count,    &[Serve, FleetServe]),
+    opt("--frontier",         Kind::Text,     &[Serve, FleetServe, FleetStatus]),
+    opt("--quick",            Kind::Switch,   &[Bench]),
+    opt("--label",            Kind::Text,     &[Bench]),
+    Opt { short: Some("-o"), ..opt("--out", Kind::Text, &[Bench, TraceRecord]) },
+    opt("--corpus",           Kind::Text,     &[Bench]),
+    opt("--check",            Kind::Text,     &[Bench]),
+    opt("--compare",          Kind::Text,     &[Bench]),
+    opt("--trajectory",       Kind::Text,     &[Bench]),
+    opt("--all",              Kind::Switch,   &[TraceRecord]),
+];
+
+/// A parsed command line.
+struct Invocation {
+    /// The subcommands to run, in order, each with the word that named it
+    /// (`table3`, `sweep`, …). A trace, analyze or worker run is one entry.
+    commands: Vec<(Cmd, String)>,
+    /// The positional arguments of a trace or analyze subcommand.
+    args: Vec<String>,
+    /// The options given (the last occurrence of a flag wins).
+    values: Vec<(&'static Opt, Value)>,
+}
+
+impl Invocation {
+    /// The value given for `flag`, if any.
+    fn get(&self, flag: &str) -> Option<&Value> {
+        debug_assert!(
+            OPTIONS.iter().any(|o| o.name == flag),
+            "{flag} is not in OPTIONS"
+        );
+        self.values
+            .iter()
+            .find(|(opt, _)| opt.name == flag)
+            .map(|(_, value)| value)
+    }
+
+    fn has(&self, flag: &str) -> bool {
+        self.get(flag).is_some()
+    }
+
+    fn text(&self, flag: &str) -> Option<&str> {
+        match self.get(flag) {
+            Some(Value::Text(text)) => Some(text),
+            _ => None,
+        }
+    }
+
+    fn count(&self, flag: &str) -> Option<usize> {
+        match self.get(flag) {
+            Some(&Value::Count(n)) => Some(n),
+            _ => None,
+        }
+    }
+
+    /// A comma-list option's items (none when it was not given).
+    fn list(&self, flag: &str) -> &[String] {
+        match self.get(flag) {
+            Some(Value::List(items)) => items,
+            _ => &[],
+        }
+    }
+
+    fn size(&self) -> WorkloadSize {
+        match self.get("--size") {
+            Some(&Value::Size(size)) => size,
+            _ => WorkloadSize::Default,
+        }
+    }
+}
+
+/// Why a command line yields no `Invocation`.
+#[derive(Debug, PartialEq)]
+enum Stop {
+    /// `--help` or `-h`: print the usage text and succeed.
+    Help,
+    /// A malformed invocation, named.
+    Error(String),
+}
+
+impl From<String> for Stop {
+    fn from(message: String) -> Self {
+        Stop::Error(message)
+    }
+}
+
+/// The subcommand a word of the main command line names.
+fn main_command(word: &str) -> Result<Cmd, String> {
+    let example = match word {
+        "sweep" => return Ok(Sweep),
+        "energy" => return Ok(Energy),
+        "serve" => return Ok(Serve),
+        "bench" => return Ok(Bench),
+        "all" => return Ok(Paper),
+        _ if PAPER.contains(&word) => return Ok(Paper),
+        "trace" => "trace record rawcaudio --size tiny --out f.sctrace",
+        "worker" => "worker --cache DIR",
+        "analyze" => "analyze rawcaudio --size tiny",
+        "fleet" => "fleet sweep --fleet host:port --cache DIR",
+        _ => return Err(format!("unknown command '{word}'")),
+    };
+    Err(format!(
+        "'{word}' must be the first argument (e.g. `repro {example}`)"
+    ))
+}
+
+/// The subcommand `trace VERB` or `fleet VERB` names.
+fn group_verb(group: &str, verb: Option<&String>) -> Result<Cmd, Stop> {
+    let verbs: &[(&str, Cmd)] = if group == "trace" {
+        &[
+            ("record", TraceRecord),
+            ("replay", TraceReplay),
+            ("stat", TraceStat),
+            ("golden", TraceGolden),
+        ]
+    } else {
+        &[
+            ("serve", FleetServe),
+            ("sweep", FleetSweep),
+            ("status", FleetStatus),
+        ]
+    };
+    let names: Vec<&str> = verbs.iter().map(|&(name, _)| name).collect();
+    let names = prose(&names, "or");
+    match verb.map(String::as_str) {
+        Some("--help" | "-h") => Err(Stop::Help),
+        Some(verb) => verbs
+            .iter()
+            .find(|&&(name, _)| name == verb)
+            .map(|&(_, cmd)| cmd)
+            .ok_or_else(|| {
+                format!("unknown {group} subcommand '{verb}' (expected {names})").into()
+            }),
+        None => Err(format!("{group} expects a subcommand ({names})").into()),
+    }
+}
+
+/// Parses `repro`'s arguments (without the program name) against
+/// `OPTIONS`: each flag's value by its kind, then each flag's scope against
+/// the subcommands named.
+fn parse(argv: &[String]) -> Result<Invocation, Stop> {
+    // A trace, analyze or worker run is the only command of its line and
+    // takes positional arguments. On any other line every word names a
+    // subcommand, and several may run in turn.
+    let mut commands = Vec::new();
+    let (alone, rest) = match argv.first().map(String::as_str) {
+        Some("trace") => (Some(group_verb("trace", argv.get(1))?), &argv[2..]),
+        Some("fleet") => {
+            let cmd = group_verb("fleet", argv.get(1))?;
+            commands.push((cmd, cmd.name().to_owned()));
+            (None, &argv[2..])
+        }
+        Some("analyze") => (Some(Analyze), &argv[1..]),
+        Some("worker") => (Some(Worker), &argv[1..]),
+        _ => (None, argv),
+    };
+    commands.extend(alone.map(|cmd| (cmd, cmd.name().to_owned())));
+
+    let mut args = Vec::new();
+    let mut values: Vec<(&'static Opt, Value)> = Vec::new();
+    let mut it = rest.iter();
+    while let Some(arg) = it.next() {
+        if arg == "--help" || arg == "-h" {
+            return Err(Stop::Help);
+        }
+        if !arg.starts_with('-') {
+            match alone {
+                Some(_) => args.push(arg.clone()),
+                None => commands.push((main_command(arg)?, arg.clone())),
+            }
+            continue;
+        }
+        let Some(opt) = OPTIONS
+            .iter()
+            .find(|o| o.name == arg || o.short == Some(arg.as_str()))
+        else {
+            let whose = alone.map_or(String::new(), |cmd| format!("{} ", cmd.name()));
+            return Err(format!("unknown {whose}option '{arg}'").into());
+        };
+        let value = if let Kind::Switch = opt.kind {
+            Value::Switch
+        } else {
+            let raw = it
+                .next()
+                .ok_or_else(|| format!("{} expects a value", opt.name))?;
+            opt.kind.parse(raw).map_err(|expected| {
+                format!("invalid value '{raw}' for {} ({expected})", opt.name)
+            })?
+        };
+        values.retain(|(given, _)| given.name != opt.name);
+        values.push((opt, value));
+    }
+    if commands.is_empty() {
+        commands.push((Paper, "all".to_owned()));
+    }
+    // A flag outside every subcommand named would be silently ignored: a
+    // user who passes `--csv` without `sweep` would believe it took effect.
+    if let Some((opt, _)) = values
+        .iter()
+        .find(|(opt, _)| !commands.iter().any(|(cmd, _)| opt.scope.contains(cmd)))
+    {
+        return Err(opt.scope_error().into());
+    }
+    Ok(Invocation {
+        commands,
+        args,
+        values,
+    })
 }
 
 /// The `--backend` value of `repro serve`.
@@ -231,24 +530,17 @@ enum BackendChoice {
 
 /// Parses a `--backend` value: `local`, `subprocess`, or `subprocess:N`.
 fn parse_backend(raw: &str) -> Result<BackendChoice, String> {
-    if raw == "local" {
-        return Ok(BackendChoice::Local);
-    }
     let shards = match raw.split_once(':') {
+        None if raw == "local" => return Ok(BackendChoice::Local),
         None if raw == "subprocess" => {
             std::thread::available_parallelism().map_or(2, std::num::NonZeroUsize::get)
         }
-        Some(("subprocess", n)) => n.parse().ok().filter(|&n: &usize| n > 0).ok_or_else(|| {
-            format!(
-                "invalid value '{raw}' for --backend \
-                     (the shard count must be a positive integer)"
-            )
-        })?,
-        _ => {
-            return Err(format!(
-                "invalid value '{raw}' for --backend (expected local or subprocess[:SHARDS])"
-            ))
-        }
+        Some(("subprocess", n)) => n
+            .parse()
+            .ok()
+            .filter(|&n: &usize| n > 0)
+            .ok_or("the shard count must be a positive integer")?,
+        _ => return Err("expected local or subprocess[:SHARDS]".to_owned()),
     };
     Ok(BackendChoice::Subprocess(shards))
 }
@@ -264,31 +556,79 @@ fn worker_program() -> Result<std::path::PathBuf, String> {
         .map_err(|e| format!("cannot locate the repro binary to spawn workers: {e}"))
 }
 
-/// Builds the subprocess backend config shared by `sweep --shards` and
-/// `serve --backend subprocess`. When `obs_log` is set each worker also
-/// streams its span events to `<obs_log>.shard-<i>`.
+/// Checks that the result cache is in use for `what`, which merges worker
+/// results through it: a usage error under `--no-cache`, a plain failure
+/// when the cache could not be opened.
+fn require_cache(
+    inv: &Invocation,
+    cache: Option<&ResultCache>,
+    cmd: &str,
+    what: &str,
+) -> Result<(), ExitCode> {
+    if inv.has("--no-cache") {
+        return Err(fail(&format!(
+            "{what} requires the result cache (drop --no-cache)"
+        )));
+    }
+    if cache.is_none() {
+        return Err(failure(&format!(
+            "{cmd}: {what} requires the result cache, which could not be opened"
+        )));
+    }
+    Ok(())
+}
+
+/// Builds the subprocess backend shared by `sweep --shards` and `serve
+/// --backend subprocess` (`what`). Worker processes publish their results
+/// through the result cache, so it is required. With `--obs-log` each
+/// worker also streams its span events to `<obs_log>.shard-<i>`.
 fn subprocess_backend(
+    inv: &Invocation,
+    cache: Option<&ResultCache>,
+    cmd: &str,
+    what: &str,
     shards: usize,
-    trace_paths: &[String],
-    obs_log: Option<&str>,
-) -> Result<ExecBackend, String> {
-    let mut config = SubprocessConfig::new(shards, worker_program()?);
-    config.trace_paths = trace_paths.to_vec();
-    config.obs_log = obs_log.map(std::path::PathBuf::from);
+) -> Result<ExecBackend, ExitCode> {
+    require_cache(inv, cache, cmd, what)?;
+    let program = worker_program().map_err(|e| failure(&format!("{cmd}: {e}")))?;
+    let mut config = SubprocessConfig::new(shards, program);
+    config.trace_paths = inv.list("--traces").to_vec();
+    config.obs_log = inv.text("--obs-log").map(std::path::PathBuf::from);
     Ok(ExecBackend::Subprocess(config))
 }
 
-fn parse_list<T>(value: &str, parse: impl Fn(&str) -> Option<T>) -> Option<Vec<T>> {
-    value.split(',').map(|part| parse(part.trim())).collect()
+/// Narrows `spec` to the `--schemes`, `--orgs` and `--mems` axes given.
+fn with_axes(mut spec: SweepSpec, inv: &Invocation) -> SweepSpec {
+    if let Some(Value::Schemes(schemes)) = inv.get("--schemes") {
+        spec = spec.schemes(schemes);
+    }
+    if let Some(Value::Orgs(orgs)) = inv.get("--orgs") {
+        spec = spec.orgs(orgs);
+    }
+    if let Some(Value::Mems(mems)) = inv.get("--mems") {
+        spec = spec.mems(mems);
+    }
+    spec
+}
+
+/// Loads every `--traces` file, or reports the first that cannot be read.
+fn load_traces(inv: &Invocation, cmd: &str) -> Result<Vec<TraceInput>, ExitCode> {
+    inv.list("--traces")
+        .iter()
+        .map(|path| {
+            TraceInput::load(path)
+                .map_err(|e| failure(&format!("{cmd}: cannot read trace {path}: {e}")))
+        })
+        .collect()
 }
 
 /// Opens the result cache named by `--cache`/`--no-cache` (shared, via the
 /// same default directory, by CLI sweeps and a running server).
-fn open_cache(args: &SweepArgs, what: &str) -> Option<ResultCache> {
-    if args.no_cache {
+fn open_cache(inv: &Invocation, what: &str) -> Option<ResultCache> {
+    if inv.has("--no-cache") {
         return None;
     }
-    let dir = args.cache_dir.as_deref().unwrap_or("target/sweep-cache");
+    let dir = inv.text("--cache").unwrap_or("target/sweep-cache");
     match ResultCache::open(dir) {
         Ok(cache) => Some(cache),
         Err(e) => {
@@ -298,88 +638,65 @@ fn open_cache(args: &SweepArgs, what: &str) -> Option<ResultCache> {
     }
 }
 
+/// Writes the `--csv` and `--json` exports requested, each rendered by
+/// `render(json)`, and names every file written.
+fn write_exports(inv: &Invocation, cmd: &str, render: impl Fn(bool) -> String) -> ExitCode {
+    for (flag, what, json) in [("--csv", "CSV", false), ("--json", "JSON", true)] {
+        if let Some(path) = inv.text(flag) {
+            if let Err(e) = std::fs::write(path, render(json)) {
+                return failure(&format!("{cmd}: cannot write {what} to {path}: {e}"));
+            }
+            println!("wrote {what} to {path}");
+        }
+    }
+    ExitCode::SUCCESS
+}
+
 /// Runs `repro sweep` (`fleet = false`) or `repro fleet sweep` (`fleet =
 /// true` — this process is the frontier and the configured backend is the
 /// worker fleet).
-fn run_sweep_command(size: WorkloadSize, args: &SweepArgs, fleet: bool) -> ExitCode {
-    let mut spec = SweepSpec::full(size).mems(&[MemProfile::Paper]);
-    if let Some(schemes) = &args.schemes {
-        spec = spec.schemes(schemes);
-    }
-    if let Some(orgs) = &args.orgs {
-        spec = spec.orgs(orgs);
-    }
-    if let Some(mems) = &args.mems {
-        spec = spec.mems(mems);
-    }
-    if let Some(models) = &args.energy_models {
+fn run_sweep_command(size: WorkloadSize, inv: &Invocation, fleet: bool) -> ExitCode {
+    let mut spec = with_axes(SweepSpec::full(size).mems(&[MemProfile::Paper]), inv);
+    if let Some(Value::Nodes(models)) = inv.get("--energy-model") {
         spec = spec.energy_models(models);
     }
-    if let Some(paths) = &args.traces {
-        let mut inputs = Vec::with_capacity(paths.len());
-        for path in paths {
-            match TraceInput::load(path) {
-                Ok(input) => inputs.push(input),
-                Err(e) => {
-                    eprintln!("sweep: cannot read trace {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        spec = spec.trace_files(&inputs);
+    match load_traces(inv, "sweep") {
+        Ok(traces) => spec = spec.trace_files(&traces),
+        Err(code) => return code,
     }
     if spec.is_empty() {
-        eprintln!("sweep: the requested design space is empty");
-        return ExitCode::FAILURE;
+        return failure("sweep: the requested design space is empty");
     }
 
-    let cache = open_cache(args, "sweep");
+    let cache = open_cache(inv, "sweep");
     let backend = if fleet {
         // The frontier replicates every worker's cache entries into this
         // cache and merges the sweep from it — exactly the subprocess
         // backend's merge discipline, so the output stays byte-identical.
-        if args.no_cache {
-            return fail("fleet sweep requires the result cache (drop --no-cache)");
-        }
-        if cache.is_none() {
-            eprintln!("sweep: fleet sweep requires the result cache, which could not be opened");
-            return ExitCode::FAILURE;
+        if let Err(code) = require_cache(inv, cache.as_ref(), "sweep", "fleet sweep") {
+            return code;
         }
         sigcomp_fabric::install();
         let defaults = FleetConfig::default();
         ExecBackend::Fleet(FleetConfig {
-            workers: args.fleet_workers.clone().unwrap_or_default(),
-            timeout_ms: args.timeout_ms.unwrap_or(defaults.timeout_ms),
-            attempts: args.attempts.unwrap_or(defaults.attempts),
+            workers: inv.list("--fleet").to_vec(),
+            timeout_ms: inv
+                .count("--timeout-ms")
+                .map_or(defaults.timeout_ms, |ms| ms as u64),
+            attempts: inv
+                .count("--attempts")
+                .map_or(defaults.attempts, |n| u32::try_from(n).unwrap_or(u32::MAX)),
         })
-    } else {
-        match args.shards {
-            None => ExecBackend::LocalThreads,
-            Some(shards) => {
-                // The shared cache directory is how worker processes publish
-                // their results back; without it there is nothing to merge.
-                if args.no_cache {
-                    return fail("--shards requires the result cache (drop --no-cache)");
-                }
-                if cache.is_none() {
-                    eprintln!(
-                        "sweep: --shards requires the result cache, which could not be opened"
-                    );
-                    return ExitCode::FAILURE;
-                }
-                let trace_paths = args.traces.clone().unwrap_or_default();
-                match subprocess_backend(shards, &trace_paths, args.obs_log.as_deref()) {
-                    Ok(backend) => backend,
-                    Err(e) => {
-                        eprintln!("sweep: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
+    } else if let Some(shards) = inv.count("--shards") {
+        match subprocess_backend(inv, cache.as_ref(), "sweep", "--shards", shards) {
+            Ok(backend) => backend,
+            Err(code) => return code,
         }
+    } else {
+        ExecBackend::LocalThreads
     };
     let options = SweepOptions {
-        workers: args.workers,
+        workers: inv.count("--workers"),
         cache,
         backend,
     };
@@ -389,7 +706,7 @@ fn run_sweep_command(size: WorkloadSize, args: &SweepArgs, fleet: bool) -> ExitC
         spec.len(),
         size.name()
     );
-    let run = if let Some(threshold) = args.static_prune {
+    let run = if let Some(&Value::Percent(threshold)) = inv.get("--static-prune") {
         // The static pre-screen. Kept jobs stay in enumeration order, so
         // their outcomes (and export rows) are byte-identical to the
         // corresponding rows of an unpruned run; pruned configurations are
@@ -409,8 +726,7 @@ fn run_sweep_command(size: WorkloadSize, args: &SweepArgs, fleet: bool) -> ExitC
             );
         }
         if outcome.kept.is_empty() {
-            eprintln!("sweep: --static-prune removed every configuration");
-            return ExitCode::FAILURE;
+            return failure("sweep: --static-prune removed every configuration");
         }
         try_run_jobs_traced(&outcome.kept, spec.trace_inputs(), &options)
     } else {
@@ -418,10 +734,7 @@ fn run_sweep_command(size: WorkloadSize, args: &SweepArgs, fleet: bool) -> ExitC
     };
     let summary = match run {
         Ok(summary) => summary,
-        Err(e) => {
-            eprintln!("sweep: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return failure(&format!("sweep: {e}")),
     };
     println!(
         "ran on {} {} in {:.2} s: {} simulated, {} from cache",
@@ -481,44 +794,27 @@ fn run_sweep_command(size: WorkloadSize, args: &SweepArgs, fleet: bool) -> ExitC
     // Exports are evaluated under the first requested model (the only one,
     // unless --energy-model named several).
     let model = nodes[0].model();
-    type Serializer = fn(&[sigcomp_explore::JobOutcome], &EnergyModel) -> String;
-    for (path, serialize, what) in [
-        (args.csv.as_deref(), to_csv as Serializer, "CSV"),
-        (args.json.as_deref(), to_json as Serializer, "JSON"),
-    ] {
-        if let Some(path) = path {
-            if let Err(e) = std::fs::write(path, serialize(&summary.outcomes, &model)) {
-                eprintln!("sweep: cannot write {what} to {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            println!("wrote {what} to {path}");
+    write_exports(inv, "sweep", |json| {
+        if json {
+            to_json(&summary.outcomes, &model)
+        } else {
+            to_csv(&summary.outcomes, &model)
         }
-    }
-    ExitCode::SUCCESS
+    })
 }
 
 /// Runs one sweep and compares its energy/performance picture across every
 /// process-node preset: the dynamic term is preset-independent (the paper's
 /// number), while the leakage term rewards gated-off byte lanes more the
 /// leakier the node — shifting which configurations are Pareto-optimal.
-fn run_energy_command(size: WorkloadSize, args: &SweepArgs) -> ExitCode {
-    let mut spec = SweepSpec::paper(size);
-    if let Some(schemes) = &args.schemes {
-        spec = spec.schemes(schemes);
-    }
-    if let Some(orgs) = &args.orgs {
-        spec = spec.orgs(orgs);
-    }
-    if let Some(mems) = &args.mems {
-        spec = spec.mems(mems);
-    }
+fn run_energy_command(size: WorkloadSize, inv: &Invocation) -> ExitCode {
+    let spec = with_axes(SweepSpec::paper(size), inv);
     if spec.is_empty() {
-        eprintln!("energy: the requested design space is empty");
-        return ExitCode::FAILURE;
+        return failure("energy: the requested design space is empty");
     }
     let options = SweepOptions {
-        workers: args.workers,
-        cache: open_cache(args, "energy"),
+        workers: inv.count("--workers"),
+        cache: open_cache(inv, "energy"),
         backend: ExecBackend::LocalThreads,
     };
     println!(
@@ -603,51 +899,39 @@ fn run_energy_command(size: WorkloadSize, args: &SweepArgs) -> ExitCode {
 }
 
 /// Runs the HTTP serving front-end (blocks until the listener fails).
-fn run_serve_command(args: &SweepArgs) -> ExitCode {
-    let disk_cache = open_cache(args, "serve");
-    let backend = match args.backend.unwrap_or(BackendChoice::Local) {
-        BackendChoice::Local => ExecBackend::LocalThreads,
-        BackendChoice::Subprocess(shards) => {
-            if args.no_cache {
-                return fail("--backend subprocess requires the result cache (drop --no-cache)");
-            }
-            if disk_cache.is_none() {
-                eprintln!(
-                    "serve: --backend subprocess requires the result cache, \
-                     which could not be opened"
-                );
-                return ExitCode::FAILURE;
-            }
-            match subprocess_backend(shards, &[], args.obs_log.as_deref()) {
+fn run_serve_command(inv: &Invocation) -> ExitCode {
+    let disk_cache = open_cache(inv, "serve");
+    let backend = match inv.get("--backend") {
+        Some(&Value::Backend(BackendChoice::Subprocess(shards))) => {
+            let what = "--backend subprocess";
+            match subprocess_backend(inv, disk_cache.as_ref(), "serve", what, shards) {
                 Ok(backend) => backend,
-                Err(e) => {
-                    eprintln!("serve: {e}");
-                    return ExitCode::FAILURE;
-                }
+                Err(code) => return code,
             }
         }
+        _ => ExecBackend::LocalThreads,
+    };
+    let millis = |flag: &str, default: usize| {
+        std::time::Duration::from_millis(inv.count(flag).unwrap_or(default) as u64)
     };
     let config = ServeConfig {
-        addr: args.addr.clone().unwrap_or_default(),
+        addr: inv.text("--addr").unwrap_or_default().to_owned(),
         batch: BatchConfig {
-            max_batch: args.max_batch.unwrap_or(0),
+            max_batch: inv.count("--max-batch").unwrap_or(0),
             queue_capacity: 0,
-            sim_workers: args.workers,
+            sim_workers: inv.count("--workers"),
             disk_cache,
             backend,
-            memo_capacity: args.memo_cap.unwrap_or(0),
+            memo_capacity: inv.count("--memo-cap").unwrap_or(0),
         },
-        finished_tickets: args.ticket_cap.unwrap_or(0),
-        max_conns: args.max_conns.unwrap_or(0),
-        read_deadline: std::time::Duration::from_millis(args.read_deadline_ms.unwrap_or(0)),
+        finished_tickets: inv.count("--ticket-cap").unwrap_or(0),
+        max_conns: inv.count("--max-conns").unwrap_or(0),
+        read_deadline: millis("--read-deadline-ms", 0),
         ..ServeConfig::default()
     };
     let server = match Server::bind(config) {
         Ok(server) => server,
-        Err(e) => {
-            eprintln!("serve: cannot bind listener: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return failure(&format!("serve: cannot bind listener: {e}")),
     };
     let addr = server.local_addr();
     println!("serving on http://{addr}");
@@ -661,11 +945,13 @@ fn run_serve_command(args: &SweepArgs) -> ExitCode {
     println!("                  the sigcomp-fleet worker protocol");
     // A worker announces itself to its frontier and keeps heartbeating for
     // as long as it serves; the heartbeater thread dies with the process.
-    let heartbeater = args.frontier.clone().map(|frontier| {
-        let advertised = args.self_addr.clone().unwrap_or_else(|| addr.to_string());
-        let interval = std::time::Duration::from_millis(args.heartbeat_ms.unwrap_or(2000).max(1));
+    let heartbeater = inv.text("--frontier").map(|frontier| {
+        let advertised = inv
+            .text("--self-addr")
+            .map_or_else(|| addr.to_string(), str::to_owned);
+        let interval = millis("--heartbeat-ms", 2000);
         println!("fleet worker: announcing {advertised} to frontier {frontier}");
-        Heartbeater::spawn(frontier, advertised, interval)
+        Heartbeater::spawn(frontier.to_owned(), advertised, interval)
     });
     let result = server.run();
     if let Some(heartbeater) = heartbeater {
@@ -673,70 +959,53 @@ fn run_serve_command(args: &SweepArgs) -> ExitCode {
     }
     match result {
         Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("serve: listener failed: {e}");
-            ExitCode::FAILURE
-        }
+        Err(e) => failure(&format!("serve: listener failed: {e}")),
     }
 }
 
 /// Prints a frontier's `/fleet` document: its known workers, their
 /// liveness/capacity/dispatch counters, and the merged worker obs snapshot.
-fn run_fleet_status_command(args: &SweepArgs) -> ExitCode {
-    let Some(frontier) = &args.frontier else {
+fn run_fleet_status_command(inv: &Invocation) -> ExitCode {
+    let Some(frontier) = inv.text("--frontier") else {
         return fail("fleet status requires --frontier HOST:PORT");
     };
-    let timeout = std::time::Duration::from_millis(args.timeout_ms.unwrap_or(5_000));
+    let timeout =
+        std::time::Duration::from_millis(inv.count("--timeout-ms").unwrap_or(5_000) as u64);
     match HttpClient::new(timeout).get(frontier, "/fleet") {
         Ok(response) if response.status == 200 => {
             print!("{}", response.body);
             ExitCode::SUCCESS
         }
-        Ok(response) => {
-            eprintln!(
-                "fleet status: {frontier} answered {}: {}",
-                response.status,
-                response.body.trim()
-            );
-            ExitCode::FAILURE
-        }
-        Err(e) => {
-            eprintln!("fleet status: cannot reach {frontier}: {e}");
-            ExitCode::FAILURE
-        }
+        Ok(response) => failure(&format!(
+            "fleet status: {frontier} answered {}: {}",
+            response.status,
+            response.body.trim()
+        )),
+        Err(e) => failure(&format!("fleet status: cannot reach {frontier}: {e}")),
     }
 }
 
 /// Runs the self-timed perf harness (or, with `--check`, only the report
 /// validator) and writes/validates `BENCH_<label>.json`.
-fn run_bench_command(args: &SweepArgs) -> ExitCode {
-    if let Some(path) = &args.bench_check {
+fn run_bench_command(inv: &Invocation) -> ExitCode {
+    if let Some(path) = inv.text("--check") {
         let text = match std::fs::read_to_string(path) {
             Ok(text) => text,
-            Err(e) => {
-                eprintln!("bench: cannot read {path}: {e}");
-                return ExitCode::FAILURE;
-            }
+            Err(e) => return failure(&format!("bench: cannot read {path}: {e}")),
         };
         return match perf::validate(&text) {
             Ok(()) => {
                 println!("{path}: valid {} report", perf::SCHEMA);
                 ExitCode::SUCCESS
             }
-            Err(e) => {
-                eprintln!("bench: {path}: {e}");
-                ExitCode::FAILURE
-            }
+            Err(e) => failure(&format!("bench: {path}: {e}")),
         };
     }
 
     let options = perf::BenchOptions {
-        quick: args.bench_quick,
-        label: args
-            .bench_label
-            .clone()
-            .unwrap_or_else(|| "local".to_owned()),
-        corpus: args.bench_corpus.clone().map(std::path::PathBuf::from),
+        quick: inv.has("--quick"),
+        label: inv.text("--label").unwrap_or("local").to_owned(),
+        corpus: inv.text("--corpus").map(std::path::PathBuf::from),
     };
     println!(
         "bench: label {}{}",
@@ -745,10 +1014,7 @@ fn run_bench_command(args: &SweepArgs) -> ExitCode {
     );
     let report = match perf::run(&options) {
         Ok(report) => report,
-        Err(e) => {
-            eprintln!("bench: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return failure(&format!("bench: {e}")),
     };
     println!(
         "replay:   {} workloads, {} instructions in {:.2} s ({:.0} instructions/s)",
@@ -790,16 +1056,13 @@ fn run_bench_command(args: &SweepArgs) -> ExitCode {
     // Self-check before writing: an emitted report that fails its own
     // schema is a bug, not an artifact.
     if let Err(e) = perf::validate(&json) {
-        eprintln!("bench: emitted report fails validation: {e}");
-        return ExitCode::FAILURE;
+        return failure(&format!("bench: emitted report fails validation: {e}"));
     }
-    let path = args
-        .bench_out
-        .clone()
-        .unwrap_or_else(|| format!("BENCH_{}.json", options.label));
+    let path = inv
+        .text("--out")
+        .map_or_else(|| format!("BENCH_{}.json", options.label), str::to_owned);
     if let Err(e) = std::fs::write(&path, &json) {
-        eprintln!("bench: cannot write {path}: {e}");
-        return ExitCode::FAILURE;
+        return failure(&format!("bench: cannot write {path}: {e}"));
     }
     println!("wrote {path}");
 
@@ -807,13 +1070,10 @@ fn run_bench_command(args: &SweepArgs) -> ExitCode {
     // violation (shape mismatch, a >2x throughput regression, or a serve
     // p99 over its absolute budget) is printed by name and fails the run —
     // this is what CI diffs against the checked-in baseline.
-    if let Some(baseline_path) = &args.bench_compare {
+    if let Some(baseline_path) = inv.text("--compare") {
         let baseline = match std::fs::read_to_string(baseline_path) {
             Ok(text) => text,
-            Err(e) => {
-                eprintln!("bench: cannot read baseline {baseline_path}: {e}");
-                return ExitCode::FAILURE;
-            }
+            Err(e) => return failure(&format!("bench: cannot read baseline {baseline_path}: {e}")),
         };
         match perf::compare(&json, &baseline, perf::DEFAULT_MAX_SLOWDOWN) {
             Ok(lines) => {
@@ -833,17 +1093,11 @@ fn run_bench_command(args: &SweepArgs) -> ExitCode {
 
     // Accumulate the perf trajectory: one compact row per measuring run,
     // appended to a rolling document CI archives alongside the full report.
-    let trajectory_path = args
-        .bench_trajectory
-        .clone()
-        .unwrap_or_else(|| "BENCH_trajectory.json".to_owned());
+    let trajectory_path = inv.text("--trajectory").unwrap_or("BENCH_trajectory.json");
     let row = perf::trajectory_row(&report, &head_commit());
-    match perf::append_trajectory(std::path::Path::new(&trajectory_path), &row) {
+    match perf::append_trajectory(Path::new(trajectory_path), &row) {
         Ok(rows) => println!("appended to {trajectory_path} ({rows} rows)"),
-        Err(e) => {
-            eprintln!("bench: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return failure(&format!("bench: {e}")),
     }
     ExitCode::SUCCESS
 }
@@ -859,13 +1113,6 @@ fn head_commit() -> String {
         .map(|hash| hash.trim().to_owned())
         .filter(|hash| !hash.is_empty())
         .unwrap_or_else(|| "unknown".to_owned())
-}
-
-/// Parses a `--size` value with the same named error as the global flag.
-fn parse_size(raw: &str) -> Result<WorkloadSize, String> {
-    WorkloadSize::parse(raw).ok_or_else(|| {
-        format!("invalid value '{raw}' for --size (expected tiny, default or large)")
-    })
 }
 
 /// Records one kernel execution to a `.sctrace` file.
@@ -893,58 +1140,26 @@ fn record_one(workload: &str, size: WorkloadSize, path: &Path) -> Result<(u64, u
     Ok((writer.records(), writer.digest()))
 }
 
-fn trace_record(args: &[String]) -> ExitCode {
-    let mut size = WorkloadSize::Default;
-    let mut out: Option<String> = None;
-    let mut all = false;
-    let mut workload: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--size" => {
-                let Some(raw) = it.next() else {
-                    return fail("--size expects a value");
-                };
-                size = match parse_size(raw) {
-                    Ok(s) => s,
-                    Err(e) => return fail(&e),
-                };
-            }
-            "--out" | "-o" => {
-                let Some(value) = it.next() else {
-                    return fail("--out expects a value");
-                };
-                out = Some(value.clone());
-            }
-            "--all" => all = true,
-            other if other.starts_with('-') => {
-                return fail(&format!("unknown option '{other}'"));
-            }
-            other => {
-                if workload.replace(other.to_owned()).is_some() {
-                    return fail("trace record expects exactly one workload");
-                }
-            }
-        }
-    }
-    let Some(out) = out else {
+fn trace_record(inv: &Invocation) -> ExitCode {
+    let size = inv.size();
+    let Some(out) = inv.text("--out") else {
         return fail("trace record requires --out PATH");
     };
-    let targets: Vec<(String, std::path::PathBuf)> = match (all, workload) {
-        (true, Some(_)) => return fail("--all and a workload name are mutually exclusive"),
-        (false, None) => return fail("trace record expects a workload name or --all"),
-        (true, None) => {
-            let dir = Path::new(&out);
+    let targets: Vec<(String, std::path::PathBuf)> = match (inv.has("--all"), &inv.args[..]) {
+        (_, [_, _, ..]) => return fail("trace record expects exactly one workload"),
+        (true, [_]) => return fail("--all and a workload name are mutually exclusive"),
+        (false, []) => return fail("trace record expects a workload name or --all"),
+        (true, []) => {
+            let dir = Path::new(out);
             if let Err(e) = std::fs::create_dir_all(dir) {
-                eprintln!("trace record: cannot create {out}: {e}");
-                return ExitCode::FAILURE;
+                return failure(&format!("trace record: cannot create {out}: {e}"));
             }
             suite_names()
                 .iter()
                 .map(|&name| (name.to_owned(), dir.join(format!("{name}.sctrace"))))
                 .collect()
         }
-        (false, Some(workload)) => vec![(workload, Path::new(&out).to_path_buf())],
+        (false, [workload]) => vec![(workload.clone(), Path::new(out).to_path_buf())],
     };
     for (workload, path) in &targets {
         match record_one(workload, size, path) {
@@ -953,87 +1168,32 @@ fn trace_record(args: &[String]) -> ExitCode {
                 size.name(),
                 path.display()
             ),
-            Err(e) => {
-                eprintln!("trace record: {e}");
-                return ExitCode::FAILURE;
-            }
+            Err(e) => return failure(&format!("trace record: {e}")),
         }
     }
     ExitCode::SUCCESS
 }
 
-fn trace_replay(args: &[String]) -> ExitCode {
-    let mut file: Option<String> = None;
-    let mut schemes: Option<Vec<ExtScheme>> = None;
-    let mut orgs: Option<Vec<OrgKind>> = None;
-    let mut mems: Option<Vec<MemProfile>> = None;
-    let mut node = ProcessNode::Paper180nm;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--energy-model" => {
-                let Some(raw) = it.next() else {
-                    return fail("--energy-model expects a value");
-                };
-                let Some(value) = ProcessNode::parse(raw) else {
-                    let known: Vec<&str> = ProcessNode::ALL.iter().map(|n| n.id()).collect();
-                    return fail(&format!(
-                        "invalid value '{raw}' for --energy-model (expected one of {})",
-                        known.join(", ")
-                    ));
-                };
-                node = value;
-            }
-            "--schemes" => {
-                let Some(raw) = it.next() else {
-                    return fail("--schemes expects a value");
-                };
-                let Some(value) = parse_list(raw, ExtScheme::parse) else {
-                    return fail(&format!("invalid value '{raw}' for --schemes"));
-                };
-                schemes = Some(value);
-            }
-            "--orgs" => {
-                let Some(raw) = it.next() else {
-                    return fail("--orgs expects a value");
-                };
-                if raw == "all" {
-                    orgs = Some(OrgKind::ALL.to_vec());
-                } else {
-                    let Some(value) = parse_list(raw, OrgKind::parse) else {
-                        return fail(&format!("invalid value '{raw}' for --orgs"));
-                    };
-                    orgs = Some(value);
-                }
-            }
-            "--mems" => {
-                let Some(raw) = it.next() else {
-                    return fail("--mems expects a value");
-                };
-                let Some(value) = parse_list(raw, MemProfile::parse) else {
-                    return fail(&format!("invalid value '{raw}' for --mems"));
-                };
-                mems = Some(value);
-            }
-            other if other.starts_with('-') => {
-                return fail(&format!("unknown option '{other}'"));
-            }
-            other => {
-                if file.replace(other.to_owned()).is_some() {
-                    return fail("trace replay expects exactly one file");
-                }
-            }
-        }
-    }
-    let Some(file) = file else {
-        return fail("trace replay expects a .sctrace file");
+fn trace_replay(inv: &Invocation) -> ExitCode {
+    let file = match &inv.args[..] {
+        [file] => file,
+        [] => return fail("trace replay expects a .sctrace file"),
+        _ => return fail("trace replay expects exactly one file"),
     };
-    let input = match TraceInput::load(&file) {
-        Ok(input) => input,
-        Err(e) => {
-            eprintln!("trace replay: cannot read {file}: {e}");
-            return ExitCode::FAILURE;
+    let node = match inv.get("--energy-model") {
+        Some(Value::Nodes(nodes)) if nodes.len() > 1 => {
+            let given: Vec<&str> = nodes.iter().map(|node| node.id()).collect();
+            return fail(&format!(
+                "invalid value '{}' for --energy-model (trace replay evaluates one model)",
+                given.join(",")
+            ));
         }
+        Some(Value::Nodes(nodes)) => nodes[0],
+        _ => ProcessNode::Paper180nm,
+    };
+    let input = match TraceInput::load(file) {
+        Ok(input) => input,
+        Err(e) => return failure(&format!("trace replay: cannot read {file}: {e}")),
     };
     println!(
         "replaying {} ({} records, digest {:016x})",
@@ -1041,22 +1201,13 @@ fn trace_replay(args: &[String]) -> ExitCode {
         input.decoded().len(),
         input.digest()
     );
-    let mut spec = SweepSpec::full(WorkloadSize::Tiny)
+    let spec = SweepSpec::full(WorkloadSize::Tiny)
         .no_kernels()
         .trace_files(std::slice::from_ref(&input))
         .mems(&[MemProfile::Paper]);
-    if let Some(schemes) = &schemes {
-        spec = spec.schemes(schemes);
-    }
-    if let Some(orgs) = &orgs {
-        spec = spec.orgs(orgs);
-    }
-    if let Some(mems) = &mems {
-        spec = spec.mems(mems);
-    }
+    let spec = with_axes(spec, inv);
     if spec.is_empty() {
-        eprintln!("trace replay: the requested configuration set is empty");
-        return ExitCode::FAILURE;
+        return failure("trace replay: the requested configuration set is empty");
     }
     let summary =
         try_run_sweep(&spec, &SweepOptions::default()).expect("the local backend never fails");
@@ -1101,10 +1252,7 @@ fn trace_stat(args: &[String]) -> ExitCode {
     };
     let mut reader = match TraceReader::open(file) {
         Ok(reader) => reader,
-        Err(e) => {
-            eprintln!("trace stat: cannot read {file}: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return failure(&format!("trace stat: cannot read {file}: {e}")),
     };
     println!("{file}:");
     println!("  records  {}", reader.records());
@@ -1133,10 +1281,7 @@ fn trace_stat(args: &[String]) -> ExitCode {
                 writebacks += u64::from(rec.writeback.is_some());
             }
             Ok(None) => break,
-            Err(e) => {
-                eprintln!("trace stat: {file}: {e}");
-                return ExitCode::FAILURE;
-            }
+            Err(e) => return failure(&format!("trace stat: {file}: {e}")),
         }
     }
     println!("  loads      {loads}");
@@ -1166,10 +1311,7 @@ fn trace_golden(args: &[String]) -> ExitCode {
             }
             ExitCode::SUCCESS
         }
-        Err(e) => {
-            eprintln!("trace golden: {e}");
-            ExitCode::FAILURE
-        }
+        Err(e) => failure(&format!("trace golden: {e}")),
     }
 }
 
@@ -1179,73 +1321,32 @@ fn trace_golden(args: &[String]) -> ExitCode {
 /// (pc, word) pairs and analyzed under an unknown entry state — and since
 /// the dynamic values are right there, every record is differentially
 /// verified against the computed bounds on the spot.
-fn run_analyze_command(args: &[String]) -> ExitCode {
-    let mut target: Option<String> = None;
-    let mut size = WorkloadSize::Default;
-    let mut csv: Option<String> = None;
-    let mut json: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--size" => {
-                let Some(raw) = it.next() else {
-                    return fail("--size expects a value");
-                };
-                size = match parse_size(raw) {
-                    Ok(value) => value,
-                    Err(e) => return fail(&e),
-                };
-            }
-            "--csv" => {
-                let Some(value) = it.next() else {
-                    return fail("--csv expects a value");
-                };
-                csv = Some(value.clone());
-            }
-            "--json" => {
-                let Some(value) = it.next() else {
-                    return fail("--json expects a value");
-                };
-                json = Some(value.clone());
-            }
-            other if other.starts_with('-') => {
-                return fail(&format!("unknown analyze option '{other}'"));
-            }
-            other => {
-                if target.is_some() {
-                    return fail("analyze expects exactly one workload or .sctrace file");
-                }
-                target = Some(other.to_owned());
-            }
-        }
-    }
-    let Some(target) = target else {
-        return fail("analyze expects a workload name or a .sctrace file");
+fn run_analyze_command(inv: &Invocation) -> ExitCode {
+    let target = match &inv.args[..] {
+        [target] => target.as_str(),
+        [] => return fail("analyze expects a workload name or a .sctrace file"),
+        _ => return fail("analyze expects exactly one workload or .sctrace file"),
     };
+    let size = inv.size();
 
-    let is_trace = target.ends_with(".sctrace") || Path::new(&target).is_file();
+    let is_trace = target.ends_with(".sctrace") || Path::new(target).is_file();
     let report = if is_trace {
-        let mut reader = match TraceReader::open(&target) {
+        let mut reader = match TraceReader::open(target) {
             Ok(reader) => reader,
-            Err(e) => {
-                eprintln!("analyze: cannot read trace {target}: {e}");
-                return ExitCode::FAILURE;
-            }
+            Err(e) => return failure(&format!("analyze: cannot read trace {target}: {e}")),
         };
         let mut records = Vec::new();
         loop {
             match reader.next_record() {
                 Ok(Some(rec)) => records.push(rec),
                 Ok(None) => break,
-                Err(e) => {
-                    eprintln!("analyze: {target}: {e}");
-                    return ExitCode::FAILURE;
-                }
+                Err(e) => return failure(&format!("analyze: {target}: {e}")),
             }
         }
         let Some(program) = program_from_records(&records) else {
-            eprintln!("analyze: {target}: the trace is empty, nothing to reconstruct");
-            return ExitCode::FAILURE;
+            return failure(&format!(
+                "analyze: {target}: the trace is empty, nothing to reconstruct"
+            ));
         };
         let analysis = analyze_program(&program, EntryState::Unknown);
         println!(
@@ -1257,14 +1358,11 @@ fn run_analyze_command(args: &[String]) -> ExitCode {
                 "verified {} records ({} operand values) against the static bounds",
                 verified.records, verified.values_checked
             ),
-            Err(e) => {
-                eprintln!("analyze: {target}: {e}");
-                return ExitCode::FAILURE;
-            }
+            Err(e) => return failure(&format!("analyze: {target}: {e}")),
         }
-        WidthReport::from_analysis(&target, &analysis)
+        WidthReport::from_analysis(target, &analysis)
     } else {
-        let Some(bench) = find(&target, size) else {
+        let Some(bench) = find(target, size) else {
             return fail(&format!(
                 "unknown workload '{target}' (expected one of {}, or an .sctrace file)",
                 suite_names().join(", ")
@@ -1272,7 +1370,7 @@ fn run_analyze_command(args: &[String]) -> ExitCode {
         };
         let analysis = analyze_program(bench.program(), EntryState::KernelBoot);
         println!("{target} ({}): static width analysis", size.name());
-        WidthReport::from_analysis(&target, &analysis)
+        WidthReport::from_analysis(target, &analysis)
     };
 
     println!(
@@ -1310,19 +1408,13 @@ fn run_analyze_command(args: &[String]) -> ExitCode {
         );
     }
 
-    for (path, content, what) in [
-        (csv.as_deref(), report.to_csv(), "CSV"),
-        (json.as_deref(), report.to_json(), "JSON"),
-    ] {
-        if let Some(path) = path {
-            if let Err(e) = std::fs::write(path, content) {
-                eprintln!("analyze: cannot write {what} to {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            println!("wrote {what} to {path}");
+    write_exports(inv, "analyze", |json| {
+        if json {
+            report.to_json()
+        } else {
+            report.to_csv()
         }
-    }
-    ExitCode::SUCCESS
+    })
 }
 
 /// Runs one shard of a sharded sweep (the pipe transport; see
@@ -1330,116 +1422,60 @@ fn run_analyze_command(args: &[String]) -> ExitCode {
 /// shard's jobs from stdin, runs them on the in-process executor against
 /// the shared result cache, and answers on stdout with the report a fleet
 /// worker would send over HTTP.
-fn run_worker_command(args: &[String]) -> ExitCode {
-    let mut cache_dir: Option<String> = None;
-    let mut workers: Option<usize> = None;
-    let mut trace_paths: Vec<String> = Vec::new();
-    let mut obs_log: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--cache" => {
-                let Some(value) = it.next() else {
-                    return fail("--cache expects a value");
-                };
-                cache_dir = Some(value.clone());
-            }
-            "--workers" => {
-                let Some(raw) = it.next() else {
-                    return fail("--workers expects a value");
-                };
-                let Some(value) = raw.parse().ok().filter(|&n: &usize| n > 0) else {
-                    return fail(&format!(
-                        "invalid value '{raw}' for --workers (expected a positive integer)"
-                    ));
-                };
-                workers = Some(value);
-            }
-            "--traces" => {
-                let Some(raw) = it.next() else {
-                    return fail("--traces expects a value");
-                };
-                trace_paths = raw
-                    .split(',')
-                    .map(str::trim)
-                    .filter(|p| !p.is_empty())
-                    .map(str::to_owned)
-                    .collect();
-            }
-            "--obs-log" => {
-                let Some(value) = it.next() else {
-                    return fail("--obs-log expects a value");
-                };
-                obs_log = Some(value.clone());
-            }
-            other => return fail(&format!("unknown worker option '{other}'")),
-        }
+fn run_worker_command(inv: &Invocation) -> ExitCode {
+    if let Some(arg) = inv.args.first() {
+        return fail(&format!(
+            "worker takes no positional argument (got '{arg}')"
+        ));
     }
-    if let Some(path) = &obs_log {
-        if let Err(e) = sigcomp_obs::global().open_jsonl_log(Path::new(path)) {
-            eprintln!("worker: cannot open obs log {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    let Some(cache_dir) = cache_dir else {
+    let Some(cache_dir) = inv.text("--cache") else {
         return fail("worker requires --cache DIR (the shared merge point)");
     };
-    let cache = match ResultCache::open(&cache_dir) {
+    let cache = match ResultCache::open(cache_dir) {
         Ok(cache) => cache,
         Err(e) => {
-            eprintln!("worker: cannot open result cache at {cache_dir}: {e}");
-            return ExitCode::FAILURE;
+            return failure(&format!(
+                "worker: cannot open result cache at {cache_dir}: {e}"
+            ))
         }
     };
-    let mut traces = Vec::with_capacity(trace_paths.len());
-    for path in &trace_paths {
-        match TraceInput::load(path) {
-            Ok(input) => traces.push(input),
-            Err(e) => {
-                eprintln!("worker: cannot read trace {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
+    let traces = match load_traces(inv, "worker") {
+        Ok(traces) => traces,
+        Err(code) => return code,
+    };
 
     // Drain stdin to EOF *before* simulating — the parent relies on this to
     // feed every worker without deadlocking against their reports.
     let mut body = String::new();
     if let Err(e) = std::io::Read::read_to_string(&mut std::io::stdin().lock(), &mut body) {
-        eprintln!("worker: cannot read the dispatch body from stdin: {e}");
-        return ExitCode::FAILURE;
+        return failure(&format!(
+            "worker: cannot read the dispatch body from stdin: {e}"
+        ));
     }
     let jobs = match parse_dispatch(&body) {
         Ok(jobs) => jobs,
-        Err(e) => {
-            eprintln!("worker: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return failure(&format!("worker: {e}")),
     };
     for job in &jobs {
         if let TraceSource::File { digest } = job.source {
             if !traces.iter().any(|t| t.digest() == digest) {
-                eprintln!(
+                return failure(&format!(
                     "worker: no trace with digest {digest:016x} for job {} \
                      (pass its .sctrace file via --traces)",
                     job.label()
-                );
-                return ExitCode::FAILURE;
+                ));
             }
         }
     }
 
     let options = SweepOptions {
-        workers,
+        workers: inv.count("--workers"),
         cache: Some(cache),
         backend: ExecBackend::LocalThreads,
     };
     let summary = match try_run_jobs_traced(&jobs, &traces, &options) {
         Ok(summary) => summary,
-        Err(e) => {
-            eprintln!("worker: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return failure(&format!("worker: {e}")),
     };
     // This process ran only its shard, so its registry snapshot is exactly
     // the shard's delta for the parent to fold in.
@@ -1450,559 +1486,191 @@ fn run_worker_command(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Dispatches `repro trace <subcommand> …`.
-fn run_trace_command(args: &[String]) -> ExitCode {
-    let Some(verb) = args.first() else {
-        return fail("trace expects a subcommand (record, replay, stat or golden)");
-    };
-    let rest = &args[1..];
-    match verb.as_str() {
-        "record" => trace_record(rest),
-        "replay" => trace_replay(rest),
-        "stat" => trace_stat(rest),
-        "golden" => trace_golden(rest),
-        other => fail(&format!("unknown trace subcommand '{other}'")),
-    }
-}
-
 fn main() -> ExitCode {
-    let mut size = WorkloadSize::Default;
-    let mut commands: Vec<String> = Vec::new();
-    let mut sweep_args = SweepArgs::default();
-
-    let mut argv: Vec<String> = std::env::args().skip(1).collect();
-    // `trace` and `worker` own their own argument grammars (subcommand +
-    // positional files / the worker's own flags), so they are dispatched
-    // before the global flag loop.
-    if argv.first().map(String::as_str) == Some("trace") {
-        return run_trace_command(&argv[1..]);
-    }
-    if argv.first().map(String::as_str) == Some("worker") {
-        return run_worker_command(&argv[1..]);
-    }
-    if argv.first().map(String::as_str) == Some("analyze") {
-        return run_analyze_command(&argv[1..]);
-    }
-    // `fleet <verb>` reuses the global flag grammar (a fleet sweep takes
-    // the same axes/cache/export flags as a plain sweep): the verb is
-    // rewritten into an internal command name and the remaining arguments
-    // fall through to the flag loop below.
-    if argv.first().map(String::as_str) == Some("fleet") {
-        let command = match argv.get(1).map(String::as_str) {
-            Some("serve") => "fleet-serve",
-            Some("sweep") => "fleet-sweep",
-            Some("status") => "fleet-status",
-            Some(other) => {
-                return fail(&format!(
-                    "unknown fleet subcommand '{other}' (expected serve, sweep or status)"
-                ))
-            }
-            None => return fail("fleet expects a subcommand (serve, sweep or status)"),
-        };
-        commands.push(command.to_owned());
-        argv.drain(..2);
-    }
-
-    let mut args = argv.into_iter();
-    // An option's value: `--flag VALUE`. A missing value is reported by
-    // name rather than as a generic usage failure.
-    macro_rules! value_of {
-        ($flag:expr) => {
-            match args.next() {
-                Some(value) => value,
-                None => return fail(&format!("{} expects a value", $flag)),
-            }
-        };
-    }
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--size" => {
-                let raw = value_of!("--size");
-                size = match parse_size(&raw) {
-                    Ok(value) => value,
-                    Err(e) => return fail(&e),
-                };
-            }
-            "--workers" => {
-                let raw = value_of!("--workers");
-                let Some(value) = raw.parse().ok().filter(|&n: &usize| n > 0) else {
-                    return fail(&format!(
-                        "invalid value '{raw}' for --workers (expected a positive integer)"
-                    ));
-                };
-                sweep_args.workers = Some(value);
-            }
-            "--max-batch" => {
-                let raw = value_of!("--max-batch");
-                let Some(value) = raw.parse().ok().filter(|&n: &usize| n > 0) else {
-                    return fail(&format!(
-                        "invalid value '{raw}' for --max-batch (expected a positive integer)"
-                    ));
-                };
-                sweep_args.max_batch = Some(value);
-            }
-            "--shards" => {
-                let raw = value_of!("--shards");
-                let Some(value) = raw.parse().ok().filter(|&n: &usize| n > 0) else {
-                    return fail(&format!(
-                        "invalid value '{raw}' for --shards (expected a positive integer)"
-                    ));
-                };
-                sweep_args.shards = Some(value);
-            }
-            "--backend" => {
-                let raw = value_of!("--backend");
-                sweep_args.backend = match parse_backend(&raw) {
-                    Ok(choice) => Some(choice),
-                    Err(e) => return fail(&e),
-                };
-            }
-            "--memo-cap" => {
-                let raw = value_of!("--memo-cap");
-                let Some(value) = raw.parse().ok().filter(|&n: &usize| n > 0) else {
-                    return fail(&format!(
-                        "invalid value '{raw}' for --memo-cap (expected a positive integer)"
-                    ));
-                };
-                sweep_args.memo_cap = Some(value);
-            }
-            "--ticket-cap" => {
-                let raw = value_of!("--ticket-cap");
-                let Some(value) = raw.parse().ok().filter(|&n: &usize| n > 0) else {
-                    return fail(&format!(
-                        "invalid value '{raw}' for --ticket-cap (expected a positive integer)"
-                    ));
-                };
-                sweep_args.ticket_cap = Some(value);
-            }
-            "--max-conns" => {
-                let raw = value_of!("--max-conns");
-                let Some(value) = raw.parse().ok().filter(|&n: &usize| n > 0) else {
-                    return fail(&format!(
-                        "invalid value '{raw}' for --max-conns (expected a positive integer)"
-                    ));
-                };
-                sweep_args.max_conns = Some(value);
-            }
-            "--read-deadline-ms" => {
-                let raw = value_of!("--read-deadline-ms");
-                let Some(value) = raw.parse().ok().filter(|&n: &u64| n > 0) else {
-                    return fail(&format!(
-                        "invalid value '{raw}' for --read-deadline-ms \
-                         (expected a positive integer)"
-                    ));
-                };
-                sweep_args.read_deadline_ms = Some(value);
-            }
-            "--schemes" => {
-                let raw = value_of!("--schemes");
-                let Some(value) = parse_list(&raw, ExtScheme::parse) else {
-                    return fail(&format!(
-                        "invalid value '{raw}' for --schemes (expected a comma-separated \
-                         subset of 2bit, 3bit, halfword)"
-                    ));
-                };
-                sweep_args.schemes = Some(value);
-            }
-            "--orgs" => {
-                let raw = value_of!("--orgs");
-                if raw == "all" {
-                    sweep_args.orgs = Some(OrgKind::ALL.to_vec());
-                } else {
-                    let Some(value) = parse_list(&raw, OrgKind::parse) else {
-                        let known: Vec<&str> = OrgKind::ALL.iter().map(|o| o.id()).collect();
-                        return fail(&format!(
-                            "invalid value '{raw}' for --orgs (expected 'all' or a \
-                             comma-separated subset of {})",
-                            known.join(", ")
-                        ));
-                    };
-                    sweep_args.orgs = Some(value);
-                }
-            }
-            "--mems" => {
-                let raw = value_of!("--mems");
-                let Some(value) = parse_list(&raw, MemProfile::parse) else {
-                    return fail(&format!(
-                        "invalid value '{raw}' for --mems (expected a comma-separated \
-                         subset of paper, small-l1, wide-l2, slow-memory)"
-                    ));
-                };
-                sweep_args.mems = Some(value);
-            }
-            "--traces" => {
-                let raw = value_of!("--traces");
-                let paths: Vec<String> = raw
-                    .split(',')
-                    .map(str::trim)
-                    .filter(|p| !p.is_empty())
-                    .map(str::to_owned)
-                    .collect();
-                if paths.is_empty() {
-                    return fail(&format!(
-                        "invalid value '{raw}' for --traces (expected a comma-separated \
-                         list of .sctrace paths)"
-                    ));
-                }
-                sweep_args.traces = Some(paths);
-            }
-            "--energy-model" => {
-                let raw = value_of!("--energy-model");
-                let Some(value) = parse_list(&raw, ProcessNode::parse) else {
-                    let known: Vec<&str> = ProcessNode::ALL.iter().map(|n| n.id()).collect();
-                    return fail(&format!(
-                        "invalid value '{raw}' for --energy-model (expected a comma-separated \
-                         subset of {})",
-                        known.join(", ")
-                    ));
-                };
-                sweep_args.energy_models = Some(value);
-            }
-            "--cache" => sweep_args.cache_dir = Some(value_of!("--cache")),
-            "--no-cache" => sweep_args.no_cache = true,
-            "--csv" => sweep_args.csv = Some(value_of!("--csv")),
-            "--json" => sweep_args.json = Some(value_of!("--json")),
-            "--addr" => sweep_args.addr = Some(value_of!("--addr")),
-            "--obs-log" => sweep_args.obs_log = Some(value_of!("--obs-log")),
-            "--quick" => sweep_args.bench_quick = true,
-            "--label" => sweep_args.bench_label = Some(value_of!("--label")),
-            "--out" => sweep_args.bench_out = Some(value_of!("--out")),
-            "--corpus" => sweep_args.bench_corpus = Some(value_of!("--corpus")),
-            "--check" => sweep_args.bench_check = Some(value_of!("--check")),
-            "--compare" => sweep_args.bench_compare = Some(value_of!("--compare")),
-            "--trajectory" => sweep_args.bench_trajectory = Some(value_of!("--trajectory")),
-            "--fleet" => {
-                let raw = value_of!("--fleet");
-                let workers: Vec<String> = raw
-                    .split(',')
-                    .map(str::trim)
-                    .filter(|a| !a.is_empty())
-                    .map(str::to_owned)
-                    .collect();
-                if workers.is_empty() {
-                    return fail(&format!(
-                        "invalid value '{raw}' for --fleet (expected a comma-separated \
-                         list of host:port worker addresses)"
-                    ));
-                }
-                sweep_args.fleet_workers = Some(workers);
-            }
-            "--frontier" => sweep_args.frontier = Some(value_of!("--frontier")),
-            "--self-addr" => sweep_args.self_addr = Some(value_of!("--self-addr")),
-            "--heartbeat-ms" => {
-                let raw = value_of!("--heartbeat-ms");
-                let Some(value) = raw.parse().ok().filter(|&n: &u64| n > 0) else {
-                    return fail(&format!(
-                        "invalid value '{raw}' for --heartbeat-ms (expected a positive integer)"
-                    ));
-                };
-                sweep_args.heartbeat_ms = Some(value);
-            }
-            "--timeout-ms" => {
-                let raw = value_of!("--timeout-ms");
-                let Some(value) = raw.parse().ok().filter(|&n: &u64| n > 0) else {
-                    return fail(&format!(
-                        "invalid value '{raw}' for --timeout-ms (expected a positive integer)"
-                    ));
-                };
-                sweep_args.timeout_ms = Some(value);
-            }
-            "--attempts" => {
-                let raw = value_of!("--attempts");
-                let Some(value) = raw.parse().ok().filter(|&n: &u32| n > 0) else {
-                    return fail(&format!(
-                        "invalid value '{raw}' for --attempts (expected a positive integer)"
-                    ));
-                };
-                sweep_args.attempts = Some(value);
-            }
-            "--static-prune" => {
-                let raw = value_of!("--static-prune");
-                let Some(value) = raw
-                    .parse()
-                    .ok()
-                    .filter(|&p: &f64| p.is_finite() && p >= 0.0)
-                else {
-                    return fail(&format!(
-                        "invalid value '{raw}' for --static-prune \
-                         (expected a non-negative saving percentage)"
-                    ));
-                };
-                sweep_args.static_prune = Some(value);
-            }
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            other if other.starts_with('-') => {
-                return fail(&format!("unknown option '{other}'"));
-            }
-            // `trace` and `worker` own their own grammars (their option
-            // flags would otherwise be misreported by this loop), so a
-            // misplaced one gets a pointed error instead of
-            // "unknown option '--out'".
-            "trace" => {
-                return fail(
-                    "'trace' must be the first argument \
-                     (e.g. `repro trace record rawcaudio --size tiny --out f.sctrace`)",
-                );
-            }
-            "worker" => {
-                return fail(
-                    "'worker' must be the first argument \
-                     (e.g. `repro worker --cache DIR`)",
-                );
-            }
-            "analyze" => {
-                return fail(
-                    "'analyze' must be the first argument \
-                     (e.g. `repro analyze rawcaudio --size tiny`)",
-                );
-            }
-            "fleet" => {
-                return fail(
-                    "'fleet' must be the first argument \
-                     (e.g. `repro fleet sweep --fleet host:port --cache DIR`)",
-                );
-            }
-            other => commands.push(other.to_owned()),
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let inv = match parse(&argv) {
+        Ok(inv) => inv,
+        Err(Stop::Help) => {
+            println!("{USAGE}");
+            return ExitCode::SUCCESS;
         }
-    }
-    if commands.is_empty() {
-        commands.push("all".to_owned());
-    }
-
-    // Subcommand-specific flags must not be silently ignored: a user who
-    // passes `--csv` without `sweep` (or `--addr` without `serve`) would
-    // otherwise believe the flag took effect.
-    let runs = |command: &str| commands.iter().any(|c| c == command);
-    let sweeps = runs("sweep") || runs("fleet-sweep");
-    let serves = runs("serve") || runs("fleet-serve");
-    if !runs("sweep") && sweep_args.shards.is_some() {
-        return fail("--shards only applies to the sweep subcommand");
-    }
-    if !sweeps {
-        for (set, flag) in [
-            (sweep_args.traces.is_some(), "--traces"),
-            (sweep_args.energy_models.is_some(), "--energy-model"),
-            (sweep_args.csv.is_some(), "--csv"),
-            (sweep_args.json.is_some(), "--json"),
-            (sweep_args.static_prune.is_some(), "--static-prune"),
-        ] {
-            if set {
-                return fail(&format!(
-                    "{flag} only applies to the sweep and fleet sweep subcommands"
-                ));
-            }
-        }
-    }
-    if !sweeps && !runs("energy") {
-        for (set, flag) in [
-            (sweep_args.schemes.is_some(), "--schemes"),
-            (sweep_args.orgs.is_some(), "--orgs"),
-            (sweep_args.mems.is_some(), "--mems"),
-        ] {
-            if set {
-                return fail(&format!(
-                    "{flag} only applies to the sweep, fleet sweep and energy subcommands"
-                ));
-            }
-        }
-    }
-    if !serves {
-        for (set, flag) in [
-            (sweep_args.addr.is_some(), "--addr"),
-            (sweep_args.max_batch.is_some(), "--max-batch"),
-            (sweep_args.backend.is_some(), "--backend"),
-            (sweep_args.memo_cap.is_some(), "--memo-cap"),
-            (sweep_args.ticket_cap.is_some(), "--ticket-cap"),
-            (sweep_args.max_conns.is_some(), "--max-conns"),
-            (sweep_args.read_deadline_ms.is_some(), "--read-deadline-ms"),
-            (sweep_args.self_addr.is_some(), "--self-addr"),
-            (sweep_args.heartbeat_ms.is_some(), "--heartbeat-ms"),
-        ] {
-            if set {
-                return fail(&format!(
-                    "{flag} only applies to the serve and fleet serve subcommands"
-                ));
-            }
-        }
-    }
-    if !serves && !runs("fleet-status") && sweep_args.frontier.is_some() {
-        return fail("--frontier only applies to the serve and fleet status subcommands");
-    }
-    if !runs("fleet-sweep") && sweep_args.fleet_workers.is_some() {
-        return fail("--fleet only applies to the fleet sweep subcommand");
-    }
-    if !runs("fleet-sweep") && sweep_args.attempts.is_some() {
-        return fail("--attempts only applies to the fleet sweep subcommand");
-    }
-    if !runs("fleet-sweep") && !runs("fleet-status") && sweep_args.timeout_ms.is_some() {
-        return fail("--timeout-ms only applies to the fleet sweep and fleet status subcommands");
-    }
-    if !runs("bench") {
-        for (set, flag) in [
-            (sweep_args.bench_quick, "--quick"),
-            (sweep_args.bench_label.is_some(), "--label"),
-            (sweep_args.bench_out.is_some(), "--out"),
-            (sweep_args.bench_corpus.is_some(), "--corpus"),
-            (sweep_args.bench_check.is_some(), "--check"),
-            (sweep_args.bench_compare.is_some(), "--compare"),
-            (sweep_args.bench_trajectory.is_some(), "--trajectory"),
-        ] {
-            if set {
-                return fail(&format!("{flag} only applies to the bench subcommand"));
-            }
-        }
-    }
-    if !sweeps && !serves && !runs("bench") && sweep_args.obs_log.is_some() {
-        return fail("--obs-log only applies to the sweep, serve and bench subcommands");
-    }
-    if !sweeps
-        && !runs("energy")
-        && !serves
-        && (sweep_args.workers.is_some() || sweep_args.no_cache || sweep_args.cache_dir.is_some())
-    {
-        return fail(
-            "--workers/--cache/--no-cache only apply to the sweep, energy and serve subcommands",
-        );
-    }
+        Err(Stop::Error(message)) => return fail(&message),
+    };
 
     // One JSONL event stream per process: opened up front so every
     // instrumented path of every requested subcommand feeds it.
-    if let Some(path) = &sweep_args.obs_log {
+    if let Some(path) = inv.text("--obs-log") {
         if let Err(e) = sigcomp_obs::global().open_jsonl_log(Path::new(path)) {
-            eprintln!("repro: cannot open obs log {path}: {e}");
-            return ExitCode::FAILURE;
+            return failure(&format!("repro: cannot open obs log {path}: {e}"));
         }
     }
 
     // The activity studies feed several tables; run them lazily and only once.
+    let size = inv.size();
     let mut byte_rows = None;
     let mut half_rows = None;
-    let mut byte_activity = |size: WorkloadSize| {
+    let mut byte_activity = || {
         byte_rows
             .get_or_insert_with(|| activity_study(size, &AnalyzerConfig::paper_byte()))
             .clone()
     };
-    let mut half_activity = |size: WorkloadSize| {
+    let mut half_activity = || {
         half_rows
             .get_or_insert_with(|| activity_study(size, &AnalyzerConfig::paper_halfword()))
             .clone()
     };
+    let fig = |id: u32, title: &str| {
+        let kinds = figure_orgs(id);
+        figure(title, &cpi_study(size, &kinds), &kinds)
+    };
+    let mut artefact = |name: &str| match name {
+        "table1" => table1(&merged_stats(&byte_activity())),
+        "table2" => table2(),
+        "table3" => table3(&merged_stats(&byte_activity())),
+        "table4" => table4(),
+        "table5" => activity_table(&byte_activity(), ExtScheme::ThreeBit),
+        "table6" => activity_table(&half_activity(), ExtScheme::Halfword),
+        "fig4" => fig(
+            4,
+            "Figure 4: CPI of the byte-serial and halfword-serial pipelines",
+        ),
+        "fig6" => fig(6, "Figure 6: CPI of the byte semi-parallel pipeline"),
+        "fig8" => fig(8, "Figure 8: CPI of the byte-parallel skewed pipeline"),
+        "fig10" => fig(
+            10,
+            "Figure 10: CPI of the byte-parallel compressed and skewed+bypass pipelines",
+        ),
+        "bottleneck" => bottleneck(size),
+        other => unreachable!("'{other}' is not a paper artefact"),
+    };
 
-    for command in &commands {
-        let expanded: Vec<&str> = if command == "all" {
-            vec![
-                "table1",
-                "table2",
-                "table3",
-                "table4",
-                "table5",
-                "table6",
-                "fig4",
-                "fig6",
-                "fig8",
-                "fig10",
-                "bottleneck",
-            ]
+    for (cmd, word) in &inv.commands {
+        let words: &[&str] = if word == "all" {
+            &PAPER
         } else {
-            vec![command.as_str()]
+            &[word.as_str()]
         };
-        for cmd in expanded {
-            match cmd {
-                "table1" => print!("{}", table1(&merged_stats(&byte_activity(size)))),
-                "table2" => print!("{}", table2()),
-                "table3" => print!("{}", table3(&merged_stats(&byte_activity(size)))),
-                "table4" => print!("{}", table4()),
-                "table5" => print!(
-                    "{}",
-                    activity_table(&byte_activity(size), ExtScheme::ThreeBit)
-                ),
-                "table6" => print!(
-                    "{}",
-                    activity_table(&half_activity(size), ExtScheme::Halfword)
-                ),
-                "fig4" => {
-                    let kinds = figure_orgs(4);
-                    print!(
-                        "{}",
-                        figure(
-                            "Figure 4: CPI of the byte-serial and halfword-serial pipelines",
-                            &cpi_study(size, &kinds),
-                            &kinds
-                        )
-                    );
+        for &word in words {
+            let code = match cmd {
+                Paper => {
+                    print!("{}", artefact(word));
+                    ExitCode::SUCCESS
                 }
-                "fig6" => {
-                    let kinds = figure_orgs(6);
-                    print!(
-                        "{}",
-                        figure(
-                            "Figure 6: CPI of the byte semi-parallel pipeline",
-                            &cpi_study(size, &kinds),
-                            &kinds
-                        )
-                    );
-                }
-                "fig8" => {
-                    let kinds = figure_orgs(8);
-                    print!(
-                        "{}",
-                        figure(
-                            "Figure 8: CPI of the byte-parallel skewed pipeline",
-                            &cpi_study(size, &kinds),
-                            &kinds
-                        )
-                    );
-                }
-                "fig10" => {
-                    let kinds = figure_orgs(10);
-                    print!(
-                        "{}",
-                        figure(
-                            "Figure 10: CPI of the byte-parallel compressed and skewed+bypass pipelines",
-                            &cpi_study(size, &kinds),
-                            &kinds
-                        )
-                    );
-                }
-                "bottleneck" => print!("{}", bottleneck(size)),
-                "sweep" => {
-                    let code = run_sweep_command(size, &sweep_args, false);
-                    if code != ExitCode::SUCCESS {
-                        return code;
-                    }
-                }
-                "fleet-sweep" => {
-                    let code = run_sweep_command(size, &sweep_args, true);
-                    if code != ExitCode::SUCCESS {
-                        return code;
-                    }
-                }
-                "fleet-status" => {
-                    let code = run_fleet_status_command(&sweep_args);
-                    if code != ExitCode::SUCCESS {
-                        return code;
-                    }
-                }
-                "energy" => {
-                    let code = run_energy_command(size, &sweep_args);
-                    if code != ExitCode::SUCCESS {
-                        return code;
-                    }
-                }
-                "serve" | "fleet-serve" => return run_serve_command(&sweep_args),
-                "bench" => {
-                    let code = run_bench_command(&sweep_args);
-                    if code != ExitCode::SUCCESS {
-                        return code;
-                    }
-                }
-                other => return fail(&format!("unknown command '{other}'")),
+                Sweep => run_sweep_command(size, &inv, false),
+                FleetSweep => run_sweep_command(size, &inv, true),
+                FleetStatus => run_fleet_status_command(&inv),
+                Energy => run_energy_command(size, &inv),
+                Bench => run_bench_command(&inv),
+                Serve | FleetServe => return run_serve_command(&inv),
+                TraceRecord => return trace_record(&inv),
+                TraceReplay => return trace_replay(&inv),
+                TraceStat => return trace_stat(&inv.args),
+                TraceGolden => return trace_golden(&inv.args),
+                Analyze => return run_analyze_command(&inv),
+                Worker => return run_worker_command(&inv),
+            };
+            if code != ExitCode::SUCCESS {
+                return code;
             }
             println!();
         }
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::BTreeSet;
+
+    /// Every subcommand, with the words that select it.
+    const SUBCOMMANDS: [(Cmd, &[&str]); 14] = [
+        (Paper, &["table1"]),
+        (Sweep, &["sweep"]),
+        (FleetSweep, &["fleet", "sweep"]),
+        (Energy, &["energy"]),
+        (Serve, &["serve"]),
+        (FleetServe, &["fleet", "serve"]),
+        (FleetStatus, &["fleet", "status"]),
+        (Bench, &["bench"]),
+        (TraceRecord, &["trace", "record"]),
+        (TraceReplay, &["trace", "replay"]),
+        (TraceStat, &["trace", "stat"]),
+        (TraceGolden, &["trace", "golden"]),
+        (Analyze, &["analyze"]),
+        (Worker, &["worker"]),
+    ];
+
+    /// Parses `words` followed by `opt` with a value its kind accepts.
+    fn parse_with(words: &[&str], opt: &Opt) -> Result<Invocation, Stop> {
+        let value = match opt.kind {
+            Kind::Switch => None,
+            Kind::Text | Kind::List(_) => Some("x"),
+            Kind::Count | Kind::Percent => Some("2"),
+            Kind::Size => Some("tiny"),
+            Kind::Schemes => Some("3bit"),
+            Kind::Orgs => Some("all"),
+            Kind::Mems => Some("paper"),
+            Kind::Nodes => Some("modern-7nm"),
+            Kind::Backend => Some("local"),
+        };
+        let argv: Vec<String> = words
+            .iter()
+            .chain([opt.name].iter())
+            .chain(value.iter())
+            .map(|&word| word.to_owned())
+            .collect();
+        parse(&argv)
+    }
+
+    #[test]
+    fn option_names_are_unique() {
+        let mut seen = BTreeSet::new();
+        for opt in OPTIONS {
+            for name in std::iter::once(opt.name).chain(opt.short) {
+                assert!(seen.insert(name), "{name} is in OPTIONS twice");
+            }
+        }
+    }
+
+    #[test]
+    fn usage_documents_exactly_the_options() {
+        let documented: BTreeSet<&str> = USAGE
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter(|word| word.starts_with("--"))
+            .collect();
+        let table: BTreeSet<&str> = OPTIONS.iter().map(|opt| opt.name).collect();
+        assert_eq!(documented, table);
+    }
+
+    #[test]
+    fn every_scope_names_a_real_subcommand() {
+        for opt in OPTIONS {
+            assert!(!opt.scope.is_empty(), "{} has no scope", opt.name);
+            for cmd in opt.scope {
+                let (_, words) = SUBCOMMANDS.iter().find(|(c, _)| c == cmd).unwrap();
+                match parse_with(words, opt) {
+                    Ok(inv) => assert_eq!(inv.commands[0].0, *cmd, "{}", opt.name),
+                    Err(e) => panic!("{} in {}: {e:?}", opt.name, cmd.name()),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn options_outside_their_scope_are_named_errors() {
+        for opt in OPTIONS {
+            for (cmd, words) in SUBCOMMANDS {
+                if !opt.scope.contains(&cmd) {
+                    assert_eq!(
+                        parse_with(words, opt).err(),
+                        Some(Stop::Error(opt.scope_error())),
+                        "{} in {}",
+                        opt.name,
+                        cmd.name()
+                    );
+                }
+            }
+        }
+    }
 }

@@ -26,6 +26,37 @@ fn help_prints_usage_and_succeeds() {
 }
 
 #[test]
+fn help_works_in_every_subcommand() {
+    for args in [
+        &["sweep"][..],
+        &["energy"],
+        &["serve"],
+        &["bench"],
+        &["table1"],
+        &["fleet"],
+        &["fleet", "serve"],
+        &["fleet", "sweep"],
+        &["fleet", "status"],
+        &["trace"],
+        &["trace", "record"],
+        &["trace", "replay"],
+        &["trace", "stat"],
+        &["trace", "golden"],
+        &["analyze"],
+        &["worker"],
+    ] {
+        for help in ["--help", "-h"] {
+            let mut argv = args.to_vec();
+            argv.push(help);
+            let out = repro(&argv);
+            assert!(out.status.success(), "{argv:?}: {}", stderr(&out));
+            let text = String::from_utf8_lossy(&out.stdout);
+            assert!(text.contains("usage: repro"), "{argv:?}: {text}");
+        }
+    }
+}
+
+#[test]
 fn unknown_options_fail_with_a_named_error() {
     let out = repro(&["--frobnicate"]);
     assert!(!out.status.success());
@@ -99,11 +130,11 @@ fn subcommand_flags_without_their_subcommand_are_rejected() {
     for (args, needle) in [
         (
             &["--csv", "out.csv", "table1"][..],
-            "--csv only applies to the sweep and fleet sweep subcommands",
+            "--csv only applies to the sweep, fleet sweep and analyze subcommands",
         ),
         (
             &["serve", "--schemes", "3bit"],
-            "--schemes only applies to the sweep, fleet sweep and energy subcommands",
+            "--schemes only applies to the sweep, fleet sweep, energy and trace replay subcommands",
         ),
         (
             &["sweep", "--addr", "127.0.0.1:1"],
@@ -111,11 +142,12 @@ fn subcommand_flags_without_their_subcommand_are_rejected() {
         ),
         (
             &["energy", "--energy-model", "modern-7nm"],
-            "--energy-model only applies to the sweep and fleet sweep subcommands",
+            "--energy-model only applies to the sweep, fleet sweep and trace replay subcommands",
         ),
         (
             &["--size", "tiny", "table1", "--workers", "2"],
-            "--workers/--cache/--no-cache only apply to the sweep, energy and serve subcommands",
+            "--workers only applies to the sweep, fleet sweep, energy, serve, fleet serve and worker \
+             subcommands",
         ),
     ] {
         let out = repro(args);
@@ -207,6 +239,40 @@ fn trace_record_argument_errors_are_named() {
         assert!(!out.status.success(), "{args:?} must fail");
         assert!(stderr(&out).contains(needle), "{args:?}: {}", stderr(&out));
     }
+}
+
+#[test]
+fn trace_replay_value_errors_read_as_sweep_does() {
+    // The first stderr line is the named error; the usage text follows.
+    let error = |args: &[&str]| -> String {
+        let out = repro(args);
+        assert!(!out.status.success(), "{args:?} must fail");
+        stderr(&out).lines().next().unwrap_or_default().to_owned()
+    };
+    for flag in ["--schemes", "--orgs", "--mems", "--energy-model"] {
+        let sweep = error(&["sweep", flag, "bogus"]);
+        assert!(sweep.contains("(expected "), "{sweep}");
+        assert_eq!(
+            error(&["trace", "replay", "f.sctrace", flag, "bogus"]),
+            sweep
+        );
+    }
+
+    // Sweep evaluates a list of energy models; a replay evaluates one.
+    let err = error(&[
+        "trace",
+        "replay",
+        "f.sctrace",
+        "--energy-model",
+        "paper-180nm,modern-7nm",
+    ]);
+    assert!(
+        err.contains(
+            "invalid value 'paper-180nm,modern-7nm' for --energy-model \
+             (trace replay evaluates one model)"
+        ),
+        "{err}"
+    );
 }
 
 #[test]
@@ -350,7 +416,8 @@ fn sweep_traces_flag_is_sweep_only_and_fails_cleanly_on_missing_files() {
     let out = repro(&["table1", "--traces", "x.sctrace"]);
     assert!(!out.status.success());
     assert!(
-        stderr(&out).contains("--traces only applies to the sweep and fleet sweep subcommands"),
+        stderr(&out)
+            .contains("--traces only applies to the sweep, fleet sweep and worker subcommands"),
         "{}",
         stderr(&out)
     );
@@ -480,6 +547,10 @@ fn worker_argument_errors_are_named() {
         (
             &["worker", "--cache", cache, "--frobnicate"],
             "unknown worker option '--frobnicate'",
+        ),
+        (
+            &["worker", "--cache", cache, "--traces", ","],
+            "invalid value ',' for --traces (expected a comma-separated list of .sctrace paths)",
         ),
         (
             &["--size", "tiny", "worker", "--cache", cache],
@@ -937,7 +1008,8 @@ fn bench_and_obs_flags_are_scoped_to_their_subcommands() {
         ),
         (
             &["table1", "--obs-log", "x.jsonl"],
-            "--obs-log only applies to the sweep, serve and bench subcommands",
+            "--obs-log only applies to the sweep, fleet sweep, serve, fleet serve, bench and worker \
+             subcommands",
         ),
         (&["bench", "--label"], "--label expects a value"),
     ] {
