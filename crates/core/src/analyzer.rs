@@ -12,7 +12,7 @@ use crate::pc::{PcActivity, PC_BITS};
 use crate::regfile::RegFileActivity;
 use crate::stats::SigStats;
 use sigcomp_isa::ExecRecord;
-use sigcomp_mem::{HierarchyConfig, HierarchyStats, MemoryHierarchy};
+use sigcomp_mem::{CacheConfig, HierarchyConfig, HierarchyStats, MemoryHierarchy};
 
 /// Configuration of the activity study.
 #[derive(Debug, Clone)]
@@ -100,6 +100,39 @@ impl GateCounter {
     }
 }
 
+/// The D-cache line fills of one record stream's walk through one memory
+/// hierarchy, tallied for the activity study: every fill regenerates the
+/// extension bits of a whole line (§2.6).
+///
+/// The fills are the only part of the study the hierarchy reaches. A caller
+/// that studies one record stream under several hierarchies therefore runs
+/// one [`TraceAnalyzer`] per scheme through
+/// [`observe_core`](TraceAnalyzer::observe_core), keeps one `LineFills` per
+/// hierarchy beside it, and combines the two with
+/// [`TraceAnalyzer::report_with`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LineFills {
+    /// L1 line fills.
+    lines: u64,
+    /// Significant bytes of the accessed words that stand in for the
+    /// filled lines' contents, summed over the fills.
+    sig_bytes: u64,
+}
+
+impl LineFills {
+    /// Tallies `rec`'s data access under `scheme` if its walk `access`
+    /// filled an L1 line.
+    #[inline]
+    pub fn observe(&mut self, rec: &ExecRecord, access: &InstrAccess, scheme: ExtScheme) {
+        if access.data_l1_fill() {
+            if let Some(mem) = rec.mem {
+                self.lines += 1;
+                self.sig_bytes += u64::from(significant_bytes(mem.value, scheme));
+            }
+        }
+    }
+}
+
 /// Trace-driven activity analyzer (reproduces Tables 5 and 6).
 ///
 /// ```
@@ -143,6 +176,9 @@ pub struct TraceAnalyzer {
     rf_write_gate: GateCounter,
     dcache_gate: GateCounter,
     pc_gate: GateCounter,
+    /// The line fills of the walks fed to
+    /// [`observe_with_access`](TraceAnalyzer::observe_with_access).
+    fills: LineFills,
 }
 
 impl TraceAnalyzer {
@@ -165,12 +201,11 @@ impl TraceAnalyzer {
     /// the counters live in the caller's hierarchy.
     #[must_use]
     pub fn with_external_hierarchy(config: AnalyzerConfig) -> Self {
-        let dcache = DCacheActivity::new(config.scheme, &config.hierarchy.dl1);
         TraceAnalyzer {
             fetch: FetchActivity::new(),
             regfile: RegFileActivity::new(config.scheme),
             alu: StageActivity::default(),
-            dcache,
+            dcache: DCacheActivity::new(config.scheme),
             pc: PcActivity::new(config.pc_block_bits),
             latches: StageActivity::default(),
             stats: SigStats::new(),
@@ -179,6 +214,7 @@ impl TraceAnalyzer {
             rf_write_gate: GateCounter::default(),
             dcache_gate: GateCounter::default(),
             pc_gate: GateCounter::default(),
+            fills: LineFills::default(),
             hierarchy: None,
             config,
         }
@@ -226,6 +262,18 @@ impl TraceAnalyzer {
         cost: &InstrCost,
         access: &InstrAccess,
     ) {
+        self.observe_core(rec, cost);
+        self.fills.observe(rec, access, self.config.scheme);
+    }
+
+    /// The activity core: everything the study derives from one record and
+    /// its cost vector, which is all of it but the D-cache line fills. The
+    /// hierarchy reaches only those, so one core serves a record stream
+    /// under every hierarchy; tally each hierarchy's fills in a
+    /// [`LineFills`] and report through [`TraceAnalyzer::report_with`].
+    /// The cost must come from `instr_cost(rec, ...)` under this analyzer's
+    /// scheme and recoder.
+    pub fn observe_core(&mut self, rec: &ExecRecord, cost: &InstrCost) {
         self.stats.observe(rec);
 
         // ---- instruction fetch (I-cache data array + I-TLB) ----------------
@@ -269,26 +317,12 @@ impl TraceAnalyzer {
             );
         }
 
-        // ---- data cache ------------------------------------------------------
+        // ---- data cache (line fills: see `report_with`) -----------------------
         if let Some(mem) = rec.mem {
             self.dcache.access(mem.value, mem.width);
             if let Some(m) = cost.mem {
                 self.dcache_gate
                     .occupy(u64::from(m.sig_bytes), u64::from(m.width_bytes));
-            }
-            if access.data_l1_fill() {
-                // A line fill regenerates extension bits for every word of
-                // the 32-byte line. The analyzer does not track line
-                // contents, so the accessed word's value stands in for its
-                // neighbours (documented approximation; fills are a small
-                // fraction of accesses at the paper's miss rates).
-                // The paper's split L1s share one line size; the I-side
-                // field stands for both.
-                let words = u64::from(self.config.hierarchy.il1.line_bytes / 4);
-                let fill_sig = u64::from(significant_bytes(mem.value, self.config.scheme));
-                self.dcache.fill_line(mem.value, words);
-                self.dcache_gate
-                    .occupy(fill_sig * words, WORD_LANES * words);
             }
         }
 
@@ -324,6 +358,26 @@ impl TraceAnalyzer {
     /// Per-stage activity report (one Table 5/6 row for this trace).
     #[must_use]
     pub fn report(&self) -> ActivityReport {
+        self.report_with(&self.fills, &self.config.hierarchy.dl1)
+    }
+
+    /// The report of the core fed through
+    /// [`observe_core`](TraceAnalyzer::observe_core) under one hierarchy:
+    /// `fills` are its line fills and `dl1` its D-cache geometry, which
+    /// sets the fill size and the tag width.
+    #[must_use]
+    pub fn report_with(&self, fills: &LineFills, dl1: &CacheConfig) -> ActivityReport {
+        // A line fill regenerates extension bits for every word of the
+        // line. The analyzer does not track line contents, so the accessed
+        // word's value stands in for its neighbours (documented
+        // approximation; fills are a small fraction of accesses at the
+        // paper's miss rates).
+        let words = u64::from(dl1.line_bytes / 4);
+        let mut dcache = self.dcache.clone();
+        dcache.fill_lines(fills.lines, fills.sig_bytes, words);
+        let mut dcache_gate = self.dcache_gate;
+        dcache_gate.occupy(fills.sig_bytes * words, WORD_LANES * words * fills.lines);
+        let tag_bits = dcache.tag_bits(dl1);
         ActivityReport {
             fetch: StageActivity::with_gating(
                 self.fetch.compressed_bits(),
@@ -345,19 +399,14 @@ impl TraceAnalyzer {
             ),
             alu: self.alu,
             dcache_data: StageActivity::with_gating(
-                self.dcache.data_compressed_bits(),
-                self.dcache.data_baseline_bits(),
-                self.dcache_gate.gated,
-                self.dcache_gate.total,
+                dcache.data_compressed_bits(),
+                dcache.data_baseline_bits(),
+                dcache_gate.gated,
+                dcache_gate.total,
             ),
             // The tag array carries no extension bits, so none of its lanes
             // can be gated: it leaks the same on both sides.
-            dcache_tag: StageActivity::with_gating(
-                self.dcache.tag_bits(),
-                self.dcache.tag_bits(),
-                0,
-                self.dcache.tag_bits().div_ceil(8),
-            ),
+            dcache_tag: StageActivity::with_gating(tag_bits, tag_bits, 0, tag_bits.div_ceil(8)),
             pc_increment: StageActivity::with_gating(
                 self.pc.compressed_bits(),
                 self.pc.baseline_bits(),
@@ -518,6 +567,87 @@ mod tests {
                 assert_eq!(own.stats().instructions(), external.stats().instructions());
             }
         }
+    }
+
+    /// The paper's memory profile and the sweep's small-L1 and slow-memory
+    /// ones.
+    fn profile_geometries() -> [HierarchyConfig; 3] {
+        let mut small_l1 = HierarchyConfig::paper();
+        small_l1.il1.size_bytes = 4 * 1024;
+        small_l1.dl1.size_bytes = 4 * 1024;
+        let mut slow_memory = HierarchyConfig::paper();
+        slow_memory.memory_latency = 100;
+        [HierarchyConfig::paper(), small_l1, slow_memory]
+    }
+
+    #[test]
+    fn one_core_plus_per_hierarchy_fills_reports_like_one_analyzer_per_hierarchy() {
+        let mut b = ProgramBuilder::new();
+        strided_loop(&mut b);
+        let trace = Interpreter::new(&b.assemble().unwrap())
+            .run(1_000_000)
+            .unwrap();
+        let geometries = profile_geometries();
+        for &scheme in ExtScheme::ALL {
+            let configs = geometries.map(|hierarchy| AnalyzerConfig {
+                hierarchy,
+                ..AnalyzerConfig::for_scheme(scheme)
+            });
+            let mut per_hierarchy = configs.clone().map(TraceAnalyzer::new);
+            // The core is built for the first geometry; the others' fills
+            // and tags come from `report_with`.
+            let mut core = TraceAnalyzer::with_external_hierarchy(configs[0].clone());
+            let mut walks = geometries.map(|h| MemoryHierarchy::new(&h));
+            let mut fills = [LineFills::default(); 3];
+            for rec in &trace {
+                let cost = instr_cost(rec, scheme, &configs[0].recoder);
+                core.observe_core(rec, &cost);
+                for ((analyzer, walk), fills) in
+                    per_hierarchy.iter_mut().zip(&mut walks).zip(&mut fills)
+                {
+                    analyzer.observe_with_cost(rec, &cost);
+                    fills.observe(rec, &InstrAccess::walk(walk, rec), scheme);
+                }
+            }
+            assert!(
+                fills.iter().all(|f| f.lines > 1_000),
+                "the stride must fill L1 lines"
+            );
+            for ((analyzer, fills), hierarchy) in per_hierarchy.iter().zip(&fills).zip(&geometries)
+            {
+                assert_eq!(analyzer.report(), core.report_with(fills, &hierarchy.dl1));
+            }
+            // The small L1's longer tags reach the report.
+            assert_ne!(
+                core.report_with(&fills[1], &geometries[0].dl1).dcache_tag,
+                core.report_with(&fills[1], &geometries[1].dl1).dcache_tag
+            );
+        }
+    }
+
+    #[test]
+    fn d_cache_fills_use_the_d_cache_line_size() {
+        // Regression: fill words were taken from the I-cache line size.
+        let mut hierarchy = HierarchyConfig::paper();
+        hierarchy.il1.line_bytes = 32;
+        hierarchy.dl1.line_bytes = 64;
+        let config = AnalyzerConfig {
+            hierarchy,
+            ..AnalyzerConfig::paper_byte()
+        };
+        let a = analyze(strided_loop, config);
+        let fills = a.hierarchy_stats().dl1.fills;
+        assert!(fills > 1_000, "the stride must fill L1 lines");
+        // 2048 stores and 2048 loads of one word each, then 16 words a fill.
+        let report = a.report();
+        assert_eq!(
+            report.dcache_data.baseline_bits,
+            (2 * 2048 + 16 * fills) * 32
+        );
+        assert_eq!(
+            report.dcache_data.total_byte_cycles,
+            (2 * 2048 + 16 * fills) * WORD_LANES
+        );
     }
 
     #[test]

@@ -8,11 +8,12 @@
 use crate::ext::{significant_bytes, ExtScheme};
 use sigcomp_mem::CacheConfig;
 
-/// Accumulates data-cache data-array and tag-array activity.
+/// Accumulates data-cache data-array and tag-array activity. Nothing it
+/// counts depends on the cache geometry; the tag width enters only when
+/// the tag activity is read ([`DCacheActivity::tag_bits`]).
 #[derive(Debug, Clone)]
 pub struct DCacheActivity {
     scheme: ExtScheme,
-    tag_bits_per_access: u64,
     accesses: u64,
     compressed_data_bits: u64,
     baseline_data_bits: u64,
@@ -20,12 +21,11 @@ pub struct DCacheActivity {
 }
 
 impl DCacheActivity {
-    /// Creates an accumulator for a cache with the given geometry.
+    /// Creates an accumulator for the given extension scheme.
     #[must_use]
-    pub fn new(scheme: ExtScheme, config: &CacheConfig) -> Self {
+    pub fn new(scheme: ExtScheme) -> Self {
         DCacheActivity {
             scheme,
-            tag_bits_per_access: u64::from(config.tag_bits()) + 1, // tag + valid bit
             accesses: 0,
             compressed_data_bits: 0,
             baseline_data_bits: 0,
@@ -50,18 +50,19 @@ impl DCacheActivity {
     /// Records the fill of one word of a cache line (extension bits are
     /// generated at fill time).
     pub fn fill_word(&mut self, value: u32) {
-        self.fill_line(value, 1);
+        self.fill_lines(1, u64::from(significant_bytes(value, self.scheme)), 1);
     }
 
-    /// Records a whole line fill of `words` identical words in one batch
-    /// (the analyzer's stand-in fill, where the accessed word's value
-    /// represents its line neighbours).
-    pub fn fill_line(&mut self, value: u32, words: u64) {
-        self.fill_words += words;
-        let sig = significant_bytes(value, self.scheme);
+    /// Records `lines` line fills of `words` words each in one batch. Every
+    /// word of a line repeats one stand-in value (the analyzer's
+    /// approximation, where the accessed word represents its line
+    /// neighbours); `sig_bytes` sums the stand-ins' significant bytes over
+    /// the `lines` fills.
+    pub fn fill_lines(&mut self, lines: u64, sig_bytes: u64, words: u64) {
+        self.fill_words += lines * words;
         self.compressed_data_bits +=
-            words * (u64::from(sig) * 8 + u64::from(self.scheme.overhead_bits()));
-        self.baseline_data_bits += words * 32;
+            words * (sig_bytes * 8 + lines * u64::from(self.scheme.overhead_bits()));
+        self.baseline_data_bits += lines * words * 32;
     }
 
     /// Number of load/store accesses observed.
@@ -88,10 +89,11 @@ impl DCacheActivity {
         self.baseline_data_bits
     }
 
-    /// Tag-array bits touched (identical with and without compression).
+    /// Tag-array bits touched in a cache of geometry `config`: the tag and
+    /// the valid bit per access (identical with and without compression).
     #[must_use]
-    pub fn tag_bits(&self) -> u64 {
-        self.accesses * self.tag_bits_per_access
+    pub fn tag_bits(&self, config: &CacheConfig) -> u64 {
+        self.accesses * (u64::from(config.tag_bits()) + 1)
     }
 
     /// Fractional data-array saving.
@@ -110,7 +112,7 @@ mod tests {
     use super::*;
 
     fn dc() -> DCacheActivity {
-        DCacheActivity::new(ExtScheme::ThreeBit, &CacheConfig::paper_l1())
+        DCacheActivity::new(ExtScheme::ThreeBit)
     }
 
     #[test]
@@ -159,12 +161,12 @@ mod tests {
         d.access(7, 4);
         d.access(0xdead_beef, 4);
         // 8 KB direct-mapped, 32-byte lines → 19 tag bits + valid.
-        assert_eq!(d.tag_bits(), 2 * 20);
+        assert_eq!(d.tag_bits(&CacheConfig::paper_l1()), 2 * 20);
     }
 
     #[test]
     fn halfword_scheme_granularity() {
-        let mut d = DCacheActivity::new(ExtScheme::Halfword, &CacheConfig::paper_l1());
+        let mut d = DCacheActivity::new(ExtScheme::Halfword);
         d.access(7, 4);
         assert_eq!(d.data_compressed_bits(), 16 + 1);
         d.access(0x0001_0000, 4);
@@ -175,7 +177,7 @@ mod tests {
     fn empty_accumulator() {
         let d = dc();
         assert_eq!(d.data_saving(), 0.0);
-        assert_eq!(d.tag_bits(), 0);
+        assert_eq!(d.tag_bits(&CacheConfig::paper_l1()), 0);
         assert_eq!(d.accesses(), 0);
     }
 }

@@ -77,7 +77,7 @@ pub mod stats;
 
 pub use access::InstrAccess;
 pub use activity::{ActivityReport, EnergyModel, ProcessNode, StageActivity};
-pub use analyzer::{AnalyzerConfig, TraceAnalyzer};
+pub use analyzer::{AnalyzerConfig, LineFills, TraceAnalyzer};
 pub use cost::{instr_cost, InstrCost, MemCost};
 pub use ext::{CompressedWord, ExtScheme, SigPattern};
 pub use hash::{ConfigHash, StableHasher};

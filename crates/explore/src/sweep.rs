@@ -9,25 +9,32 @@
 //! Each axis reaches only some of the per-record work:
 //!
 //! * the record stream is the same for every job of a stream;
-//! * the §3 hierarchy walk ([`InstrAccess::walk`]) depends only on the
-//!   memory profile;
-//! * the [`instr_cost`] vector depends only on the scheme (the recoder is
-//!   always the paper's);
-//! * the [`StageDemand`] and the activity study ([`TraceAnalyzer`],
-//!   Tables 5/6) depend on the scheme and the memory profile;
-//! * only the [`PipelineSim`] timing depends on the organization.
+//! * the §3 hierarchy walk ([`InstrAccess::walk`]) and the miss penalties
+//!   it adds ([`MissPenalty`]) depend only on the memory profile;
+//! * the [`instr_cost`] vector, the [`StageDemand`] built from it and the
+//!   activity core ([`TraceAnalyzer::observe_core`], Tables 5/6) depend
+//!   only on the scheme (the recoder is always the paper's);
+//! * the activity study's D-cache line fills ([`LineFills`]) depend on the
+//!   scheme and the memory profile;
+//! * the lane-gating budgets ([`LaneTally`]) and the stage occupancies
+//!   ([`StageOccupancy`]) depend on the scheme and the organization; the
+//!   budgets take the profile's summed miss penalties only when a job
+//!   reports;
+//! * only the pipeline recurrence ([`PipelineSim::observe_demand`])
+//!   depends on all three.
 //!
 //! The local executor's unit of work is therefore a **stream group**: the
 //! cache-missing jobs sharing a stream. Per record a group runs one source
 //! step ([`Benchmark::run_each`] or [`DecodedTrace::iter`]), one walk per
-//! memory profile, one cost vector per scheme, one demand and one analyzer
-//! per `(scheme, memory profile)` block with a miss, and one timing model
-//! per job. The 32-bit baseline needs less still: it occupies every stage
-//! for one cycle, gates no lanes and resolves every branch in execute, so
-//! its timing is the same under every scheme, and one baseline model per
-//! memory profile answers each scheme's baseline job. A job's
-//! [`JobMetrics`] is its block's activity report re-weighted by its own
-//! organization's timing ([`JobMetrics::from_models`]).
+//! memory profile, one cost vector, demand and activity core per scheme,
+//! one lane tally per `(scheme, organization)`, one line-fill check per
+//! `(scheme, memory profile)` block, and one recurrence per job. The 32-bit
+//! baseline needs less still: it occupies every stage for one cycle, gates
+//! no lanes and resolves every branch in execute, so its timing is the same
+//! under every scheme, and one baseline model per memory profile answers
+//! each scheme's baseline job. A job's [`JobMetrics`] is its block's
+//! activity report re-weighted by its own organization's timing
+//! ([`JobMetrics::from_models`]).
 //!
 //! # Planning
 //!
@@ -50,12 +57,15 @@ use crate::cache::ResultCache;
 use crate::executor::{run_parallel, run_parallel_dealt};
 use crate::spec::{JobSpec, MemProfile, StreamKey, SweepSpec, TraceInput};
 use sigcomp::{
-    instr_cost, ActivityReport, EnergyModel, ExtScheme, FunctRecoder, InstrAccess, StageActivity,
-    TraceAnalyzer,
+    instr_cost, ActivityReport, EnergyModel, ExtScheme, FunctRecoder, InstrAccess, LineFills,
+    StageActivity, TraceAnalyzer,
 };
 use sigcomp_isa::{DecodedTrace, ExecRecord, Trace};
-use sigcomp_mem::MemoryHierarchy;
-use sigcomp_pipeline::{OrgKind, Organization, PipelineSim, SimResult, Stage, StageDemand};
+use sigcomp_mem::{CacheConfig, MemoryHierarchy};
+use sigcomp_pipeline::{
+    LaneTally, MissPenalty, OrgKind, Organization, PipelineSim, SimResult, Stage, StageDemand,
+    StageOccupancy,
+};
 use sigcomp_workloads::{find, Benchmark};
 use std::cmp::Reverse;
 use std::collections::HashMap;
@@ -356,15 +366,16 @@ fn replay_decoded(jobs: &[JobSpec], trace: &DecodedTrace) -> Vec<JobMetrics> {
 
 /// The model stack one stream group drives (see the [module docs](self)):
 /// a single stream of [`ExecRecord`]s — from a live interpreter or a
-/// replayed file — feeds one hierarchy walk per memory profile, one cost
-/// vector per scheme, and one stage demand and one activity study per
-/// `(scheme, memory profile)` block; each demand is fanned out to its
-/// block's timing models.
+/// replayed file — feeds one hierarchy walk per memory profile; one cost
+/// vector, stage demand and activity core per scheme; one lane tally per
+/// `(scheme, organization)`; one line-fill tally per `(scheme, memory
+/// profile)` block; and one pipeline recurrence per job.
 struct GroupModels {
     recoder: FunctRecoder,
     mems: Vec<MemModels>,
-    /// The current record's walk of each memory profile's hierarchy.
-    accesses: Vec<InstrAccess>,
+    /// The current record's walk of each memory profile's hierarchy, and
+    /// the miss penalties it adds.
+    accesses: Vec<(InstrAccess, MissPenalty)>,
     schemes: Vec<SchemeModels>,
     /// Where each job's answer comes from, in the order the jobs were given.
     answers: Vec<Answer>,
@@ -374,14 +385,25 @@ struct GroupModels {
 struct MemModels {
     profile: MemProfile,
     hierarchy: MemoryHierarchy,
+    /// The D-cache geometry, which sizes the activity study's line fills
+    /// and tags.
+    dl1: CacheConfig,
     /// The scheme-independent baseline timing model, if any scheme's
     /// baseline job under this profile is in the group.
     baseline: Option<PipelineSim>,
 }
 
-/// One scheme's blocks, one per memory profile it has jobs under.
+/// The models of one scheme.
 struct SchemeModels {
     scheme: ExtScheme,
+    /// The activity core, shared by every memory profile.
+    analyzer: TraceAnalyzer,
+    /// One lane tally per organization the scheme's jobs are timed on,
+    /// shared by every memory profile.
+    lanes: Vec<LaneTally>,
+    /// The current record's stage occupancies, one per lane tally.
+    occupancy: Vec<StageOccupancy>,
+    /// One block per memory profile the scheme has jobs under.
     blocks: Vec<BlockModels>,
 }
 
@@ -389,11 +411,14 @@ struct SchemeModels {
 struct BlockModels {
     /// Index of the block's memory profile in the group.
     mem: usize,
-    analyzer: TraceAnalyzer,
-    /// The timing models of the block's non-baseline jobs.
-    sims: Vec<PipelineSim>,
-    /// Whether this block's demand drives its profile's baseline model.
-    feeds_baseline: bool,
+    /// The profile's D-cache line fills under the scheme.
+    fills: LineFills,
+    /// The timing models of the block's non-baseline jobs, each with the
+    /// index of its organization's lane tally in the scheme.
+    sims: Vec<(usize, PipelineSim)>,
+    /// The scheme's baseline lane tally, if this block's demand drives its
+    /// profile's baseline model.
+    baseline_lanes: Option<usize>,
 }
 
 /// Which models answer one job.
@@ -402,6 +427,8 @@ struct Answer {
     scheme: usize,
     block: usize,
     mem: usize,
+    /// The job's lane tally in its scheme.
+    lanes: usize,
     /// The job's timing model in its block, or `None` for a baseline job,
     /// which its memory profile's shared baseline model answers.
     sim: Option<usize>,
@@ -433,6 +460,7 @@ impl GroupModels {
                 || MemModels {
                     profile: job.mem,
                     hierarchy: MemoryHierarchy::new(&config.hierarchy),
+                    dl1: config.hierarchy.dl1,
                     baseline: None,
                 },
             );
@@ -441,8 +469,17 @@ impl GroupModels {
                 |s| s.scheme == job.scheme,
                 || SchemeModels {
                     scheme: job.scheme,
+                    analyzer: TraceAnalyzer::with_external_hierarchy(config.clone()),
+                    lanes: Vec::new(),
+                    occupancy: Vec::new(),
                     blocks: Vec::new(),
                 },
+            );
+            let org = job.organization();
+            let lanes = find_or_push(
+                &mut schemes[scheme].lanes,
+                |t| t.kind() == job.org,
+                || LaneTally::new(&org),
             );
             let blocks = &mut schemes[scheme].blocks;
             let block = find_or_push(
@@ -450,22 +487,21 @@ impl GroupModels {
                 |b| b.mem == mem,
                 || BlockModels {
                     mem,
-                    analyzer: TraceAnalyzer::with_external_hierarchy(config.clone()),
+                    fills: LineFills::default(),
                     sims: Vec::new(),
-                    feeds_baseline: false,
+                    baseline_lanes: None,
                 },
             );
-            let org = job.organization();
             let timing = PipelineSim::with_external_hierarchy(org.clone(), recoder.clone());
             let sim = if job.org == OrgKind::Baseline32 {
                 if mems[mem].baseline.is_none() {
                     mems[mem].baseline = Some(timing);
-                    blocks[block].feeds_baseline = true;
+                    blocks[block].baseline_lanes = Some(lanes);
                 }
                 None
             } else {
                 let sims = &mut blocks[block].sims;
-                sims.push(timing);
+                sims.push((lanes, timing));
                 Some(sims.len() - 1)
             };
             answers.push(Answer {
@@ -473,6 +509,7 @@ impl GroupModels {
                 scheme,
                 block,
                 mem,
+                lanes,
                 sim,
             });
         }
@@ -486,63 +523,58 @@ impl GroupModels {
     }
 
     fn observe(&mut self, rec: &ExecRecord) {
-        // The walk depends only on the memory profile and the cost only on
-        // the scheme, so each is derived once per record and shared.
+        // Each quantity is derived once per record at the level it depends
+        // on: the walk per memory profile, the demand, activity core and
+        // lane budgets per scheme, the line fills per block, and only the
+        // pipeline recurrence per job.
         self.accesses.clear();
         for mem in &mut self.mems {
-            self.accesses
-                .push(InstrAccess::walk(&mut mem.hierarchy, rec));
+            let access = InstrAccess::walk(&mut mem.hierarchy, rec);
+            self.accesses.push((access, MissPenalty::new(&access)));
         }
         for scheme in &mut self.schemes {
             let cost = instr_cost(rec, scheme.scheme, &self.recoder);
+            let demand = StageDemand::new(rec, &cost);
+            scheme.analyzer.observe_core(rec, &cost);
+            scheme.occupancy.clear();
+            for lanes in &mut scheme.lanes {
+                scheme.occupancy.push(lanes.observe(&demand));
+            }
             for block in &mut scheme.blocks {
-                let access = &self.accesses[block.mem];
-                let demand = StageDemand::new(rec, &cost, access);
-                for sim in &mut block.sims {
-                    sim.observe_demand(&demand);
+                let (access, penalty) = &self.accesses[block.mem];
+                for (lanes, sim) in &mut block.sims {
+                    sim.observe_demand(&demand, &scheme.occupancy[*lanes], penalty);
                 }
-                if block.feeds_baseline {
+                if let Some(lanes) = block.baseline_lanes {
                     if let Some(baseline) = &mut self.mems[block.mem].baseline {
-                        baseline.observe_demand(&demand);
+                        baseline.observe_demand(&demand, &scheme.occupancy[lanes], penalty);
                     }
                 }
-                block.analyzer.observe_with_access(rec, &cost, access);
+                block.fills.observe(rec, access, scheme.scheme);
             }
         }
     }
 
     /// One [`JobMetrics`] per job, in the order the jobs were given.
     fn finish(self) -> Vec<JobMetrics> {
-        let blocks: Vec<Vec<(ActivityReport, Vec<SimResult>)>> = self
-            .schemes
-            .into_iter()
-            .map(|scheme| {
-                scheme
-                    .blocks
-                    .into_iter()
-                    .map(|b| {
-                        let results = b.sims.into_iter().map(PipelineSim::finish).collect();
-                        (b.analyzer.report(), results)
-                    })
-                    .collect()
-            })
-            .collect();
-        let baselines: Vec<Option<SimResult>> = self
-            .mems
-            .into_iter()
-            .map(|m| m.baseline.map(PipelineSim::finish))
-            .collect();
         self.answers
             .iter()
             .map(|answer| {
-                let (activity, results) = &blocks[answer.scheme][answer.block];
-                let result = match answer.sim {
-                    Some(sim) => &results[sim],
-                    None => baselines[answer.mem]
+                let scheme = &self.schemes[answer.scheme];
+                let block = &scheme.blocks[answer.block];
+                let mem = &self.mems[answer.mem];
+                let timing = match answer.sim {
+                    Some(sim) => &block.sims[sim].1,
+                    None => mem
+                        .baseline
                         .as_ref()
                         .expect("a baseline job has its profile's baseline model"),
                 };
-                JobMetrics::from_models(*activity, &answer.org, result)
+                JobMetrics::from_models(
+                    scheme.analyzer.report_with(&block.fills, &mem.dl1),
+                    &answer.org,
+                    &timing.result_with(&scheme.lanes[answer.lanes]),
+                )
             })
             .collect()
     }

@@ -4,11 +4,28 @@
 //! and skew: in every one of them a stage's occupancy is a ceiling of the
 //! same few significant-byte counts divided by a width, and its powered
 //! lanes are one of a few byte counts. [`StageDemand::new`] distils a
-//! record into all of those candidates once; an
+//! record and its cost vector into all of those candidates once; an
 //! [`Organization`](crate::Organization) only names, per stage, which
-//! candidate it takes ([`OccRule`], [`LaneRule`]). A sweep timing several
-//! organizations over one record stream therefore derives each quantity
-//! once per record, not once per organization and stage.
+//! candidate it takes ([`OccRule`], [`LaneRule`]).
+//!
+//! Each per-record quantity depends on one axis of the design space:
+//!
+//! * the demand depends only on the scheme (through the cost vector);
+//! * the miss penalties ([`MissPenalty`]) depend only on the memory
+//!   hierarchy's walk;
+//! * the lane budgets ([`LaneTally`](crate::LaneTally)) and the stage
+//!   occupancies the recurrence reads
+//!   ([`StageOccupancy`](crate::StageOccupancy)) depend on the demand and
+//!   the organization, so one tally per `(scheme, organization)` reads
+//!   them, and folds the summed penalties into the budgets only at the
+//!   end;
+//! * only the pipeline recurrence
+//!   ([`PipelineSim::observe_demand`](crate::PipelineSim::observe_demand))
+//!   needs the demand, the penalties and the organization together.
+//!
+//! A sweep timing several organizations, schemes and hierarchies over one
+//! record stream therefore derives each quantity once per record at the
+//! level it depends on.
 
 use sigcomp::cost::InstrCost;
 use sigcomp::InstrAccess;
@@ -154,22 +171,21 @@ pub(crate) const ZERO_SLOT: usize = 0;
 pub(crate) const SINK_SLOT: usize = 32;
 
 /// One retired instruction distilled into everything any organization's
-/// timing model needs from it: the candidate stage occupancies and
-/// used-lane bytes, the memory hierarchy's miss penalties, the register
-/// slots it reads and writes, and its control-flow flags.
+/// timing model needs from it under one scheme: the candidate stage
+/// occupancies and used-lane bytes, the register slots it reads and writes,
+/// and its control-flow flags.
 ///
-/// Build it once per record with [`StageDemand::new`] and feed it to every
-/// [`PipelineSim`](crate::PipelineSim) of the record's scheme and memory
-/// hierarchy through [`observe_demand`](crate::PipelineSim::observe_demand).
-/// It is a plain stack value: building one allocates nothing.
+/// Nothing in it depends on the memory hierarchy: the walk's miss penalties
+/// travel beside it as a [`MissPenalty`]. Build it once per record and
+/// scheme with [`StageDemand::new`] and feed it to every
+/// [`PipelineSim`](crate::PipelineSim) of the scheme, under every memory
+/// hierarchy, through [`observe_demand`](crate::PipelineSim::observe_demand),
+/// and to one [`LaneTally`](crate::LaneTally) per organization. It is a
+/// plain stack value: building one allocates nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StageDemand {
     pub(crate) occupancy: [u64; OccRule::COUNT],
     pub(crate) lanes: [u64; LaneRule::COUNT],
-    /// Extra fetch cycles of an I-cache/I-TLB miss.
-    pub(crate) fetch_extra: u64,
-    /// Extra memory-stage cycles of a D-cache/D-TLB miss.
-    pub(crate) data_extra: u64,
     /// Register-ready slots of the two sources ([`ZERO_SLOT`] if absent).
     pub(crate) src: [usize; 2],
     /// Register-ready slot of the destination ([`SINK_SLOT`] if none).
@@ -186,19 +202,14 @@ pub struct StageDemand {
 }
 
 impl StageDemand {
-    /// Distils `rec`, whose cost vector is `cost` and whose walk through
-    /// the memory hierarchy is `access`.
+    /// Distils `rec`, whose cost vector is `cost`.
     #[must_use]
-    pub fn new(rec: &ExecRecord, cost: &InstrCost, access: &InstrAccess) -> Self {
+    pub fn new(rec: &ExecRecord, cost: &InstrCost) -> Self {
         let slot = |reg: Option<Reg>| reg.map_or(ZERO_SLOT, usize::from);
         let (rs, rt) = rec.instr.src_regs();
         StageDemand {
             occupancy: occupancies(cost).map(u64::from),
             lanes: lanes(cost).map(u64::from),
-            fetch_extra: u64::from(access.fetch.latency.saturating_sub(1)),
-            data_extra: access
-                .data
-                .map_or(0, |d| u64::from(d.latency.saturating_sub(1))),
             src: [slot(rs), slot(rt)],
             dest: rec.instr.dest_reg().map_or(SINK_SLOT, usize::from),
             is_load: rec.instr.op.is_load(),
@@ -208,6 +219,34 @@ impl StageDemand {
             indirect_jump: matches!(rec.instr.op, Op::Jr | Op::Jalr),
             is_jump: cost.is_jump,
             pc: rec.pc,
+        }
+    }
+}
+
+/// The cycles one record's walk through a memory hierarchy adds to the
+/// fetch stage (an I-cache/I-TLB miss) and to the low-order memory stage (a
+/// D-cache/D-TLB miss) of every organization.
+///
+/// Build it once per record and hierarchy with [`MissPenalty::new`] and
+/// pass it beside the record's [`StageDemand`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MissPenalty {
+    /// Extra fetch cycles.
+    pub(crate) fetch: u64,
+    /// Extra memory-stage cycles.
+    pub(crate) data: u64,
+}
+
+impl MissPenalty {
+    /// The penalties of the walk `access`.
+    #[must_use]
+    #[inline]
+    pub fn new(access: &InstrAccess) -> Self {
+        MissPenalty {
+            fetch: u64::from(access.fetch.latency.saturating_sub(1)),
+            data: access
+                .data
+                .map_or(0, |d| u64::from(d.latency.saturating_sub(1))),
         }
     }
 }

@@ -17,18 +17,24 @@
 //! Cache and TLB misses lengthen the fetch/memory occupancy of the
 //! instruction that suffers them, using the hierarchy parameters of §3.
 //!
-//! Each record is distilled once into a [`StageDemand`]: every candidate
-//! stage occupancy and used-lane byte count any organization might take,
-//! the miss penalties of the record's hierarchy walk, its register slots
-//! and its control-flow flags. A [`PipelineSim`] never re-derives those; at
-//! construction it caches which candidate each of its stages takes (rule
-//! indices owned by the [`Organization`]) and where its result-producing
-//! and branch-resolving stages sit, and its one per-record body,
-//! [`PipelineSim::observe_demand`], only indexes the demand. A sweep timing
-//! all seven organizations of a scheme and hierarchy builds one demand per
-//! record and hands it to each of them.
+//! The per-record work splits by the axis it depends on (see the
+//! [crate docs](crate)): a [`StageDemand`] per scheme, a
+//! [`MissPenalty`] per memory hierarchy, a [`LaneTally`] per
+//! `(scheme, organization)` (which also reads each stage's occupancy from
+//! the demand, as a [`StageOccupancy`]), and only the pipeline recurrence —
+//! [`PipelineSim::observe_demand`]: enter and busy times, stalls, register
+//! readiness and the control-flow bound — per timed configuration. A
+//! [`PipelineSim`] never re-derives the demand; at construction it caches
+//! where its result-producing and branch-resolving stages sit, so the
+//! recurrence only indexes the demand and the occupancies.
+//!
+//! A simulator with a hierarchy of its own ([`PipelineSim::new`],
+//! [`PipelineSim::with_config`]) composes the same pieces per record: it
+//! walks its hierarchy, builds the demand and the penalty, tallies its own
+//! lanes and runs the recurrence.
 
-use crate::demand::{StageDemand, SINK_SLOT};
+use crate::demand::{MissPenalty, StageDemand, SINK_SLOT};
+use crate::lanes::{LaneTally, StageOccupancy};
 use crate::organization::{Organization, Stage};
 use crate::predictor::BimodalPredictor;
 use sigcomp::cost::{instr_cost, InstrCost};
@@ -155,10 +161,12 @@ impl fmt::Display for SimResult {
 /// Feed retired instructions with [`PipelineSim::observe`] (directly from the
 /// interpreter, a stored [`Trace`](sigcomp_isa::Trace) or the statistical
 /// synthesizer) and call [`PipelineSim::finish`] for the [`SimResult`].
-/// Callers that time several organizations over one record stream walk one
-/// shared hierarchy themselves, distil each record into one
-/// [`StageDemand`] and feed it to every simulator through
-/// [`PipelineSim::observe_demand`].
+/// Callers that time several organizations, schemes or hierarchies over one
+/// record stream walk each hierarchy once, distil each record into one
+/// [`StageDemand`] per scheme, tally lanes and read occupancies in one
+/// [`LaneTally`] per `(scheme, organization)`, feed every simulator through
+/// [`PipelineSim::observe_demand`] and report through
+/// [`PipelineSim::result_with`].
 #[derive(Debug, Clone)]
 pub struct PipelineSim {
     org: Organization,
@@ -166,14 +174,11 @@ pub struct PipelineSim {
     /// The simulator's own hierarchy; `None` when the caller walks a shared
     /// one ([`PipelineSim::with_external_hierarchy`]).
     hierarchy: Option<MemoryHierarchy>,
+    /// The lane budgets of the records fed through
+    /// [`observe_with_access`](PipelineSim::observe_with_access).
+    lanes: LaneTally,
     /// Pipeline depth, cached so the hot loop never re-asks the organization.
     depth: usize,
-    /// Per-stage index into [`StageDemand`]'s candidate occupancies.
-    occ_rule: [usize; 7],
-    /// Per-stage index into [`StageDemand`]'s candidate used-lane bytes.
-    lane_rule: [usize; 7],
-    /// Per-stage powered-lane budget, cached from the organization.
-    lane_bytes: [u64; 7],
     /// Index of the (low-order) execute stage.
     ex_index: usize,
     /// Index of the (low-order) memory stage.
@@ -186,10 +191,9 @@ pub struct PipelineSim {
     /// Indices of the branch-resolving stage for a long and for a short
     /// instruction ([`Organization::resolve_stages`]).
     resolve_index: [usize; 2],
-    /// Whether the organization can gate unused byte lanes.
-    gates: bool,
-    /// Enter times of the previous instruction, per stage.
-    prev_enter: [u64; 7],
+    /// Enter times of the previous instruction, per stage, and an
+    /// always-zero slot past the deepest stage.
+    prev_enter: [u64; 8],
     /// Busy-until times of the previous instruction, per stage.
     prev_busy: [u64; 7],
     /// Cycle at which each architectural register's latest value is available
@@ -205,8 +209,8 @@ pub struct PipelineSim {
     branches: u64,
     mispredictions: u64,
     stalls: StallBreakdown,
-    gated_byte_cycles: [u64; 7],
-    total_byte_cycles: [u64; 7],
+    /// Miss-penalty cycles summed over the records: fetch, then memory.
+    penalty: [u64; 2],
 }
 
 impl PipelineSim {
@@ -243,16 +247,6 @@ impl PipelineSim {
     /// caller's hierarchy.
     #[must_use]
     pub fn with_external_hierarchy(org: Organization, recoder: FunctRecoder) -> Self {
-        let depth = org.depth();
-        debug_assert!(depth <= 7, "the fixed stage arrays hold up to 7 stages");
-        let mut occ_rule = [0; 7];
-        let mut lane_rule = [0; 7];
-        let mut lane_bytes = [0u64; 7];
-        for (i, &stage) in org.stages().iter().enumerate() {
-            occ_rule[i] = org.occupancy_rule(stage) as usize;
-            lane_rule[i] = org.lane_rule(stage) as usize;
-            lane_bytes[i] = u64::from(org.lane_bytes(stage));
-        }
         let index = |stage: Stage| {
             org.stage_index(stage)
                 .unwrap_or_else(|| panic!("every organization has a {stage:?} stage"))
@@ -260,10 +254,8 @@ impl PipelineSim {
         PipelineSim {
             hierarchy: None,
             recoder,
-            depth,
-            occ_rule,
-            lane_rule,
-            lane_bytes,
+            lanes: LaneTally::new(&org),
+            depth: org.depth(),
             ex_index: index(Stage::Execute),
             mem_index: index(Stage::Memory),
             reg_read_index: index(Stage::RegRead),
@@ -272,8 +264,7 @@ impl PipelineSim {
                 index(org.load_result_stage()),
             ],
             resolve_index: org.resolve_stages().map(index),
-            gates: org.gates_lanes(),
-            prev_enter: [0; 7],
+            prev_enter: [0; 8],
             prev_busy: [0; 7],
             reg_ready: [0; SINK_SLOT + 1],
             fetch_allowed: 0,
@@ -283,8 +274,7 @@ impl PipelineSim {
             branches: 0,
             mispredictions: 0,
             stalls: StallBreakdown::default(),
-            gated_byte_cycles: [0; 7],
-            total_byte_cycles: [0; 7],
+            penalty: [0; 2],
             org,
         }
     }
@@ -350,102 +340,88 @@ impl PipelineSim {
         cost: &InstrCost,
         access: &InstrAccess,
     ) {
-        self.observe_demand(&StageDemand::new(rec, cost, access));
+        let demand = StageDemand::new(rec, cost);
+        let occupancy = self.lanes.observe(&demand);
+        self.observe_demand(&demand, &occupancy, &MissPenalty::new(access));
     }
 
-    /// Times one retired instruction from its [`StageDemand`], which must
-    /// be built from a cost vector under this simulator's scheme and
-    /// recoder and a walk of the hierarchy it is timed against. One demand
-    /// serves every organization sharing those.
+    /// Runs the pipeline recurrence for one retired instruction: its
+    /// [`StageDemand`], built from a cost vector under this simulator's
+    /// scheme and recoder; its `occupancy` of this organization's stages,
+    /// read from the demand by the organization's [`LaneTally`] for the
+    /// scheme; and `penalty`, from the walk of the hierarchy it is timed
+    /// against. One demand serves every organization of a scheme and one
+    /// occupancy every hierarchy; one penalty serves every scheme and
+    /// organization of a hierarchy.
     ///
-    /// This is the replay hot loop: the organization's choices are rule
-    /// indices and stage positions cached at construction, and every
-    /// per-record quantity is a lookup in the demand — no heap allocation
-    /// and no per-stage match per record.
-    pub fn observe_demand(&mut self, demand: &StageDemand) {
+    /// Lane budgets are not part of the recurrence: the tally keeps them,
+    /// and the simulator reports through [`PipelineSim::result_with`].
+    ///
+    /// This is the replay hot loop: the organization's choices are stage
+    /// positions cached at construction and every per-record quantity is a
+    /// lookup in the demand or the occupancies — no heap allocation and no
+    /// per-stage match per record.
+    pub fn observe_demand(
+        &mut self,
+        demand: &StageDemand,
+        occupancy: &StageOccupancy,
+        penalty: &MissPenalty,
+    ) {
+        debug_assert_eq!(occupancy.kind, self.org.kind());
         let depth = self.depth;
+        self.penalty[0] += penalty.fetch;
+        self.penalty[1] += penalty.data;
 
         // Per-stage occupancy, including cache/TLB miss penalties.
-        let mut occ = [0u64; 7];
-        for (slot, &rule) in occ.iter_mut().zip(&self.occ_rule[..depth]) {
-            *slot = demand.occupancy[rule];
-        }
-        occ[0] += demand.fetch_extra;
-        occ[self.mem_index] += demand.data_extra;
-
-        // Gated-lane occupancy: each occupied cycle powers the stage's lane
-        // budget; the lanes the instruction's significant bytes don't need
-        // are gated off (only in the compressed organizations — the
-        // baseline has no extension bits to gate with).
-        for (s, &stage_occ) in occ.iter().enumerate().take(depth) {
-            let total = self.lane_bytes[s] * stage_occ;
-            let used = if self.gates {
-                demand.lanes[self.lane_rule[s]].min(total)
-            } else {
-                total
-            };
-            self.gated_byte_cycles[s] += total - used;
-            self.total_byte_cycles[s] += total;
-        }
+        let mut occ = occupancy.cycles;
+        occ[0] += penalty.fetch;
+        occ[self.mem_index] += penalty.data;
 
         // Source operands are bypassed into the execute stage.
         let [rs, rt] = demand.src;
         let operands_ready = self.reg_ready[rs].max(self.reg_ready[rt]);
 
-        let mut enter = [0u64; 7];
+        // A stage may start once the previous instruction has both finished
+        // using it and vacated its output latch. Past the deepest stage the
+        // latch is always free: that slot of `enter` stays zero.
+        let mut enter = [0u64; 8];
         let mut busy = [0u64; 7];
 
-        for s in 0..depth {
-            // Structural constraint: the previous instruction must have both
-            // finished using the stage and vacated its output latch.
-            let vacated = if s + 1 < depth {
-                self.prev_enter[s + 1].max(self.prev_busy[s])
-            } else {
-                self.prev_busy[s]
-            };
+        // Fetch flows as soon as it is vacated; any further delay waits for
+        // a branch or jump to resolve.
+        let vacated = self.prev_enter[1].max(self.prev_busy[0]);
+        enter[0] = vacated.max(self.fetch_allowed);
+        busy[0] = enter[0] + occ[0];
+        self.stalls.control += enter[0] - vacated;
 
+        for s in 1..depth {
+            let vacated = self.prev_enter[s + 1].max(self.prev_busy[s]);
             // Every organization streams: a stage hands the low-order byte
             // (plus extension bits) onward after one cycle even while it
             // stays busy with the remaining bytes (§4: "while later
             // sequential data bytes are being processed, earlier bytes can
             // proceed up the pipeline").
-            let (flow, control_bound) = if s == 0 {
-                (vacated, self.fetch_allowed)
-            } else {
-                (enter[s - 1] + 1, 0)
-            };
-
-            let hazard_bound = if s == self.ex_index {
+            let flow = enter[s - 1] + 1;
+            let hazard = if s == self.ex_index {
                 operands_ready
             } else {
                 0
             };
+            let start = flow.max(vacated).max(hazard);
 
-            let structural_bound = if s == 0 { 0 } else { vacated };
-            let start = flow
-                .max(structural_bound)
-                .max(hazard_bound)
-                .max(control_bound);
-
-            // Attribute the delay beyond simple flow to its binding cause.
+            // The delay beyond simple flow is a data hazard when the
+            // operands bind (they win ties), and structural otherwise. If
+            // the previous instruction had already finished its work in
+            // this stage but could not advance, the real bottleneck is the
+            // stage ahead of it — charge that one (this is how the paper's
+            // §5 bottleneck study counts the execute stage as the dominant
+            // cause of byte-serial stalls).
             if start > flow {
                 let gap = start - flow;
-                if start == control_bound && s == 0 {
-                    self.stalls.control += gap;
-                } else if start == hazard_bound && hazard_bound >= structural_bound {
+                if start == hazard {
                     self.stalls.data_hazard += gap;
                 } else {
-                    // If the previous instruction had already finished its
-                    // work in this stage but could not advance, the real
-                    // bottleneck is the stage ahead of it — charge that one
-                    // (this is how the paper's §5 bottleneck study counts the
-                    // execute stage as the dominant cause of byte-serial
-                    // stalls).
-                    let blame = if s + 1 < depth && self.prev_enter[s + 1] > self.prev_busy[s] {
-                        s + 1
-                    } else {
-                        s
-                    };
+                    let blame = s + usize::from(self.prev_enter[s + 1] > self.prev_busy[s]);
                     self.stalls.structural[blame] += gap;
                 }
             }
@@ -487,9 +463,27 @@ impl PipelineSim {
         self.instructions += 1;
     }
 
-    /// Finishes the simulation and returns the result.
+    /// Finishes the simulation and returns the result, with the lane
+    /// budgets of the records fed through
+    /// [`observe_with_access`](PipelineSim::observe_with_access) or its
+    /// wrappers. A simulator fed through
+    /// [`observe_demand`](PipelineSim::observe_demand) reports through
+    /// [`PipelineSim::result_with`] instead.
     #[must_use]
     pub fn finish(self) -> SimResult {
+        self.result_with(&self.lanes)
+    }
+
+    /// The result so far, with the lane budgets of `lanes`: the tally of
+    /// this simulator's organization over the demands fed to
+    /// [`PipelineSim::observe_demand`].
+    #[must_use]
+    pub fn result_with(&self, lanes: &LaneTally) -> SimResult {
+        debug_assert_eq!(lanes.kind(), self.org.kind());
+        let mut penalty = [0; 7];
+        penalty[0] = self.penalty[0];
+        penalty[self.mem_index] += self.penalty[1];
+        let (gated_byte_cycles, total_byte_cycles) = lanes.byte_cycles(&penalty);
         SimResult {
             organization: self.org.name().to_owned(),
             instructions: self.instructions,
@@ -501,8 +495,8 @@ impl PipelineSim {
                 .map_or_else(HierarchyStats::default, MemoryHierarchy::stats),
             branches: self.branches,
             mispredictions: self.mispredictions,
-            gated_byte_cycles: self.gated_byte_cycles,
-            total_byte_cycles: self.total_byte_cycles,
+            gated_byte_cycles,
+            total_byte_cycles,
         }
     }
 

@@ -17,9 +17,23 @@
 //! All models share one engine ([`PipelineSim`]): an in-order pipeline with
 //! no branch prediction, full bypassing, per-stage occupancies derived from
 //! the significance of the actual operand values, and the paper's cache/TLB
-//! hierarchy for miss penalties. Each record is distilled once into an
-//! organization-invariant [`StageDemand`]; an organization only names which
-//! of its candidates each stage takes, so one demand serves all seven.
+//! hierarchy for miss penalties.
+//!
+//! The per-record work splits by the design-space axis it depends on:
+//!
+//! * [`StageDemand`] — every candidate stage occupancy and used-lane count,
+//!   register slots and control flags — depends only on the scheme; an
+//!   organization only names which candidate each stage takes, so one
+//!   demand serves all seven organizations under every memory hierarchy;
+//! * [`MissPenalty`] — the extra fetch and memory cycles of the record's
+//!   hierarchy walk — depends only on the memory hierarchy;
+//! * [`LaneTally`] — the lane-gating budgets, and the [`StageOccupancy`]
+//!   the recurrence reads — depends on the scheme and the organization,
+//!   and takes the summed penalties only when it reports;
+//! * the pipeline recurrence ([`PipelineSim::observe_demand`]) is the only
+//!   work per `(scheme, hierarchy, organization)`.
+//!
+//! A simulator with its own hierarchy composes all four per record.
 //!
 //! # Example
 //!
@@ -50,11 +64,13 @@
 
 mod demand;
 mod engine;
+mod lanes;
 mod organization;
 mod predictor;
 
-pub use demand::StageDemand;
+pub use demand::{MissPenalty, StageDemand};
 pub use engine::{PipelineSim, SimResult, StallBreakdown};
+pub use lanes::{LaneTally, StageOccupancy};
 pub use organization::{OrgKind, Organization, Stage};
 pub use predictor::BimodalPredictor;
 

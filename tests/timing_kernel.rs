@@ -540,3 +540,25 @@ fn rule_based_formulas_equal_the_literal_ones_on_every_cost_shape() {
         }
     }
 }
+
+/// A miss penalty lengthens only the fetch and the low-order memory stage.
+/// The sweep tallies lane budgets once per `(scheme, organization)` and
+/// adds the penalties per memory profile afterwards; that is exact only
+/// while, on those two stages, the used lanes never exceed the lane budget
+/// of the occupancy before the penalty.
+#[test]
+fn penalized_stages_never_use_more_lanes_than_their_unpenalized_budget() {
+    let grid = cost_grid();
+    for &kind in OrgKind::ALL {
+        let org = Organization::new(kind);
+        for stage in [Stage::Fetch, Stage::Memory] {
+            for cost in &grid {
+                assert!(
+                    org.stage_used_bytes(stage, cost)
+                        <= org.lane_bytes(stage) * org.occupancy(stage, cost),
+                    "{kind:?} {stage:?} {cost:?}"
+                );
+            }
+        }
+    }
+}
