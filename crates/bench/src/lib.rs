@@ -2,8 +2,8 @@
 //!
 //! The experiment harness that regenerates every table and figure of the
 //! paper. The library part holds the study runners and table formatters; the
-//! `repro` binary drives them from the command line, and the Criterion
-//! benches in `benches/` time scaled-down versions of each experiment.
+//! `repro` binary drives them from the command line, and `repro bench`
+//! ([`perf`]) times the phases a sweep runs.
 //!
 //! | paper artefact | function | `repro` subcommand |
 //! |---|---|---|
@@ -407,28 +407,6 @@ pub fn bottleneck(size: WorkloadSize) -> String {
         );
     }
     out
-}
-
-/// Times one bench scenario for the self-timed bench harnesses in
-/// `benches/`: one warm-up call, then enough iterations to fill roughly one
-/// second (at most ten), printing the mean per-iteration time. `filter`
-/// skips scenarios whose name does not contain it (the harnesses pass their
-/// first CLI argument through).
-pub fn time_scenario(name: &str, filter: Option<&str>, mut f: impl FnMut()) {
-    if let Some(pattern) = filter {
-        if !name.contains(pattern) {
-            return;
-        }
-    }
-    f();
-    let started = std::time::Instant::now();
-    let mut iters = 0u32;
-    while iters < 10 && started.elapsed().as_secs_f64() < 1.0 {
-        f();
-        iters += 1;
-    }
-    let mean = started.elapsed().as_secs_f64() * 1e3 / f64::from(iters);
-    println!("{name:<28} {mean:>10.2} ms/iter ({iters} iters)");
 }
 
 /// The organizations shown in each figure of the paper.

@@ -1,13 +1,28 @@
 //! The trace-driven activity study of §2.9: feed a dynamic instruction trace
 //! through every stage model and report per-stage activity savings
 //! (Tables 5 and 6 of the paper).
+//!
+//! Each part of the study depends on one axis of a design-space sweep:
+//!
+//! * the compressed instruction fetch (§2.3) and the block-serial PC
+//!   incrementer (§2.2) depend only on the record stream, the recoding and
+//!   the PC block size: a [`StreamActivity`] tallies them once per stream;
+//! * the activity core ([`TraceAnalyzer::observe_core`]: register file,
+//!   ALU, data-cache data, write-back and latches) depends on the scheme;
+//! * the D-cache line fills ([`LineFills`]) depend on the scheme and the
+//!   memory hierarchy.
+//!
+//! [`TraceAnalyzer::report_with`] combines the three. An analyzer fed
+//! through [`observe`](TraceAnalyzer::observe) and its variants keeps all
+//! three itself, and also the Tables 1/3 statistics ([`SigStats`]), which
+//! no sweep reads.
 
 use crate::access::InstrAccess;
 use crate::activity::{ActivityReport, StageActivity};
 use crate::cost::{instr_cost, InstrCost};
 use crate::dcache::DCacheActivity;
 use crate::ext::{significant_bytes, ExtScheme};
-use crate::ifetch::{FetchActivity, FunctRecoder};
+use crate::ifetch::{CompressedInstr, FetchActivity, FunctRecoder};
 use crate::pc::{PcActivity, PC_BITS};
 use crate::regfile::RegFileActivity;
 use crate::stats::SigStats;
@@ -133,6 +148,94 @@ impl LineFills {
     }
 }
 
+/// The scheme-free part of the activity study: the compressed I-cache fetch
+/// (§2.3) and the block-serial PC incrementer (§2.2) of one record stream.
+///
+/// Neither depends on the extension scheme, so a caller that studies one
+/// stream under several schemes feeds one `StreamActivity` per record, with
+/// one PC incrementer per distinct block size its analyzers use
+/// ([`track_pc_blocks`](StreamActivity::track_pc_blocks)), and reports each
+/// scheme through [`TraceAnalyzer::report_with`].
+#[derive(Debug, Clone, Default)]
+pub struct StreamActivity {
+    fetch: FetchActivity,
+    fetch_gate: GateCounter,
+    /// One incrementer per tracked block size.
+    pcs: Vec<PcLanes>,
+}
+
+/// One block-serial PC incrementer and its gated-lane accounting.
+#[derive(Debug, Clone)]
+struct PcLanes {
+    block_bits: u32,
+    pc: PcActivity,
+    gate: GateCounter,
+}
+
+impl StreamActivity {
+    /// An empty tally with one PC incrementer of `pc_block_bits`-bit blocks.
+    #[must_use]
+    pub fn new(pc_block_bits: u32) -> Self {
+        let mut stream = Self::default();
+        stream.track_pc_blocks(pc_block_bits);
+        stream
+    }
+
+    /// Adds a PC incrementer of `block_bits`-bit blocks, unless one is
+    /// already tracked. Call it before the first record.
+    pub fn track_pc_blocks(&mut self, block_bits: u32) {
+        if self.pcs.iter().all(|p| p.block_bits != block_bits) {
+            self.pcs.push(PcLanes {
+                block_bits,
+                pc: PcActivity::new(block_bits),
+                gate: GateCounter::default(),
+            });
+        }
+    }
+
+    /// Observes one retired instruction at `pc`, stored in the I-cache as
+    /// `fetch`.
+    #[inline]
+    pub fn observe(&mut self, pc: u32, fetch: &CompressedInstr) {
+        self.fetch.observe(fetch);
+        self.fetch_gate
+            .occupy(u64::from(fetch.fetch_bytes), WORD_LANES);
+        for tracked in &mut self.pcs {
+            let updates_before = tracked.pc.updates();
+            let changed_blocks = tracked.pc.observe(pc);
+            if tracked.pc.updates() > updates_before {
+                // Block-serial incrementer: only the blocks the carry (or a
+                // redirect) reaches power up; the rest stay gated behind
+                // it. Rounded up to whole lanes, so sub-byte blocks
+                // (pc_block_bits < 8 is a legal configuration) still record
+                // occupancy instead of silently vanishing from the leakage
+                // term.
+                let block_lanes = u64::from(tracked.block_bits.div_ceil(8));
+                let blocks = u64::from(tracked.pc.num_blocks());
+                tracked.gate.occupy(
+                    u64::from(changed_blocks.max(1)) * block_lanes,
+                    blocks * block_lanes,
+                );
+            }
+        }
+    }
+
+    /// Average fetched bytes per instruction of the stream (≈ 3.17 in the
+    /// paper).
+    #[must_use]
+    pub fn mean_fetch_bytes(&self) -> f64 {
+        self.fetch.mean_fetch_bytes()
+    }
+
+    /// The incrementer of `block_bits`-bit blocks.
+    fn pc(&self, block_bits: u32) -> &PcLanes {
+        self.pcs
+            .iter()
+            .find(|p| p.block_bits == block_bits)
+            .unwrap_or_else(|| panic!("no PC incrementer of {block_bits}-bit blocks is tracked"))
+    }
+}
+
 /// Trace-driven activity analyzer (reproduces Tables 5 and 6).
 ///
 /// ```
@@ -164,20 +267,19 @@ pub struct TraceAnalyzer {
     /// The analyzer's own hierarchy; `None` when the caller walks a shared
     /// one ([`TraceAnalyzer::with_external_hierarchy`]).
     hierarchy: Option<MemoryHierarchy>,
-    fetch: FetchActivity,
     regfile: RegFileActivity,
     alu: StageActivity,
     dcache: DCacheActivity,
-    pc: PcActivity,
     latches: StageActivity,
-    stats: SigStats,
-    fetch_gate: GateCounter,
     rf_read_gate: GateCounter,
     rf_write_gate: GateCounter,
     dcache_gate: GateCounter,
-    pc_gate: GateCounter,
-    /// The line fills of the walks fed to
-    /// [`observe_with_access`](TraceAnalyzer::observe_with_access).
+    /// The fetch and PC activity, the statistics and the line fills of the
+    /// records fed to
+    /// [`observe_with_access`](TraceAnalyzer::observe_with_access) or its
+    /// wrappers.
+    stream: StreamActivity,
+    stats: SigStats,
     fills: LineFills,
 }
 
@@ -202,18 +304,15 @@ impl TraceAnalyzer {
     #[must_use]
     pub fn with_external_hierarchy(config: AnalyzerConfig) -> Self {
         TraceAnalyzer {
-            fetch: FetchActivity::new(),
             regfile: RegFileActivity::new(config.scheme),
             alu: StageActivity::default(),
             dcache: DCacheActivity::new(config.scheme),
-            pc: PcActivity::new(config.pc_block_bits),
             latches: StageActivity::default(),
-            stats: SigStats::new(),
-            fetch_gate: GateCounter::default(),
             rf_read_gate: GateCounter::default(),
             rf_write_gate: GateCounter::default(),
             dcache_gate: GateCounter::default(),
-            pc_gate: GateCounter::default(),
+            stream: StreamActivity::new(config.pc_block_bits),
+            stats: SigStats::new(),
             fills: LineFills::default(),
             hierarchy: None,
             config,
@@ -262,42 +361,22 @@ impl TraceAnalyzer {
         cost: &InstrCost,
         access: &InstrAccess,
     ) {
+        self.stats.observe(rec);
+        self.stream.observe(rec.pc, &cost.fetch);
         self.observe_core(rec, cost);
         self.fills.observe(rec, access, self.config.scheme);
     }
 
     /// The activity core: everything the study derives from one record and
-    /// its cost vector, which is all of it but the D-cache line fills. The
-    /// hierarchy reaches only those, so one core serves a record stream
-    /// under every hierarchy; tally each hierarchy's fills in a
-    /// [`LineFills`] and report through [`TraceAnalyzer::report_with`].
-    /// The cost must come from `instr_cost(rec, ...)` under this analyzer's
-    /// scheme and recoder.
+    /// its cost vector under this analyzer's scheme. The instruction fetch
+    /// and the PC incrementer depend on no scheme ([`StreamActivity`]), and
+    /// the hierarchy reaches only the D-cache line fills, so one core per
+    /// scheme and one stream tally serve a record stream under every
+    /// hierarchy; tally each hierarchy's fills in a [`LineFills`] and
+    /// report through [`TraceAnalyzer::report_with`]. The cost must come
+    /// from `instr_cost(rec, ...)` under this analyzer's scheme and
+    /// recoder.
     pub fn observe_core(&mut self, rec: &ExecRecord, cost: &InstrCost) {
-        self.stats.observe(rec);
-
-        // ---- instruction fetch (I-cache data array + I-TLB) ----------------
-        self.fetch.observe(&cost.fetch);
-        self.fetch_gate
-            .occupy(u64::from(cost.fetch.fetch_bytes), WORD_LANES);
-
-        // ---- PC update ------------------------------------------------------
-        let updates_before = self.pc.updates();
-        let changed_blocks = self.pc.observe(rec.pc);
-        if self.pc.updates() > updates_before {
-            // Block-serial incrementer: only the blocks the carry (or a
-            // redirect) reaches power up; the rest stay gated behind it.
-            // Rounded up to whole lanes, so sub-byte blocks (pc_block_bits
-            // < 8 is a legal configuration) still record occupancy instead
-            // of silently vanishing from the leakage term.
-            let block_lanes = u64::from(self.config.pc_block_bits.div_ceil(8));
-            let blocks = u64::from(self.pc.num_blocks());
-            self.pc_gate.occupy(
-                u64::from(changed_blocks.max(1)) * block_lanes,
-                blocks * block_lanes,
-            );
-        }
-
         // ---- register-file reads -------------------------------------------
         // The significance counts were already produced by the batched
         // `instr_cost` pass for the same operand values; reuse them instead
@@ -358,15 +437,22 @@ impl TraceAnalyzer {
     /// Per-stage activity report (one Table 5/6 row for this trace).
     #[must_use]
     pub fn report(&self) -> ActivityReport {
-        self.report_with(&self.fills, &self.config.hierarchy.dl1)
+        self.report_with(&self.stream, &self.fills, &self.config.hierarchy.dl1)
     }
 
     /// The report of the core fed through
     /// [`observe_core`](TraceAnalyzer::observe_core) under one hierarchy:
-    /// `fills` are its line fills and `dl1` its D-cache geometry, which
-    /// sets the fill size and the tag width.
+    /// `stream` is the fetch and PC activity of the same records (it must
+    /// track this analyzer's PC block size), `fills` the hierarchy's line
+    /// fills and `dl1` its D-cache geometry, which sets the fill size and
+    /// the tag width.
     #[must_use]
-    pub fn report_with(&self, fills: &LineFills, dl1: &CacheConfig) -> ActivityReport {
+    pub fn report_with(
+        &self,
+        stream: &StreamActivity,
+        fills: &LineFills,
+        dl1: &CacheConfig,
+    ) -> ActivityReport {
         // A line fill regenerates extension bits for every word of the
         // line. The analyzer does not track line contents, so the accessed
         // word's value stands in for its neighbours (documented
@@ -378,12 +464,13 @@ impl TraceAnalyzer {
         let mut dcache_gate = self.dcache_gate;
         dcache_gate.occupy(fills.sig_bytes * words, WORD_LANES * words * fills.lines);
         let tag_bits = dcache.tag_bits(dl1);
+        let pc = stream.pc(self.config.pc_block_bits);
         ActivityReport {
             fetch: StageActivity::with_gating(
-                self.fetch.compressed_bits(),
-                self.fetch.baseline_bits(),
-                self.fetch_gate.gated,
-                self.fetch_gate.total,
+                stream.fetch.compressed_bits(),
+                stream.fetch.baseline_bits(),
+                stream.fetch_gate.gated,
+                stream.fetch_gate.total,
             ),
             rf_read: StageActivity::with_gating(
                 self.regfile.read_compressed_bits(),
@@ -408,16 +495,18 @@ impl TraceAnalyzer {
             // can be gated: it leaks the same on both sides.
             dcache_tag: StageActivity::with_gating(tag_bits, tag_bits, 0, tag_bits.div_ceil(8)),
             pc_increment: StageActivity::with_gating(
-                self.pc.compressed_bits(),
-                self.pc.baseline_bits(),
-                self.pc_gate.gated,
-                self.pc_gate.total,
+                pc.pc.compressed_bits(),
+                pc.pc.baseline_bits(),
+                pc.gate.gated,
+                pc.gate.total,
             ),
             latches: self.latches,
         }
     }
 
-    /// Trace-level significance statistics (Tables 1 and 3).
+    /// Trace-level significance statistics (Tables 1 and 3) of the records
+    /// fed through [`observe`](TraceAnalyzer::observe) and its variants
+    /// (not [`observe_core`](TraceAnalyzer::observe_core)).
     #[must_use]
     pub fn stats(&self) -> &SigStats {
         &self.stats
@@ -426,7 +515,7 @@ impl TraceAnalyzer {
     /// Average fetched bytes per instruction (≈ 3.17 in the paper).
     #[must_use]
     pub fn mean_fetch_bytes(&self) -> f64 {
-        self.fetch.mean_fetch_bytes()
+        self.stream.mean_fetch_bytes()
     }
 
     /// Memory-hierarchy counters accumulated while analyzing (all zero for
@@ -445,6 +534,8 @@ impl TraceAnalyzer {
 mod tests {
     use super::*;
     use crate::activity::ProcessNode;
+    use crate::cost::instr_cost_with_fetch;
+    use crate::ifetch::compress_instruction;
     use sigcomp_isa::{reg, Interpreter, ProgramBuilder};
 
     fn analyze(build: impl Fn(&mut ProgramBuilder), config: AnalyzerConfig) -> TraceAnalyzer {
@@ -597,11 +688,13 @@ mod tests {
             // The core is built for the first geometry; the others' fills
             // and tags come from `report_with`.
             let mut core = TraceAnalyzer::with_external_hierarchy(configs[0].clone());
+            let mut stream = StreamActivity::new(configs[0].pc_block_bits);
             let mut walks = geometries.map(|h| MemoryHierarchy::new(&h));
             let mut fills = [LineFills::default(); 3];
             for rec in &trace {
                 let cost = instr_cost(rec, scheme, &configs[0].recoder);
                 core.observe_core(rec, &cost);
+                stream.observe(rec.pc, &cost.fetch);
                 for ((analyzer, walk), fills) in
                     per_hierarchy.iter_mut().zip(&mut walks).zip(&mut fills)
                 {
@@ -615,13 +708,81 @@ mod tests {
             );
             for ((analyzer, fills), hierarchy) in per_hierarchy.iter().zip(&fills).zip(&geometries)
             {
-                assert_eq!(analyzer.report(), core.report_with(fills, &hierarchy.dl1));
+                assert_eq!(
+                    analyzer.report(),
+                    core.report_with(&stream, fills, &hierarchy.dl1)
+                );
             }
             // The small L1's longer tags reach the report.
             assert_ne!(
-                core.report_with(&fills[1], &geometries[0].dl1).dcache_tag,
-                core.report_with(&fills[1], &geometries[1].dl1).dcache_tag
+                core.report_with(&stream, &fills[1], &geometries[0].dl1)
+                    .dcache_tag,
+                core.report_with(&stream, &fills[1], &geometries[1].dl1)
+                    .dcache_tag
             );
+        }
+    }
+
+    #[test]
+    fn one_stream_part_plus_per_scheme_cores_report_like_one_analyzer_per_scheme() {
+        let recoder = FunctRecoder::paper_default();
+        for program in [counter_loop, strided_loop] {
+            let mut b = ProgramBuilder::new();
+            program(&mut b);
+            let trace = Interpreter::new(&b.assemble().unwrap())
+                .run(1_000_000)
+                .unwrap();
+            for hierarchy in profile_geometries() {
+                let configs: Vec<AnalyzerConfig> = ExtScheme::ALL
+                    .iter()
+                    .map(|&scheme| AnalyzerConfig {
+                        hierarchy,
+                        ..AnalyzerConfig::for_scheme(scheme)
+                    })
+                    .collect();
+                // One analyzer per scheme, each tallying fetch and PC
+                // activity itself...
+                let mut per_scheme: Vec<TraceAnalyzer> = configs
+                    .iter()
+                    .cloned()
+                    .map(TraceAnalyzer::with_external_hierarchy)
+                    .collect();
+                // ...against one stream part, shared by every scheme, and a
+                // core per scheme. The byte schemes share 8-bit PC blocks;
+                // the halfword scheme needs 16-bit ones.
+                let mut stream = StreamActivity::default();
+                for config in &configs {
+                    stream.track_pc_blocks(config.pc_block_bits);
+                }
+                assert_eq!(stream.pcs.len(), 2);
+                let mut cores: Vec<TraceAnalyzer> = configs
+                    .iter()
+                    .cloned()
+                    .map(TraceAnalyzer::with_external_hierarchy)
+                    .collect();
+                let mut fills = vec![LineFills::default(); configs.len()];
+                let mut walk = MemoryHierarchy::new(&hierarchy);
+                for rec in &trace {
+                    let access = InstrAccess::walk(&mut walk, rec);
+                    let fetch = compress_instruction(&rec.instr, &recoder);
+                    stream.observe(rec.pc, &fetch);
+                    for (i, config) in configs.iter().enumerate() {
+                        let cost = instr_cost_with_fetch(rec, config.scheme, fetch);
+                        assert_eq!(cost, instr_cost(rec, config.scheme, &recoder));
+                        per_scheme[i].observe_with_access(rec, &cost, &access);
+                        cores[i].observe_core(rec, &cost);
+                        fills[i].observe(rec, &access, config.scheme);
+                    }
+                }
+                for ((analyzer, core), fills) in per_scheme.iter().zip(&cores).zip(&fills) {
+                    assert_eq!(
+                        analyzer.report(),
+                        core.report_with(&stream, fills, &hierarchy.dl1),
+                        "{}",
+                        analyzer.config().scheme.id()
+                    );
+                }
+            }
         }
     }
 

@@ -232,8 +232,21 @@ fn alu_outcome(rec: &ExecRecord, scheme: ExtScheme) -> Option<AluOutcome> {
 /// instruction under the given extension scheme and I-cache recoding.
 #[must_use]
 pub fn instr_cost(rec: &ExecRecord, scheme: ExtScheme, recoder: &FunctRecoder) -> InstrCost {
+    instr_cost_with_fetch(rec, scheme, compress_instruction(&rec.instr, recoder))
+}
+
+/// [`instr_cost`] with the record's compressed instruction supplied by the
+/// caller. The compressed form depends only on the instruction and the
+/// recoding, not on the scheme, so a caller costing one record under
+/// several schemes compresses it once. `fetch` must be
+/// `compress_instruction(&rec.instr, recoder)`.
+#[must_use]
+pub fn instr_cost_with_fetch(
+    rec: &ExecRecord,
+    scheme: ExtScheme,
+    fetch: CompressedInstr,
+) -> InstrCost {
     let op = rec.instr.op;
-    let fetch = compress_instruction(&rec.instr, recoder);
     let result = rec.result_value();
     // One branchless four-lane batch counts every per-value significance the
     // cost vector needs; the Option structure is re-applied afterwards.

@@ -77,8 +77,8 @@ pub mod stats;
 
 pub use access::InstrAccess;
 pub use activity::{ActivityReport, EnergyModel, ProcessNode, StageActivity};
-pub use analyzer::{AnalyzerConfig, LineFills, TraceAnalyzer};
-pub use cost::{instr_cost, InstrCost, MemCost};
+pub use analyzer::{AnalyzerConfig, LineFills, StreamActivity, TraceAnalyzer};
+pub use cost::{instr_cost, instr_cost_with_fetch, InstrCost, MemCost};
 pub use ext::{CompressedWord, ExtScheme, SigPattern};
 pub use hash::{ConfigHash, StableHasher};
 pub use ifetch::FunctRecoder;

@@ -8,26 +8,36 @@
 //! one extension scheme, one memory profile and one pipeline organization.
 //! Each axis reaches only some of the per-record work:
 //!
-//! * the record stream is the same for every job of a stream;
+//! * the record stream alone fixes the compressed instruction
+//!   ([`compress_instruction`], the recoder is always the paper's) and the
+//!   activity study's fetch and PC incrementer ([`StreamActivity`], one
+//!   incrementer per distinct PC block size);
 //! * the §3 hierarchy walk ([`InstrAccess::walk`]) and the miss penalties
 //!   it adds ([`MissPenalty`]) depend only on the memory profile;
-//! * the [`instr_cost`] vector, the [`StageDemand`] built from it and the
-//!   activity core ([`TraceAnalyzer::observe_core`], Tables 5/6) depend
-//!   only on the scheme (the recoder is always the paper's);
+//! * the rest of the [`instr_cost`](sigcomp::instr_cost) vector
+//!   ([`instr_cost_with_fetch`]), the [`StageDemand`] built from it, the
+//!   count of its class ([`DemandClasses`]) and the activity core
+//!   ([`TraceAnalyzer::observe_core`], Tables 5/6) depend only on the
+//!   scheme;
 //! * the activity study's D-cache line fills ([`LineFills`]) depend on the
 //!   scheme and the memory profile;
-//! * the lane-gating budgets ([`LaneTally`]) and the stage occupancies
-//!   ([`StageOccupancy`]) depend on the scheme and the organization; the
-//!   budgets take the profile's summed miss penalties only when a job
-//!   reports;
+//! * the stage occupancies ([`StageOccupancy`], read through the
+//!   organization's [`StageRules`]) depend on the scheme and the
+//!   organization;
 //! * only the pipeline recurrence ([`PipelineSim::observe_demand`])
 //!   depends on all three.
 //!
+//! The lane-gating budgets are no per-record work: a job's timing model
+//! folds them from its scheme's class counts, and adds its profile's
+//! summed miss penalties, only when it reports
+//! ([`PipelineSim::result_with`]).
+//!
 //! The local executor's unit of work is therefore a **stream group**: the
 //! cache-missing jobs sharing a stream. Per record a group runs one source
-//! step ([`Benchmark::run_each`] or [`DecodedTrace::iter`]), one walk per
-//! memory profile, one cost vector, demand and activity core per scheme,
-//! one lane tally per `(scheme, organization)`, one line-fill check per
+//! step ([`Benchmark::run_each`] or [`DecodedTrace::iter`]), one
+//! compression and stream-activity step, one walk per memory profile, one
+//! cost vector, demand, class count and activity core per scheme, one
+//! occupancy gather per `(scheme, organization)`, one line-fill check per
 //! `(scheme, memory profile)` block, and one recurrence per job. The 32-bit
 //! baseline needs less still: it occupies every stage for one cycle, gates
 //! no lanes and resolves every branch in execute, so its timing is the same
@@ -56,15 +66,16 @@ use crate::backend::{ExecBackend, ExecError};
 use crate::cache::ResultCache;
 use crate::executor::{run_parallel, run_parallel_dealt};
 use crate::spec::{JobSpec, MemProfile, StreamKey, SweepSpec, TraceInput};
+use sigcomp::ifetch::compress_instruction;
 use sigcomp::{
-    instr_cost, ActivityReport, EnergyModel, ExtScheme, FunctRecoder, InstrAccess, LineFills,
-    StageActivity, TraceAnalyzer,
+    instr_cost_with_fetch, ActivityReport, EnergyModel, ExtScheme, FunctRecoder, InstrAccess,
+    LineFills, StageActivity, StreamActivity, TraceAnalyzer,
 };
 use sigcomp_isa::{DecodedTrace, ExecRecord, Trace};
 use sigcomp_mem::{CacheConfig, MemoryHierarchy};
 use sigcomp_pipeline::{
-    LaneTally, MissPenalty, OrgKind, Organization, PipelineSim, SimResult, Stage, StageDemand,
-    StageOccupancy,
+    DemandClasses, MissPenalty, OrgKind, Organization, PipelineSim, SimResult, Stage, StageDemand,
+    StageOccupancy, StageRules,
 };
 use sigcomp_workloads::{find, Benchmark};
 use std::cmp::Reverse;
@@ -366,12 +377,15 @@ fn replay_decoded(jobs: &[JobSpec], trace: &DecodedTrace) -> Vec<JobMetrics> {
 
 /// The model stack one stream group drives (see the [module docs](self)):
 /// a single stream of [`ExecRecord`]s — from a live interpreter or a
-/// replayed file — feeds one hierarchy walk per memory profile; one cost
-/// vector, stage demand and activity core per scheme; one lane tally per
+/// replayed file — feeds one compression and stream-activity step; one
+/// hierarchy walk per memory profile; one cost vector, stage demand, class
+/// count and activity core per scheme; one occupancy gather per
 /// `(scheme, organization)`; one line-fill tally per `(scheme, memory
 /// profile)` block; and one pipeline recurrence per job.
 struct GroupModels {
     recoder: FunctRecoder,
+    /// The fetch and PC activity every scheme's report reads.
+    stream: StreamActivity,
     mems: Vec<MemModels>,
     /// The current record's walk of each memory profile's hierarchy, and
     /// the miss penalties it adds.
@@ -398,10 +412,13 @@ struct SchemeModels {
     scheme: ExtScheme,
     /// The activity core, shared by every memory profile.
     analyzer: TraceAnalyzer,
-    /// One lane tally per organization the scheme's jobs are timed on,
+    /// How often each demand class occurs, shared by every organization
+    /// and memory profile.
+    classes: DemandClasses,
+    /// The rules of each organization the scheme's jobs are timed on,
     /// shared by every memory profile.
-    lanes: Vec<LaneTally>,
-    /// The current record's stage occupancies, one per lane tally.
+    rules: Vec<StageRules>,
+    /// The current record's stage occupancies, one per organization.
     occupancy: Vec<StageOccupancy>,
     /// One block per memory profile the scheme has jobs under.
     blocks: Vec<BlockModels>,
@@ -414,11 +431,11 @@ struct BlockModels {
     /// The profile's D-cache line fills under the scheme.
     fills: LineFills,
     /// The timing models of the block's non-baseline jobs, each with the
-    /// index of its organization's lane tally in the scheme.
+    /// index of its organization's rules in the scheme.
     sims: Vec<(usize, PipelineSim)>,
-    /// The scheme's baseline lane tally, if this block's demand drives its
+    /// The scheme's baseline rules, if this block's demand drives its
     /// profile's baseline model.
-    baseline_lanes: Option<usize>,
+    baseline_rules: Option<usize>,
 }
 
 /// Which models answer one job.
@@ -427,8 +444,6 @@ struct Answer {
     scheme: usize,
     block: usize,
     mem: usize,
-    /// The job's lane tally in its scheme.
-    lanes: usize,
     /// The job's timing model in its block, or `None` for a baseline job,
     /// which its memory profile's shared baseline model answers.
     sim: Option<usize>,
@@ -447,6 +462,7 @@ impl GroupModels {
     /// Models for `jobs`, which must share a stream.
     fn new(jobs: &[JobSpec]) -> Self {
         let recoder = jobs[0].analyzer_config().recoder;
+        let mut stream = StreamActivity::default();
         let mut mems: Vec<MemModels> = Vec::new();
         let mut schemes: Vec<SchemeModels> = Vec::new();
         let mut answers = Vec::with_capacity(jobs.len());
@@ -454,6 +470,7 @@ impl GroupModels {
             // A mixed group would cache one stream's metrics under another's id.
             assert_eq!(job.stream(), jobs[0].stream());
             let config = job.analyzer_config();
+            stream.track_pc_blocks(config.pc_block_bits);
             let mem = find_or_push(
                 &mut mems,
                 |m| m.profile == job.mem,
@@ -470,16 +487,17 @@ impl GroupModels {
                 || SchemeModels {
                     scheme: job.scheme,
                     analyzer: TraceAnalyzer::with_external_hierarchy(config.clone()),
-                    lanes: Vec::new(),
+                    classes: DemandClasses::new(),
+                    rules: Vec::new(),
                     occupancy: Vec::new(),
                     blocks: Vec::new(),
                 },
             );
             let org = job.organization();
-            let lanes = find_or_push(
-                &mut schemes[scheme].lanes,
-                |t| t.kind() == job.org,
-                || LaneTally::new(&org),
+            let rules = find_or_push(
+                &mut schemes[scheme].rules,
+                |r| r.kind() == job.org,
+                || StageRules::new(&org),
             );
             let blocks = &mut schemes[scheme].blocks;
             let block = find_or_push(
@@ -489,19 +507,19 @@ impl GroupModels {
                     mem,
                     fills: LineFills::default(),
                     sims: Vec::new(),
-                    baseline_lanes: None,
+                    baseline_rules: None,
                 },
             );
             let timing = PipelineSim::with_external_hierarchy(org.clone(), recoder.clone());
             let sim = if job.org == OrgKind::Baseline32 {
                 if mems[mem].baseline.is_none() {
                     mems[mem].baseline = Some(timing);
-                    blocks[block].baseline_lanes = Some(lanes);
+                    blocks[block].baseline_rules = Some(rules);
                 }
                 None
             } else {
                 let sims = &mut blocks[block].sims;
-                sims.push((lanes, timing));
+                sims.push((rules, timing));
                 Some(sims.len() - 1)
             };
             answers.push(Answer {
@@ -509,12 +527,12 @@ impl GroupModels {
                 scheme,
                 block,
                 mem,
-                lanes,
                 sim,
             });
         }
         GroupModels {
             recoder,
+            stream,
             accesses: Vec::with_capacity(mems.len()),
             mems,
             schemes,
@@ -524,30 +542,34 @@ impl GroupModels {
 
     fn observe(&mut self, rec: &ExecRecord) {
         // Each quantity is derived once per record at the level it depends
-        // on: the walk per memory profile, the demand, activity core and
-        // lane budgets per scheme, the line fills per block, and only the
-        // pipeline recurrence per job.
+        // on: the compressed instruction, fetch and PC activity per stream,
+        // the walk per memory profile, the demand, class count and activity
+        // core per scheme, the occupancies per (scheme, organization), the
+        // line fills per block, and only the pipeline recurrence per job.
+        let fetch = compress_instruction(&rec.instr, &self.recoder);
+        self.stream.observe(rec.pc, &fetch);
         self.accesses.clear();
         for mem in &mut self.mems {
             let access = InstrAccess::walk(&mut mem.hierarchy, rec);
             self.accesses.push((access, MissPenalty::new(&access)));
         }
         for scheme in &mut self.schemes {
-            let cost = instr_cost(rec, scheme.scheme, &self.recoder);
+            let cost = instr_cost_with_fetch(rec, scheme.scheme, fetch);
             let demand = StageDemand::new(rec, &cost);
+            scheme.classes.observe(&demand);
             scheme.analyzer.observe_core(rec, &cost);
             scheme.occupancy.clear();
-            for lanes in &mut scheme.lanes {
-                scheme.occupancy.push(lanes.observe(&demand));
+            for rules in &scheme.rules {
+                scheme.occupancy.push(rules.occupancy(&demand));
             }
             for block in &mut scheme.blocks {
                 let (access, penalty) = &self.accesses[block.mem];
-                for (lanes, sim) in &mut block.sims {
-                    sim.observe_demand(&demand, &scheme.occupancy[*lanes], penalty);
+                for (rules, sim) in &mut block.sims {
+                    sim.observe_demand(&demand, &scheme.occupancy[*rules], penalty);
                 }
-                if let Some(lanes) = block.baseline_lanes {
+                if let Some(rules) = block.baseline_rules {
                     if let Some(baseline) = &mut self.mems[block.mem].baseline {
-                        baseline.observe_demand(&demand, &scheme.occupancy[lanes], penalty);
+                        baseline.observe_demand(&demand, &scheme.occupancy[rules], penalty);
                     }
                 }
                 block.fills.observe(rec, access, scheme.scheme);
@@ -571,9 +593,11 @@ impl GroupModels {
                         .expect("a baseline job has its profile's baseline model"),
                 };
                 JobMetrics::from_models(
-                    scheme.analyzer.report_with(&block.fills, &mem.dl1),
+                    scheme
+                        .analyzer
+                        .report_with(&self.stream, &block.fills, &mem.dl1),
                     &answer.org,
-                    &timing.result_with(&scheme.lanes[answer.lanes]),
+                    &timing.result_with(&scheme.classes),
                 )
             })
             .collect()

@@ -3,25 +3,29 @@
 //! The organizations of §4–§6 differ only in their per-stage lane widths
 //! and skew: in every one of them a stage's occupancy is a ceiling of the
 //! same few significant-byte counts divided by a width, and its powered
-//! lanes are one of a few byte counts. [`StageDemand::new`] distils a
-//! record and its cost vector into all of those candidates once; an
-//! [`Organization`](crate::Organization) only names, per stage, which
-//! candidate it takes ([`OccRule`], [`LaneRule`]).
+//! lanes are one of a few byte counts. Those counts, plus two extra-cycle
+//! flags, form the record's [`DemandClass`]; [`StageDemand::new`] derives
+//! every candidate from it once, and an [`Organization`](crate::Organization)
+//! only names, per stage, which candidate it takes ([`OccRule`],
+//! [`LaneRule`]).
 //!
 //! Each per-record quantity depends on one axis of the design space:
 //!
-//! * the demand depends only on the scheme (through the cost vector);
+//! * the demand, and the count of its class in a [`DemandClasses`], depend
+//!   only on the scheme (through the cost vector);
 //! * the miss penalties ([`MissPenalty`]) depend only on the memory
 //!   hierarchy's walk;
-//! * the lane budgets ([`LaneTally`](crate::LaneTally)) and the stage
-//!   occupancies the recurrence reads
+//! * the stage occupancies the recurrence reads
 //!   ([`StageOccupancy`](crate::StageOccupancy)) depend on the demand and
-//!   the organization, so one tally per `(scheme, organization)` reads
-//!   them, and folds the summed penalties into the budgets only at the
-//!   end;
+//!   the organization: one gather per `(scheme, organization)`
+//!   ([`StageRules::occupancy`](crate::StageRules::occupancy));
 //! * only the pipeline recurrence
 //!   ([`PipelineSim::observe_demand`](crate::PipelineSim::observe_demand))
 //!   needs the demand, the penalties and the organization together.
+//!
+//! The lane budgets are no per-record work at all: each organization folds
+//! them from its scheme's class counts, and adds the summed penalties, only
+//! when it reports (see the `lanes` module).
 //!
 //! A sweep timing several organizations, schemes and hierarchies over one
 //! record stream therefore derives each quantity once per record at the
@@ -93,18 +97,109 @@ impl LaneRule {
     pub(crate) const COUNT: usize = LaneRule::Wb as usize + 1;
 }
 
-/// Bytes the execute stage must stream through for one instruction: the ALU
-/// byte slices it operates, but never fewer than the operand bytes it has to
-/// receive from the skewed register read.
-fn serial_ex_bytes(cost: &InstrCost) -> u32 {
-    u32::from(cost.alu_bytes().max(cost.max_operand_bytes()))
-}
+/// A record's demand class: the five significant-byte counts and the two
+/// extra-cycle flags every candidate stage occupancy ([`OccRule`]) and
+/// used-lane count ([`LaneRule`]) derives from, packed into one key.
+///
+/// The fields are the fetched bytes, the operand bytes read from both
+/// register ports, the execute bytes (up to 16 for a multiply or divide),
+/// the data-cache bytes and the result bytes, one byte each, then the
+/// compressed register read's and the compressed load's extra cycle. The
+/// candidate arrays are derived from the key alone ([`occupancies`],
+/// [`lanes`](DemandClass::lanes)), so two records of one class stream the
+/// same bytes through every stage of every organization, and a stream's
+/// lane budgets follow from how often each class occurs
+/// ([`DemandClasses`]).
+///
+/// [`occupancies`]: DemandClass::occupancies
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct DemandClass(u64);
 
-/// Significant bytes moved between the pipeline and the data cache (zero
-/// for an instruction without a memory access). Stores write all significant
-/// bytes plus the extension bits in one burst, like loads.
-fn mem_bytes(cost: &InstrCost) -> u32 {
-    cost.mem.map_or(0, |m| u32::from(m.sig_bytes))
+impl DemandClass {
+    const FETCH: u32 = 0;
+    const REG_READ: u32 = 8;
+    const EX: u32 = 16;
+    const MEM: u32 = 24;
+    const WB: u32 = 32;
+    /// Operands extending beyond the low halfword: the compressed register
+    /// read needs one extra cycle.
+    const REG_READ_EXTRA: u64 = 1 << 40;
+    /// A load whose value extends beyond the low halfword: the compressed
+    /// data cache needs one extra cycle.
+    const LOAD_EXTRA: u64 = 1 << 41;
+
+    /// The class of an instruction whose cost vector is `cost`.
+    #[inline]
+    pub(crate) fn new(cost: &InstrCost) -> Self {
+        // Bytes the execute stage must stream through: the ALU byte slices
+        // it operates, but never fewer than the operand bytes it has to
+        // receive from the skewed register read.
+        let ex = cost.alu_bytes().max(cost.max_operand_bytes());
+        // Stores write all significant bytes plus the extension bits in one
+        // burst, like loads; an instruction without an access moves none.
+        let mem = cost.mem.map_or(0, |m| m.sig_bytes);
+        let field = |bytes: u8, at: u32| u64::from(bytes) << at;
+        let flag = |set: bool, bit: u64| if set { bit } else { 0 };
+        DemandClass(
+            field(cost.fetch.fetch_bytes, Self::FETCH)
+                | field(cost.regfile_read_bytes(), Self::REG_READ)
+                | field(ex, Self::EX)
+                | field(mem, Self::MEM)
+                | field(cost.result_bytes.unwrap_or(0), Self::WB)
+                | flag(cost.max_operand_bytes() > 2, Self::REG_READ_EXTRA)
+                | flag(
+                    cost.mem.is_some_and(|m| !m.is_store && m.sig_bytes > 2),
+                    Self::LOAD_EXTRA,
+                ),
+        )
+    }
+
+    fn bytes(self, at: u32) -> u32 {
+        u32::from((self.0 >> at) as u8)
+    }
+
+    fn extra(self, bit: u64) -> u32 {
+        u32::from(self.0 & bit != 0)
+    }
+
+    /// Every candidate occupancy (in cycles, excluding miss penalties) of
+    /// the class, indexed by [`OccRule`].
+    #[inline]
+    pub(crate) fn occupancies(self) -> [u32; OccRule::COUNT] {
+        let ex = self.bytes(Self::EX);
+        let mem = self.bytes(Self::MEM);
+        let wb = self.bytes(Self::WB);
+        [
+            1,
+            cycles(self.bytes(Self::FETCH), 3),
+            cycles(ex, 1),
+            cycles(ex, 2),
+            cycles(mem, 1),
+            cycles(mem, 2),
+            cycles(wb, 1),
+            cycles(wb, 2),
+            1 + self.extra(Self::REG_READ_EXTRA),
+            1 + self.extra(Self::LOAD_EXTRA),
+        ]
+    }
+
+    /// Every candidate count of significant bytes the class streams through
+    /// a stage, indexed by [`LaneRule`].
+    pub(crate) fn lanes(self) -> [u32; LaneRule::COUNT] {
+        let ex = self.bytes(Self::EX);
+        let mem = self.bytes(Self::MEM);
+        [
+            self.bytes(Self::FETCH),
+            self.bytes(Self::REG_READ),
+            ex,
+            ex.min(2),
+            ex.saturating_sub(2),
+            mem,
+            mem.min(2),
+            mem.saturating_sub(2),
+            self.bytes(Self::WB),
+        ]
+    }
 }
 
 /// Cycles to stream `bytes` through a stage `width` bytes wide; a stage
@@ -113,45 +208,79 @@ fn cycles(bytes: u32, width: u32) -> u32 {
     bytes.div_ceil(width).max(1)
 }
 
-/// Every candidate occupancy (in cycles, excluding miss penalties) of one
-/// instruction, indexed by [`OccRule`].
-pub(crate) fn occupancies(cost: &InstrCost) -> [u32; OccRule::COUNT] {
-    let ex = serial_ex_bytes(cost);
-    let mem = mem_bytes(cost);
-    let wb = u32::from(cost.result_bytes.unwrap_or(0));
-    [
-        1,
-        cycles(u32::from(cost.fetch.fetch_bytes), 3),
-        cycles(ex, 1),
-        cycles(ex, 2),
-        cycles(mem, 1),
-        cycles(mem, 2),
-        cycles(wb, 1),
-        cycles(wb, 2),
-        1 + u32::from(cost.max_operand_bytes() > 2),
-        match cost.mem {
-            Some(m) if !m.is_store => 1 + u32::from(m.sig_bytes > 2),
-            _ => 1,
-        },
-    ]
+/// How often each [`DemandClass`] occurs in one scheme's record stream.
+///
+/// A stage's lane budget over a stream is a sum over its records of a
+/// function of the record's class, so counting the classes once per scheme
+/// lets every organization fold its budgets from the counts when it reports
+/// ([`StageRules`](crate::StageRules)) instead of summing them per record.
+/// A stream has few distinct classes; they live in a small open-addressed
+/// table that grows as needed.
+#[derive(Debug, Clone, Default)]
+pub struct DemandClasses {
+    /// `(class key | OCCUPIED, count)`; an empty slot is all zero. The
+    /// length is zero or a power of two.
+    slots: Vec<(u64, u64)>,
+    /// Occupied slots.
+    len: usize,
 }
 
-/// Every candidate count of significant bytes one instruction streams
-/// through a stage, indexed by [`LaneRule`].
-pub(crate) fn lanes(cost: &InstrCost) -> [u32; LaneRule::COUNT] {
-    let ex = serial_ex_bytes(cost);
-    let mem = mem_bytes(cost);
-    [
-        u32::from(cost.fetch.fetch_bytes),
-        u32::from(cost.regfile_read_bytes()),
-        ex,
-        ex.min(2),
-        ex.saturating_sub(2),
-        mem,
-        mem.min(2),
-        mem.saturating_sub(2),
-        u32::from(cost.result_bytes.unwrap_or(0)),
-    ]
+impl DemandClasses {
+    /// Marks an occupied slot; no class key reaches this bit.
+    const OCCUPIED: u64 = 1 << 63;
+
+    /// An empty count.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Counts one record's class.
+    #[inline]
+    pub fn observe(&mut self, demand: &StageDemand) {
+        self.add(demand.class, 1);
+    }
+
+    fn add(&mut self, class: DemandClass, count: u64) {
+        if 2 * self.len >= self.slots.len() {
+            self.grow();
+        }
+        let key = class.0 | Self::OCCUPIED;
+        let mask = self.slots.len() - 1;
+        let mut i = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & mask;
+        loop {
+            let slot = &mut self.slots[i];
+            if slot.0 == key {
+                slot.1 += count;
+                return;
+            }
+            if slot.0 == 0 {
+                *slot = (key, count);
+                self.len += 1;
+                return;
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    fn grow(&mut self) {
+        let capacity = (2 * self.slots.len()).max(64);
+        let old = std::mem::replace(&mut self.slots, vec![(0, 0); capacity]);
+        self.len = 0;
+        for (key, count) in old {
+            if key != 0 {
+                self.add(DemandClass(key & !Self::OCCUPIED), count);
+            }
+        }
+    }
+
+    /// Every class counted, with its count, in no particular order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (DemandClass, u64)> + '_ {
+        self.slots
+            .iter()
+            .filter(|&&(key, _)| key != 0)
+            .map(|&(key, count)| (DemandClass(key & !Self::OCCUPIED), count))
+    }
 }
 
 /// Whether an instruction is "short" for the bypass paths of the
@@ -171,21 +300,28 @@ pub(crate) const ZERO_SLOT: usize = 0;
 pub(crate) const SINK_SLOT: usize = 32;
 
 /// One retired instruction distilled into everything any organization's
-/// timing model needs from it under one scheme: the candidate stage
-/// occupancies and used-lane bytes, the register slots it reads and writes,
-/// and its control-flow flags.
+/// timing model needs from it under one scheme: its [`DemandClass`] and the
+/// candidate stage occupancies derived from it, the register slots it reads
+/// and writes, and its control-flow flags.
 ///
 /// Nothing in it depends on the memory hierarchy: the walk's miss penalties
 /// travel beside it as a [`MissPenalty`]. Build it once per record and
-/// scheme with [`StageDemand::new`] and feed it to every
-/// [`PipelineSim`](crate::PipelineSim) of the scheme, under every memory
-/// hierarchy, through [`observe_demand`](crate::PipelineSim::observe_demand),
-/// and to one [`LaneTally`](crate::LaneTally) per organization. It is a
-/// plain stack value: building one allocates nothing.
+/// scheme with [`StageDemand::new`]; count it once in the scheme's
+/// [`DemandClasses`]; read each organization's [`StageOccupancy`] from it
+/// once through that organization's [`StageRules`]; and feed it, with that
+/// occupancy, to every [`PipelineSim`](crate::PipelineSim) of the
+/// organization under every memory hierarchy through
+/// [`observe_demand`](crate::PipelineSim::observe_demand). It is a plain
+/// stack value: building one allocates nothing.
+///
+/// [`StageOccupancy`]: crate::StageOccupancy
+/// [`StageRules`]: crate::StageRules
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StageDemand {
+    /// The class every candidate is derived from.
+    pub(crate) class: DemandClass,
+    /// The class's candidate occupancies, widened for the recurrence.
     pub(crate) occupancy: [u64; OccRule::COUNT],
-    pub(crate) lanes: [u64; LaneRule::COUNT],
     /// Register-ready slots of the two sources ([`ZERO_SLOT`] if absent).
     pub(crate) src: [usize; 2],
     /// Register-ready slot of the destination ([`SINK_SLOT`] if none).
@@ -207,9 +343,10 @@ impl StageDemand {
     pub fn new(rec: &ExecRecord, cost: &InstrCost) -> Self {
         let slot = |reg: Option<Reg>| reg.map_or(ZERO_SLOT, usize::from);
         let (rs, rt) = rec.instr.src_regs();
+        let class = DemandClass::new(cost);
         StageDemand {
-            occupancy: occupancies(cost).map(u64::from),
-            lanes: lanes(cost).map(u64::from),
+            class,
+            occupancy: class.occupancies().map(u64::from),
             src: [slot(rs), slot(rt)],
             dest: rec.instr.dest_reg().map_or(SINK_SLOT, usize::from),
             is_load: rec.instr.op.is_load(),

@@ -18,23 +18,25 @@
 //! instruction that suffers them, using the hierarchy parameters of §3.
 //!
 //! The per-record work splits by the axis it depends on (see the
-//! [crate docs](crate)): a [`StageDemand`] per scheme, a
-//! [`MissPenalty`] per memory hierarchy, a [`LaneTally`] per
-//! `(scheme, organization)` (which also reads each stage's occupancy from
-//! the demand, as a [`StageOccupancy`]), and only the pipeline recurrence —
+//! [crate docs](crate)): a [`StageDemand`] per scheme, counted once in the
+//! scheme's [`DemandClasses`]; a [`MissPenalty`] per memory hierarchy; a
+//! [`StageOccupancy`] per `(scheme, organization)`, read from the demand by
+//! the organization's [`StageRules`]; and only the pipeline recurrence —
 //! [`PipelineSim::observe_demand`]: enter and busy times, stalls, register
 //! readiness and the control-flow bound — per timed configuration. A
 //! [`PipelineSim`] never re-derives the demand; at construction it caches
 //! where its result-producing and branch-resolving stages sit, so the
-//! recurrence only indexes the demand and the occupancies.
+//! recurrence only indexes the demand and the occupancies. Lane budgets
+//! are folded from the class counts when the simulator reports
+//! ([`PipelineSim::result_with`]).
 //!
 //! A simulator with a hierarchy of its own ([`PipelineSim::new`],
 //! [`PipelineSim::with_config`]) composes the same pieces per record: it
-//! walks its hierarchy, builds the demand and the penalty, tallies its own
-//! lanes and runs the recurrence.
+//! walks its hierarchy, builds the demand and the penalty, counts the
+//! demand's class, reads its occupancy and runs the recurrence.
 
-use crate::demand::{MissPenalty, StageDemand, SINK_SLOT};
-use crate::lanes::{LaneTally, StageOccupancy};
+use crate::demand::{DemandClasses, MissPenalty, StageDemand, SINK_SLOT};
+use crate::lanes::{StageOccupancy, StageRules};
 use crate::organization::{Organization, Stage};
 use crate::predictor::BimodalPredictor;
 use sigcomp::cost::{instr_cost, InstrCost};
@@ -163,8 +165,9 @@ impl fmt::Display for SimResult {
 /// synthesizer) and call [`PipelineSim::finish`] for the [`SimResult`].
 /// Callers that time several organizations, schemes or hierarchies over one
 /// record stream walk each hierarchy once, distil each record into one
-/// [`StageDemand`] per scheme, tally lanes and read occupancies in one
-/// [`LaneTally`] per `(scheme, organization)`, feed every simulator through
+/// [`StageDemand`] per scheme and count it in the scheme's
+/// [`DemandClasses`], read occupancies through one [`StageRules`] per
+/// `(scheme, organization)`, feed every simulator through
 /// [`PipelineSim::observe_demand`] and report through
 /// [`PipelineSim::result_with`].
 #[derive(Debug, Clone)]
@@ -174,9 +177,13 @@ pub struct PipelineSim {
     /// The simulator's own hierarchy; `None` when the caller walks a shared
     /// one ([`PipelineSim::with_external_hierarchy`]).
     hierarchy: Option<MemoryHierarchy>,
-    /// The lane budgets of the records fed through
+    /// The organization's stage rules: the occupancy gather of
+    /// [`observe_with_access`](PipelineSim::observe_with_access) and the
+    /// lane-budget fold of every report.
+    rules: StageRules,
+    /// The demand classes of the records fed through
     /// [`observe_with_access`](PipelineSim::observe_with_access).
-    lanes: LaneTally,
+    classes: DemandClasses,
     /// Pipeline depth, cached so the hot loop never re-asks the organization.
     depth: usize,
     /// Index of the (low-order) execute stage.
@@ -254,7 +261,8 @@ impl PipelineSim {
         PipelineSim {
             hierarchy: None,
             recoder,
-            lanes: LaneTally::new(&org),
+            rules: StageRules::new(&org),
+            classes: DemandClasses::new(),
             depth: org.depth(),
             ex_index: index(Stage::Execute),
             mem_index: index(Stage::Memory),
@@ -341,21 +349,23 @@ impl PipelineSim {
         access: &InstrAccess,
     ) {
         let demand = StageDemand::new(rec, cost);
-        let occupancy = self.lanes.observe(&demand);
+        self.classes.observe(&demand);
+        let occupancy = self.rules.occupancy(&demand);
         self.observe_demand(&demand, &occupancy, &MissPenalty::new(access));
     }
 
     /// Runs the pipeline recurrence for one retired instruction: its
     /// [`StageDemand`], built from a cost vector under this simulator's
     /// scheme and recoder; its `occupancy` of this organization's stages,
-    /// read from the demand by the organization's [`LaneTally`] for the
-    /// scheme; and `penalty`, from the walk of the hierarchy it is timed
-    /// against. One demand serves every organization of a scheme and one
-    /// occupancy every hierarchy; one penalty serves every scheme and
-    /// organization of a hierarchy.
+    /// read from the demand by the organization's [`StageRules`]; and
+    /// `penalty`, from the walk of the hierarchy it is timed against. One
+    /// demand serves every organization of a scheme and one occupancy every
+    /// hierarchy; one penalty serves every scheme and organization of a
+    /// hierarchy.
     ///
-    /// Lane budgets are not part of the recurrence: the tally keeps them,
-    /// and the simulator reports through [`PipelineSim::result_with`].
+    /// Lane budgets are not part of the recurrence: the caller counts the
+    /// demand's class in the scheme's [`DemandClasses`], and the simulator
+    /// reports through [`PipelineSim::result_with`].
     ///
     /// This is the replay hot loop: the organization's choices are stage
     /// positions cached at construction and every per-record quantity is a
@@ -471,19 +481,18 @@ impl PipelineSim {
     /// [`PipelineSim::result_with`] instead.
     #[must_use]
     pub fn finish(self) -> SimResult {
-        self.result_with(&self.lanes)
+        self.result_with(&self.classes)
     }
 
-    /// The result so far, with the lane budgets of `lanes`: the tally of
-    /// this simulator's organization over the demands fed to
+    /// The result so far, with the lane budgets folded from `classes`: the
+    /// class counts of the demands fed to
     /// [`PipelineSim::observe_demand`].
     #[must_use]
-    pub fn result_with(&self, lanes: &LaneTally) -> SimResult {
-        debug_assert_eq!(lanes.kind(), self.org.kind());
+    pub fn result_with(&self, classes: &DemandClasses) -> SimResult {
         let mut penalty = [0; 7];
         penalty[0] = self.penalty[0];
         penalty[self.mem_index] += self.penalty[1];
-        let (gated_byte_cycles, total_byte_cycles) = lanes.byte_cycles(&penalty);
+        let (gated_byte_cycles, total_byte_cycles) = self.rules.byte_cycles(classes, &penalty);
         SimResult {
             organization: self.org.name().to_owned(),
             instructions: self.instructions,

@@ -1,4 +1,4 @@
-//! Lane-gating budgets, tallied once per `(scheme, organization)`.
+//! Lane-gating budgets, folded from a scheme's demand classes.
 //!
 //! Each occupied cycle of a stage powers the stage's lane budget; the lanes
 //! an instruction's significant bytes do not need are gated off (only in
@@ -16,19 +16,22 @@
 //! * `total = lane_bytes × (Σ occupancy + Σ miss penalty)`,
 //! * `gated = total − Σ min(used lanes, lane_bytes × occupancy)`.
 //!
-//! A [`LaneTally`] sums the two hierarchy-free terms from the
-//! [`StageDemand`]s of one scheme; the timing model of each memory
-//! hierarchy sums its penalties and folds them in when it reports
-//! ([`PipelineSim::result_with`](crate::PipelineSim::result_with)). The
-//! stage occupancies the tally reads from each demand are handed on, as a
-//! [`StageOccupancy`], to the pipeline recurrence of every hierarchy, so
-//! they too are read once per `(scheme, organization)`.
+//! The occupancy and the used lanes of a stage are functions of the
+//! record's [`DemandClass`](crate::demand::DemandClass), so both hierarchy-free sums are
+//! `Σ count × occupancy` and `Σ count × min(used lanes, lane_bytes ×
+//! occupancy)` over the [`DemandClasses`] one scheme counted. A
+//! [`StageRules`] folds them for its organization when a timing model
+//! reports ([`PipelineSim::result_with`](crate::PipelineSim::result_with)),
+//! which adds that model's summed penalties; no lane budget is summed per
+//! record. Per record, the rules only read the organization's
+//! [`StageOccupancy`] from the demand, once per `(scheme, organization)`,
+//! for the pipeline recurrence of every hierarchy.
 
-use crate::demand::StageDemand;
+use crate::demand::{DemandClasses, StageDemand};
 use crate::organization::{OrgKind, Organization};
 
 /// One record's occupancy of every stage of one organization, in cycles,
-/// miss penalties excluded: what [`LaneTally::observe`] read from the
+/// miss penalties excluded: what [`StageRules::occupancy`] read from the
 /// record's [`StageDemand`], for
 /// [`PipelineSim::observe_demand`](crate::PipelineSim::observe_demand).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,94 +40,90 @@ pub struct StageOccupancy {
     pub(crate) cycles: [u64; 7],
 }
 
-/// One organization's lane-gating budgets under one scheme, summed over a
-/// record stream (see the [module docs](self)).
-///
-/// Feed it each record's [`StageDemand`] once, whatever number of memory
-/// hierarchies the organization is timed against.
+/// Which candidate occupancy and used-lane count each stage of one
+/// organization takes, and the stage's lane width (see the
+/// [module docs](self)).
 #[derive(Debug, Clone, Copy)]
-pub struct LaneTally {
+pub struct StageRules {
     kind: OrgKind,
     /// Per-stage index into [`StageDemand`]'s candidate occupancies.
     occ_rule: [usize; 7],
-    /// Per-stage index into [`StageDemand`]'s candidate used-lane bytes.
+    /// Per-stage index into a demand class's candidate used-lane bytes.
     lane_rule: [usize; 7],
     /// Per-stage powered-lane budget, cached from the organization; zero
     /// past its depth.
     lane_bytes: [u64; 7],
     /// Whether the organization can gate unused byte lanes.
     gates: bool,
-    /// Per-stage occupancy summed over the records, miss penalties excluded.
-    occupied: [u64; 7],
-    /// Per-stage powered lane-cycles summed over the records (gating
-    /// organizations only).
-    powered: [u64; 7],
 }
 
-impl LaneTally {
-    /// An empty tally for `org`.
+impl StageRules {
+    /// The rules of `org`.
     #[must_use]
     pub fn new(org: &Organization) -> Self {
         debug_assert!(
             org.depth() <= 7,
             "the fixed stage arrays hold up to 7 stages"
         );
-        let mut tally = LaneTally {
+        let mut rules = StageRules {
             kind: org.kind(),
             occ_rule: [0; 7],
             lane_rule: [0; 7],
             lane_bytes: [0; 7],
             gates: org.gates_lanes(),
-            occupied: [0; 7],
-            powered: [0; 7],
         };
         for (i, &stage) in org.stages().iter().enumerate() {
-            tally.occ_rule[i] = org.occupancy_rule(stage) as usize;
-            tally.lane_rule[i] = org.lane_rule(stage) as usize;
-            tally.lane_bytes[i] = u64::from(org.lane_bytes(stage));
+            rules.occ_rule[i] = org.occupancy_rule(stage) as usize;
+            rules.lane_rule[i] = org.lane_rule(stage) as usize;
+            rules.lane_bytes[i] = u64::from(org.lane_bytes(stage));
         }
-        tally
+        rules
     }
 
-    /// The organization this tally belongs to.
+    /// The organization these rules belong to.
     #[must_use]
     pub fn kind(&self) -> OrgKind {
         self.kind
     }
 
-    /// Tallies one record's demand and returns the stage occupancies it
-    /// read, for the organization's pipeline recurrence under every memory
-    /// hierarchy.
+    /// The stage occupancies of one record's demand, for the
+    /// organization's pipeline recurrence under every memory hierarchy.
     #[inline]
-    pub fn observe(&mut self, demand: &StageDemand) -> StageOccupancy {
-        // Straight-line over all seven slots: past the organization's depth
-        // a slot has no lanes, so it sums occupancy no budget reports and
-        // powers nothing.
-        let cycles = self.occ_rule.map(|rule| demand.occupancy[rule]);
-        for (sum, occupancy) in self.occupied.iter_mut().zip(cycles) {
-            *sum += occupancy;
-        }
-        if self.gates {
-            let stages = self.lane_rule.iter().zip(&self.lane_bytes).zip(cycles);
-            for (sum, ((&rule, &bytes), occupancy)) in self.powered.iter_mut().zip(stages) {
-                *sum += demand.lanes[rule].min(bytes * occupancy);
-            }
-        }
+    pub fn occupancy(&self, demand: &StageDemand) -> StageOccupancy {
         StageOccupancy {
             kind: self.kind,
-            cycles,
+            cycles: self.occ_rule.map(|rule| demand.occupancy[rule]),
         }
     }
 
-    /// Per-stage `(gated, total)` lane-cycles once `penalty[s]` summed miss
-    /// cycles lengthen each stage `s`.
-    pub(crate) fn byte_cycles(&self, penalty: &[u64; 7]) -> ([u64; 7], [u64; 7]) {
+    /// Per-stage `(gated, total)` lane-cycles of the records whose classes
+    /// `classes` counted, once `penalty[s]` summed miss cycles lengthen each
+    /// stage `s`.
+    pub(crate) fn byte_cycles(
+        &self,
+        classes: &DemandClasses,
+        penalty: &[u64; 7],
+    ) -> ([u64; 7], [u64; 7]) {
+        // Past the organization's depth a slot has no lanes: it sums
+        // occupancy no budget reports and powers nothing.
+        let mut occupied = *penalty;
+        let mut powered = [0; 7];
+        for (class, count) in classes.iter() {
+            let occupancy = class.occupancies();
+            let lanes = class.lanes();
+            for s in 0..7 {
+                let cycles = u64::from(occupancy[self.occ_rule[s]]);
+                occupied[s] += count * cycles;
+                let used = u64::from(lanes[self.lane_rule[s]]);
+                powered[s] += count * used.min(self.lane_bytes[s] * cycles);
+            }
+        }
         let mut gated = [0; 7];
         let mut total = [0; 7];
         for s in 0..7 {
-            total[s] = self.lane_bytes[s] * (self.occupied[s] + penalty[s]);
+            total[s] = self.lane_bytes[s] * occupied[s];
             if self.gates {
-                gated[s] = total[s] - self.powered[s];
+                gated[s] = total[s] - powered[s];
             }
         }
         (gated, total)

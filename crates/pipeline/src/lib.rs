@@ -21,19 +21,26 @@
 //!
 //! The per-record work splits by the design-space axis it depends on:
 //!
-//! * [`StageDemand`] — every candidate stage occupancy and used-lane count,
-//!   register slots and control flags — depends only on the scheme; an
-//!   organization only names which candidate each stage takes, so one
-//!   demand serves all seven organizations under every memory hierarchy;
+//! * [`StageDemand`] — the record's demand class (five significant-byte
+//!   counts and two extra-cycle flags), every candidate stage occupancy
+//!   derived from it, register slots and control flags — depends only on
+//!   the scheme; an organization only names which candidate each stage
+//!   takes, so one demand serves all seven organizations under every
+//!   memory hierarchy. One [`DemandClasses`] per scheme counts the classes;
 //! * [`MissPenalty`] — the extra fetch and memory cycles of the record's
 //!   hierarchy walk — depends only on the memory hierarchy;
-//! * [`LaneTally`] — the lane-gating budgets, and the [`StageOccupancy`]
-//!   the recurrence reads — depends on the scheme and the organization,
-//!   and takes the summed penalties only when it reports;
+//! * [`StageOccupancy`] — the stage occupancies the recurrence reads, a
+//!   gather through the organization's [`StageRules`] — depends on the
+//!   scheme and the organization;
 //! * the pipeline recurrence ([`PipelineSim::observe_demand`]) is the only
 //!   work per `(scheme, hierarchy, organization)`.
 //!
-//! A simulator with its own hierarchy composes all four per record.
+//! The lane-gating budgets are no per-record work: when a model reports
+//! ([`PipelineSim::result_with`]), its [`StageRules`] fold them from the
+//! scheme's class counts and add the model's summed miss penalties.
+//!
+//! A simulator with its own hierarchy composes the same pieces per record
+//! and counts its own classes.
 //!
 //! # Example
 //!
@@ -68,9 +75,9 @@ mod lanes;
 mod organization;
 mod predictor;
 
-pub use demand::{MissPenalty, StageDemand};
+pub use demand::{DemandClasses, MissPenalty, StageDemand};
 pub use engine::{PipelineSim, SimResult, StallBreakdown};
-pub use lanes::{LaneTally, StageOccupancy};
+pub use lanes::{StageOccupancy, StageRules};
 pub use organization::{OrgKind, Organization, Stage};
 pub use predictor::BimodalPredictor;
 

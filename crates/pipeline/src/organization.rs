@@ -6,9 +6,10 @@
 //! owns one rule per stage naming which of a record's candidate occupancies
 //! and used-lane counts (see [`crate::StageDemand`]) that stage takes;
 //! [`Organization::occupancy`] and [`Organization::stage_used_bytes`]
-//! evaluate through the same rules the timing engine indexes.
+//! evaluate through the same rules, over the same demand class, that the
+//! timing engine and the lane-budget fold index.
 
-use crate::demand::{self, LaneRule, OccRule};
+use crate::demand::{self, DemandClass, LaneRule, OccRule};
 use sigcomp::cost::InstrCost;
 use sigcomp::hash::{ConfigHash, StableHasher};
 use sigcomp::ExtScheme;
@@ -262,7 +263,7 @@ impl Organization {
     /// bytes it has to wait for.
     #[must_use]
     pub fn occupancy(&self, stage: Stage, cost: &InstrCost) -> u32 {
-        demand::occupancies(cost)[self.occupancy_rule(stage) as usize]
+        DemandClass::new(cost).occupancies()[self.occupancy_rule(stage) as usize]
     }
 
     /// Which candidate occupancy `stage` takes in this organization.
@@ -346,7 +347,7 @@ impl Organization {
     /// where [`Organization::gates_lanes`] holds).
     #[must_use]
     pub fn stage_used_bytes(&self, stage: Stage, cost: &InstrCost) -> u32 {
-        demand::lanes(cost)[self.lane_rule(stage) as usize]
+        DemandClass::new(cost).lanes()[self.lane_rule(stage) as usize]
     }
 
     /// Which candidate used-lane byte count `stage` takes: the skewed

@@ -17,18 +17,25 @@
 //!   corners real streams rarely reach;
 //! * the 32-bit baseline's `SimResult` must be the same under every scheme,
 //!   for every memory profile, which lets a sweep share one baseline model
-//!   across schemes.
+//!   across schemes;
+//! * lane budgets are folded from a scheme's demand-class counts when a
+//!   model reports, not summed per record: every cost shape's class must
+//!   round-trip to the literal occupancy and used lanes of every
+//!   organization, and over real streams the fold must equal a literal copy
+//!   of the per-record lane tally it replaced.
 
 use sigcomp::alu::AluOutcome;
 use sigcomp::ifetch::CompressedInstr;
 use sigcomp::{instr_cost, ExtScheme, FunctRecoder, InstrAccess, InstrCost, MemCost};
 use sigcomp_bench::golden::GOLDEN_WORKLOADS;
 use sigcomp_explore::MemProfile;
+use sigcomp_isa::reg::{T0, T1, T2};
 use sigcomp_isa::tracefile::collect_records;
-use sigcomp_isa::{ExecRecord, Op, TraceReader};
+use sigcomp_isa::{ExecRecord, Instruction, Op, TraceReader};
 use sigcomp_mem::MemoryHierarchy;
 use sigcomp_pipeline::{
-    BimodalPredictor, OrgKind, Organization, PipelineSim, SimResult, Stage, StallBreakdown,
+    BimodalPredictor, DemandClasses, MissPenalty, OrgKind, Organization, PipelineSim, SimResult,
+    Stage, StageDemand, StageRules, StallBreakdown,
 };
 use sigcomp_workloads::{find, suite_names, WorkloadSize};
 use std::path::PathBuf;
@@ -450,6 +457,18 @@ fn baseline_timing_is_the_same_under_every_scheme() {
 /// 1–4 bytes; ALU unused or 1–4 bytes; no memory access, or a load or store
 /// of 1–4 significant bytes; no result or 0–4 bytes.
 fn cost_grid() -> Vec<InstrCost> {
+    cost_grid_with_alu(&[None, Some(1), Some(2), Some(3), Some(4)])
+}
+
+/// The grid's shapes with the 5–16 ALU bytes only a multiply or divide
+/// reaches (`alu::muldiv` operates up to 4 × 4 byte pairs).
+fn mult_div_grid() -> Vec<InstrCost> {
+    let alu: Vec<Option<u8>> = (5..=16).map(Some).collect();
+    cost_grid_with_alu(&alu)
+}
+
+/// [`cost_grid`] with the given ALU byte counts.
+fn cost_grid_with_alu(alus: &[Option<u8>]) -> Vec<InstrCost> {
     let operand = [None, Some(1), Some(2), Some(3), Some(4)];
     let mut mems = vec![None];
     for is_store in [false, true] {
@@ -466,7 +485,7 @@ fn cost_grid() -> Vec<InstrCost> {
     for fetch_bytes in [3, 4] {
         for rs_bytes in operand {
             for rt_bytes in operand {
-                for alu in operand {
+                for &alu in alus {
                     for &mem in &mems {
                         for result_bytes in results {
                             grid.push(InstrCost {
@@ -510,6 +529,7 @@ fn rule_based_formulas_equal_the_literal_ones_on_every_cost_shape() {
     ];
     let grid = cost_grid();
     assert_eq!(grid.len(), 2 * 5 * 5 * 5 * 9 * 6);
+    let grid = [grid, mult_div_grid()].concat();
     for &kind in OrgKind::ALL {
         let org = Organization::new(kind);
         for cost in &grid {
@@ -542,13 +562,14 @@ fn rule_based_formulas_equal_the_literal_ones_on_every_cost_shape() {
 }
 
 /// A miss penalty lengthens only the fetch and the low-order memory stage.
-/// The sweep tallies lane budgets once per `(scheme, organization)` and
-/// adds the penalties per memory profile afterwards; that is exact only
+/// Lane budgets are folded from a scheme's demand classes, without the
+/// hierarchy, and each memory profile's penalties are added when a model
+/// reports; that is exact only
 /// while, on those two stages, the used lanes never exceed the lane budget
 /// of the occupancy before the penalty.
 #[test]
 fn penalized_stages_never_use_more_lanes_than_their_unpenalized_budget() {
-    let grid = cost_grid();
+    let grid = [cost_grid(), mult_div_grid()].concat();
     for &kind in OrgKind::ALL {
         let org = Organization::new(kind);
         for stage in [Stage::Fetch, Stage::Memory] {
@@ -560,5 +581,191 @@ fn penalized_stages_never_use_more_lanes_than_their_unpenalized_budget() {
                 );
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Lane budgets folded from demand classes ≡ literal per-record sums.
+
+/// A record that carries no information of its own: the grid's costs are
+/// what the tests vary.
+fn blank_record() -> ExecRecord {
+    let instr = Instruction::r3(Op::Addu, T0, T1, T2);
+    ExecRecord {
+        seq: 0,
+        pc: 0,
+        word: instr.encode(),
+        instr,
+        rs_value: None,
+        rt_value: None,
+        writeback: None,
+        mem: None,
+        branch: None,
+    }
+}
+
+/// A class counted once must report, for every stage of every
+/// organization, the literal `lane_bytes × occupancy` lane-cycles, of which
+/// the literal used lanes stay powered (in the organizations that gate).
+#[test]
+fn every_cost_shape_class_round_trips_to_the_literal_occupancy_and_used_lanes() {
+    let rec = blank_record();
+    let recoder = FunctRecoder::paper_default();
+    let sims: Vec<PipelineSim> = OrgKind::ALL
+        .iter()
+        .map(|&kind| PipelineSim::with_external_hierarchy(Organization::new(kind), recoder.clone()))
+        .collect();
+    for cost in &[cost_grid(), mult_div_grid()].concat() {
+        let mut classes = DemandClasses::new();
+        classes.observe(&StageDemand::new(&rec, cost));
+        for sim in &sims {
+            let org = sim.organization();
+            let kind = org.kind();
+            let result = sim.result_with(&classes);
+            for (s, &stage) in org.stages().iter().enumerate() {
+                let total = org.lane_bytes(stage) * occupancy(kind, stage, cost);
+                let powered = if org.gates_lanes() {
+                    stage_used_bytes(kind, stage, cost).min(total)
+                } else {
+                    total
+                };
+                assert_eq!(
+                    result.total_byte_cycles[s],
+                    u64::from(total),
+                    "total {kind:?} {stage:?} {cost:?}"
+                );
+                assert_eq!(
+                    result.gated_byte_cycles[s],
+                    u64::from(total - powered),
+                    "gated {kind:?} {stage:?} {cost:?}"
+                );
+            }
+        }
+    }
+}
+
+/// The per-record lane tally the class fold replaced, asking the literal
+/// formulas per stage and record: Σ occupancy and Σ min(used lanes,
+/// `lane_bytes × occupancy`), with the summed miss penalties added to the
+/// fetch and low memory stage when it reports.
+struct RecordLaneTally {
+    kind: OrgKind,
+    stages: Vec<Stage>,
+    lane_bytes: [u64; 7],
+    mem_index: usize,
+    gates: bool,
+    occupied: [u64; 7],
+    powered: [u64; 7],
+    penalty: [u64; 7],
+}
+
+impl RecordLaneTally {
+    fn new(org: &Organization) -> Self {
+        let mut lane_bytes = [0; 7];
+        for (s, &stage) in org.stages().iter().enumerate() {
+            lane_bytes[s] = u64::from(org.lane_bytes(stage));
+        }
+        RecordLaneTally {
+            kind: org.kind(),
+            stages: org.stages().to_vec(),
+            lane_bytes,
+            mem_index: org.stage_index(Stage::Memory).unwrap(),
+            gates: org.gates_lanes(),
+            occupied: [0; 7],
+            powered: [0; 7],
+            penalty: [0; 7],
+        }
+    }
+
+    fn observe(&mut self, cost: &InstrCost, access: &InstrAccess) {
+        for (s, &stage) in self.stages.iter().enumerate() {
+            let occupancy = u64::from(occupancy(self.kind, stage, cost));
+            self.occupied[s] += occupancy;
+            if self.gates {
+                let used = u64::from(stage_used_bytes(self.kind, stage, cost));
+                self.powered[s] += used.min(self.lane_bytes[s] * occupancy);
+            }
+        }
+        self.penalty[0] += u64::from(access.fetch.latency.saturating_sub(1));
+        if let Some(data) = access.data {
+            self.penalty[self.mem_index] += u64::from(data.latency.saturating_sub(1));
+        }
+    }
+
+    /// Per-stage `(gated, total)` lane-cycles.
+    fn byte_cycles(&self) -> ([u64; 7], [u64; 7]) {
+        let mut gated = [0; 7];
+        let mut total = [0; 7];
+        for s in 0..7 {
+            total[s] = self.lane_bytes[s] * (self.occupied[s] + self.penalty[s]);
+            if self.gates {
+                gated[s] = total[s] - self.powered[s];
+            }
+        }
+        (gated, total)
+    }
+}
+
+/// Counts `records`' classes once per scheme, times every organization
+/// from the shared demand the way a sweep group does, and asserts that the
+/// budgets each model folds at report time equal the literal per-record
+/// tally, penalties of the paper hierarchy included.
+fn assert_class_fold_matches_record_tally(name: &str, records: &[ExecRecord]) {
+    assert!(!records.is_empty(), "{name}: empty stream");
+    let recoder = FunctRecoder::paper_default();
+    for &scheme in ExtScheme::ALL {
+        let orgs: Vec<Organization> = OrgKind::ALL
+            .iter()
+            .map(|&kind| Organization::with_scheme(kind, scheme))
+            .collect();
+        let rules: Vec<StageRules> = orgs.iter().map(StageRules::new).collect();
+        let mut sims: Vec<PipelineSim> = orgs
+            .iter()
+            .map(|org| PipelineSim::with_external_hierarchy(org.clone(), recoder.clone()))
+            .collect();
+        let mut tallies: Vec<RecordLaneTally> = orgs.iter().map(RecordLaneTally::new).collect();
+        let mut classes = DemandClasses::new();
+        let mut hierarchy = MemoryHierarchy::new(&MemProfile::Paper.hierarchy());
+        for rec in records {
+            let cost = instr_cost(rec, scheme, &recoder);
+            let access = InstrAccess::walk(&mut hierarchy, rec);
+            let penalty = MissPenalty::new(&access);
+            let demand = StageDemand::new(rec, &cost);
+            classes.observe(&demand);
+            for ((rules, sim), tally) in rules.iter().zip(&mut sims).zip(&mut tallies) {
+                sim.observe_demand(&demand, &rules.occupancy(&demand), &penalty);
+                tally.observe(&cost, &access);
+            }
+        }
+        for (sim, tally) in sims.iter().zip(&tallies) {
+            let result = sim.result_with(&classes);
+            let (gated, total) = tally.byte_cycles();
+            let label = format!("{name}: {} / {}", result.organization, scheme.id());
+            assert_eq!(result.total_byte_cycles, total, "total {label}");
+            assert_eq!(result.gated_byte_cycles, gated, "gated {label}");
+        }
+    }
+}
+
+#[test]
+fn class_folded_budgets_equal_the_per_record_tally_over_every_tiny_kernel() {
+    for &name in suite_names() {
+        let benchmark = find(name, WorkloadSize::Tiny).expect("suite kernel");
+        let mut records = Vec::new();
+        benchmark
+            .run_each(|rec| records.push(*rec))
+            .expect("kernel runs");
+        assert_class_fold_matches_record_tally(name, &records);
+    }
+}
+
+#[test]
+fn class_folded_budgets_equal_the_per_record_tally_over_the_golden_corpus() {
+    for &workload in GOLDEN_WORKLOADS {
+        let path = PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data"))
+            .join(format!("{workload}.sctrace"));
+        let records = collect_records(TraceReader::open(&path).unwrap())
+            .unwrap_or_else(|e| panic!("loading {workload}: {e}"));
+        assert_class_fold_matches_record_tally(workload, records.records());
     }
 }
