@@ -18,6 +18,7 @@ use sigcomp::ExtScheme;
 use sigcomp_explore::{column_slug, simulate_trace, JobSpec, MemProfile, TraceInput, TraceSource};
 use sigcomp_isa::tracefile::{self, TraceWriter};
 use sigcomp_isa::Trace;
+use sigcomp_obs::json::{Layout, Writer};
 use sigcomp_pipeline::OrgKind;
 use sigcomp_workloads::{find, WorkloadSize};
 use std::fmt::Write as _;
@@ -89,76 +90,54 @@ pub fn golden_bytes(workload: &str, trace: &Trace) -> Result<Vec<u8>, String> {
 pub fn expected_json(name: &'static str, trace: &Trace) -> Result<String, String> {
     let digest = tracefile::payload_digest(trace).map_err(|e| format!("digesting {name}: {e}"))?;
     let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"trace\": \"{name}\",");
-    let _ = writeln!(out, "  \"records\": {},", trace.len());
-    let _ = writeln!(out, "  \"digest\": \"{digest:016x}\",");
-    let _ = writeln!(out, "  \"schemes\": {{");
-    for (si, &scheme) in ExtScheme::ALL.iter().enumerate() {
-        let _ = writeln!(out, "    \"{}\": {{", scheme.id());
-        let mut activity_json = None;
-        let mut orgs = String::new();
-        for (oi, &org) in OrgKind::ALL.iter().enumerate() {
-            let spec = JobSpec {
-                scheme,
-                org,
-                workload: name,
-                size: GOLDEN_SIZE,
-                mem: MemProfile::Paper,
-                source: TraceSource::File { digest },
-            };
-            let m = simulate_trace(&spec, trace);
-            if activity_json.is_none() {
-                // The activity study depends on the scheme, not the
-                // organization; record it once per scheme.
-                let mut a = String::new();
-                let columns = m.activity.columns();
-                for (ci, (column, stage)) in columns.iter().enumerate() {
-                    let _ = writeln!(
-                        a,
-                        "        \"{}\": {{\"compressed\": {}, \"baseline\": {}}}{}",
-                        column_slug(column),
-                        stage.compressed_bits,
-                        stage.baseline_bits,
-                        if ci + 1 < columns.len() { "," } else { "" }
-                    );
-                }
-                activity_json = Some(a);
-            }
-            let _ = writeln!(
-                orgs,
-                "        \"{}\": {{\"job_id\": \"{:016x}\", \"instructions\": {}, \
-                 \"cycles\": {}, \"branches\": {}, \"stall_structural\": {}, \
-                 \"stall_data_hazard\": {}, \"stall_control\": {}}}{}",
-                org.id(),
-                spec.job_id(),
-                m.instructions,
-                m.cycles,
-                m.branches,
-                m.stall_structural,
-                m.stall_data_hazard,
-                m.stall_control,
-                if oi + 1 < OrgKind::ALL.len() { "," } else { "" }
-            );
+    let mut w = Writer::new(&mut out);
+    w.object(Layout::Lines);
+    w.key("trace").str(name).key("records").raw(trace.len());
+    w.key("digest").raw(format_args!("\"{digest:016x}\""));
+    w.key("schemes").object(Layout::Lines);
+    for &scheme in ExtScheme::ALL {
+        let metrics: Vec<(JobSpec, _)> = OrgKind::ALL
+            .iter()
+            .map(|&org| {
+                let spec = JobSpec {
+                    scheme,
+                    org,
+                    workload: name,
+                    size: GOLDEN_SIZE,
+                    mem: MemProfile::Paper,
+                    source: TraceSource::File { digest },
+                };
+                (spec, simulate_trace(&spec, trace))
+            })
+            .collect();
+        w.key(scheme.id()).object(Layout::Lines);
+        // The activity study depends on the scheme, not the organization;
+        // record it once per scheme.
+        w.key("activity").object(Layout::Lines);
+        for (column, stage) in metrics[0].1.activity.columns() {
+            w.key(&column_slug(column)).object(Layout::Inline);
+            w.key("compressed").raw(stage.compressed_bits);
+            w.key("baseline").raw(stage.baseline_bits);
+            w.end();
         }
-        let _ = writeln!(out, "      \"activity\": {{");
-        out.push_str(&activity_json.unwrap_or_default());
-        let _ = writeln!(out, "      }},");
-        let _ = writeln!(out, "      \"orgs\": {{");
-        out.push_str(&orgs);
-        let _ = writeln!(out, "      }}");
-        let _ = writeln!(
-            out,
-            "    }}{}",
-            if si + 1 < ExtScheme::ALL.len() {
-                ","
-            } else {
-                ""
-            }
-        );
+        w.end();
+        w.key("orgs").object(Layout::Lines);
+        for (spec, m) in &metrics {
+            w.key(spec.org.id()).object(Layout::Inline);
+            w.key("job_id")
+                .raw(format_args!("\"{:016x}\"", spec.job_id()));
+            w.key("instructions").raw(m.instructions);
+            w.key("cycles").raw(m.cycles);
+            w.key("branches").raw(m.branches);
+            w.key("stall_structural").raw(m.stall_structural);
+            w.key("stall_data_hazard").raw(m.stall_data_hazard);
+            w.key("stall_control").raw(m.stall_control);
+            w.end();
+        }
+        w.end().end();
     }
-    let _ = writeln!(out, "  }}");
-    let _ = writeln!(out, "}}");
+    w.end().end();
+    out.push('\n');
     Ok(out)
 }
 

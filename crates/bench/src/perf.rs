@@ -35,10 +35,9 @@ use sigcomp_explore::{
     MemProfile, ResultCache, SweepOptions, SweepSpec, TraceInput,
 };
 use sigcomp_fabric::{HttpClient, ResponseParser};
+use sigcomp_obs::json::{Json, Layout, Writer};
 use sigcomp_pipeline::OrgKind;
-use sigcomp_serve::Json;
 use sigcomp_workloads::WorkloadSize;
-use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -160,63 +159,53 @@ impl BenchReport {
     /// Renders the `sigcomp-bench v1` JSON document.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"schema\": \"{SCHEMA}\",");
-        let _ = writeln!(
-            out,
-            "  \"label\": \"{}\",",
-            sigcomp_serve::json::escape(&self.label)
-        );
-        let _ = writeln!(out, "  \"quick\": {},", self.quick);
-        let _ = writeln!(
-            out,
-            "  \"replay\": {{\"workloads\": {}, \"instructions\": {}, \"wall_s\": {:.6}, \
-             \"instructions_per_sec\": {:.1}}},",
-            self.replay_workloads,
-            self.replay.units,
-            self.replay.wall_s,
-            self.replay.rate()
-        );
-        let _ = writeln!(
-            out,
-            "  \"sweep\": {{\"configs\": {}, \
-             \"cold\": {{\"wall_s\": {:.6}, \"configs_per_sec\": {:.1}}}, \
-             \"warm\": {{\"wall_s\": {:.6}, \"configs_per_sec\": {:.1}}}, \
-             \"warm_speedup\": {:.2}}},",
-            self.sweep_configs,
-            self.sweep_cold.wall_s,
-            self.sweep_cold.rate(),
-            self.sweep_warm.wall_s,
-            self.sweep_warm.rate(),
-            self.warm_speedup()
-        );
-        let _ = writeln!(
-            out,
-            "  \"frontier\": {{\"iterations\": {}, \"points\": {}, \"wall_s\": {:.6}, \
-             \"points_per_sec\": {:.1}}},",
-            self.frontier_iterations,
-            self.frontier.units,
-            self.frontier.wall_s,
-            self.frontier.rate()
-        );
-        let _ = writeln!(
-            out,
-            "  \"serve\": {{\"clients\": {}, \"pipeline_depth\": {}, \
-             \"reactor\": {{\"requests\": {}, \"wall_s\": {:.6}, \"req_per_sec\": {:.1}, \
-             \"p50_us\": {:.1}, \"p95_us\": {:.1}, \"p99_us\": {:.1}}}}},",
-            self.serve.clients,
-            self.serve.pipeline_depth,
-            self.serve.reactor.units,
-            self.serve.reactor.wall_s,
-            self.serve.reactor.rate(),
-            self.serve.reactor_p50_us,
-            self.serve.reactor_p95_us,
-            self.serve.reactor_p99_us,
-        );
-        let _ = writeln!(out, "  \"obs\": {}", self.obs.to_json());
-        out.push_str("}\n");
+        let mut w = Writer::new(&mut out);
+        w.object(Layout::Lines);
+        w.key("schema").str(SCHEMA).key("label").str(&self.label);
+        w.key("quick").raw(self.quick);
+        w.key("replay").object(Layout::Inline);
+        w.key("workloads").raw(self.replay_workloads);
+        w.key("instructions").raw(self.replay.units);
+        write_rate(&mut w, self.replay, "instructions_per_sec");
+        w.end();
+        w.key("sweep").object(Layout::Inline);
+        w.key("configs").raw(self.sweep_configs);
+        for (name, phase) in [("cold", self.sweep_cold), ("warm", self.sweep_warm)] {
+            w.key(name).object(Layout::Inline);
+            write_rate(&mut w, phase, "configs_per_sec");
+            w.end();
+        }
+        w.key("warm_speedup").float(self.warm_speedup(), 2);
+        w.end();
+        w.key("frontier").object(Layout::Inline);
+        w.key("iterations").raw(self.frontier_iterations);
+        w.key("points").raw(self.frontier.units);
+        write_rate(&mut w, self.frontier, "points_per_sec");
+        w.end();
+        let serve = &self.serve;
+        w.key("serve").object(Layout::Inline);
+        w.key("clients").raw(serve.clients);
+        w.key("pipeline_depth").raw(serve.pipeline_depth);
+        w.key("reactor").object(Layout::Inline);
+        w.key("requests").raw(serve.reactor.units);
+        write_rate(&mut w, serve.reactor, "req_per_sec");
+        w.key("p50_us").float(serve.reactor_p50_us, 1);
+        w.key("p95_us").float(serve.reactor_p95_us, 1);
+        w.key("p99_us").float(serve.reactor_p99_us, 1);
+        w.end().end();
+        // The snapshot document keeps its own indentation and its trailing
+        // newline, which leaves a blank line before the closing brace.
+        w.key("obs").raw(self.obs.to_json());
+        w.end();
+        out.push('\n');
         out
     }
+}
+
+/// Writes a phase's `wall_s` and its rate under `rate_key`.
+fn write_rate(w: &mut Writer<'_>, phase: Phase, rate_key: &str) {
+    w.key("wall_s").float(phase.wall_s, 6);
+    w.key(rate_key).float(phase.rate(), 1);
 }
 
 /// Runs every phase and assembles the report.
@@ -604,24 +593,23 @@ pub const TRAJECTORY_SCHEMA: &str = "sigcomp-bench-trajectory v1";
 /// line-by-line.
 #[must_use]
 pub fn trajectory_row(report: &BenchReport, commit: &str) -> String {
-    format!(
-        "{{\"label\": \"{}\", \"commit\": \"{}\", \"quick\": {}, \
-         \"replay_instructions_per_sec\": {:.1}, \
-         \"sweep_cold_configs_per_sec\": {:.1}, \
-         \"sweep_warm_configs_per_sec\": {:.1}, \
-         \"frontier_points_per_sec\": {:.1}, \
-         \"serve_reactor_req_per_sec\": {:.1}, \
-         \"serve_reactor_p99_us\": {:.1}}}",
-        sigcomp_serve::json::escape(&report.label),
-        sigcomp_serve::json::escape(commit),
-        report.quick,
-        report.replay.rate(),
-        report.sweep_cold.rate(),
-        report.sweep_warm.rate(),
-        report.frontier.rate(),
-        report.serve.reactor.rate(),
-        report.serve.reactor_p99_us
-    )
+    let mut out = String::new();
+    let mut w = Writer::new(&mut out);
+    w.object(Layout::Inline);
+    w.key("label").str(&report.label).key("commit").str(commit);
+    w.key("quick").raw(report.quick);
+    for (key, value) in [
+        ("replay_instructions_per_sec", report.replay.rate()),
+        ("sweep_cold_configs_per_sec", report.sweep_cold.rate()),
+        ("sweep_warm_configs_per_sec", report.sweep_warm.rate()),
+        ("frontier_points_per_sec", report.frontier.rate()),
+        ("serve_reactor_req_per_sec", report.serve.reactor.rate()),
+        ("serve_reactor_p99_us", report.serve.reactor_p99_us),
+    ] {
+        w.key(key).float(value, 1);
+    }
+    w.end();
+    out
 }
 
 /// Appends one [`trajectory_row`] to the rolling trajectory document,
@@ -673,14 +661,15 @@ pub fn append_trajectory(path: &std::path::Path, row: &str) -> Result<usize, Str
     rows.push(row.to_owned());
 
     let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"schema\": \"{TRAJECTORY_SCHEMA}\",");
-    out.push_str("  \"rows\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        let _ = writeln!(out, "    {row}{comma}");
+    let mut w = Writer::new(&mut out);
+    w.object(Layout::Lines);
+    w.key("schema").str(TRAJECTORY_SCHEMA);
+    w.key("rows").array(Layout::Lines);
+    for row in &rows {
+        w.raw(row);
     }
-    out.push_str("  ]\n}\n");
+    w.end().end();
+    out.push('\n');
     Json::parse(&out).map_err(|e| format!("trajectory row is not valid JSON: {e}"))?;
     std::fs::write(path, &out).map_err(|e| format!("trajectory {}: {e}", path.display()))?;
     Ok(rows.len())

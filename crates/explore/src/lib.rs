@@ -72,7 +72,9 @@ pub use proto::{
     FLEET_HEADER,
 };
 pub use prune::{static_prune, PruneOutcome, PruneReason, PrunedJob};
-pub use report::{config_points, frontier_table, pareto_frontier, to_csv, to_json, ConfigPoint};
+pub use report::{
+    config_points, frontier_table, pareto_frontier, to_csv, to_json, write_job_fields, ConfigPoint,
+};
 pub use spec::{
     JobSpec, MemProfile, StreamKey, SweepSpec, TraceInput, TraceSource, SWEEP_FORMAT_VERSION,
 };

@@ -10,6 +10,7 @@
 use crate::spec::MemProfile;
 use crate::sweep::JobOutcome;
 use sigcomp::{ActivityReport, EnergyModel, ExtScheme};
+use sigcomp_obs::json::{Layout, Writer};
 use sigcomp_pipeline::OrgKind;
 use sigcomp_workloads::WorkloadSize;
 use std::fmt::Write as _;
@@ -277,38 +278,6 @@ fn csv_field(s: &str) -> String {
     }
 }
 
-/// Formats a CPI figure for the JSON export: fixed six decimals, except
-/// that the infinite CPI of a zero-instruction job becomes `null` — `inf`
-/// is not a JSON number. (The CSV export prints `inf` literally; either
-/// way a consumer sorting by CPI no longer sees the empty job as fastest.)
-fn json_cpi(cpi: f64) -> String {
-    if cpi.is_finite() {
-        format!("{cpi:.6}")
-    } else {
-        "null".to_owned()
-    }
-}
-
-/// Escapes `s` for embedding inside a JSON string literal (quotes not
-/// included). Clean identifiers pass through byte-identically.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Serializes per-job outcomes as CSV (header + one row per job), in job
 /// order. Numeric formatting is fixed, so equal outcomes give byte-equal
 /// files. Workload display names come from user-controlled trace file stems
@@ -363,57 +332,64 @@ pub fn to_csv(outcomes: &[JobOutcome], model: &EnergyModel) -> String {
     out
 }
 
-/// Serializes per-job outcomes as a JSON array, in job order. Hand-rolled
-/// (the workspace carries no serialization dependency); workload display
-/// names come from user-controlled trace file stems and are escaped, every
-/// other emitted value is a number or a `[a-z0-9/_-]` string. A model with
-/// leakage weights appends `total_energy_saving` and `leakage_saving`
-/// fields; a dynamic-only model reproduces the paper-era format bit for
-/// bit.
+/// Serializes per-job outcomes as a JSON array, in job order, one job per
+/// line. Workload display names come from user-controlled trace file stems
+/// and are escaped; every other emitted value is a number or a
+/// `[a-z0-9/_-]` string. The infinite CPI of a zero-instruction job is
+/// `null` (the CSV export prints `inf`; either way a consumer sorting by
+/// CPI no longer sees the empty job as fastest). A model with leakage
+/// weights appends `total_energy_saving` and `leakage_saving` fields; a
+/// dynamic-only model reproduces the paper-era format bit for bit.
 #[must_use]
 pub fn to_json(outcomes: &[JobOutcome], model: &EnergyModel) -> String {
-    let leaky = model.has_leakage();
-    let mut out = String::from("[\n");
-    for (i, o) in outcomes.iter().enumerate() {
-        let m = &o.metrics;
-        let _ = write!(
-            out,
-            "  {{\"job_id\": \"{:016x}\", \"workload\": \"{}\", \"size\": \"{}\", \
-             \"scheme\": \"{}\", \"org\": \"{}\", \"mem\": \"{}\", \"source\": \"{}\", \
-             \"from_cache\": {}, \
-             \"instructions\": {}, \"cycles\": {}, \"branches\": {}, \
-             \"stall_structural\": {}, \"stall_data_hazard\": {}, \"stall_control\": {}, \
-             \"cpi\": {}, \"energy_saving\": {:.6}",
-            o.spec.job_id(),
-            json_escape(o.spec.workload),
-            o.spec.size_label(),
-            o.spec.scheme.id(),
-            o.spec.org.id(),
-            o.spec.mem.id(),
-            o.spec.source_id(),
-            o.from_cache,
-            m.instructions,
-            m.cycles,
-            m.branches,
-            m.stall_structural,
-            m.stall_data_hazard,
-            m.stall_control,
-            json_cpi(o.cpi()),
-            o.dynamic_energy_saving(model),
-        );
-        if leaky {
-            let _ = write!(
-                out,
-                ", \"total_energy_saving\": {:.6}, \"leakage_saving\": {:.6}",
-                o.energy_saving(model),
-                o.leakage_saving(model)
-            );
-        }
-        out.push('}');
-        out.push_str(if i + 1 < outcomes.len() { ",\n" } else { "\n" });
+    let mut out = String::new();
+    let mut w = Writer::new(&mut out);
+    w.array(Layout::Lines);
+    for o in outcomes {
+        w.object(Layout::Inline);
+        write_job_fields(&mut w, o, model, ("source", o.spec.source_id()));
+        w.end();
     }
-    out.push_str("]\n");
+    w.end();
+    out.push('\n');
     out
+}
+
+/// Writes one job's identity, counters and derived figures as members of
+/// the open object: the fields `repro sweep --json` rows and `/simulate`
+/// responses share. `tag` is the one member that differs between them,
+/// placed after `mem`: `source` in the export, `energy_model` in
+/// `/simulate`.
+pub fn write_job_fields(
+    w: &mut Writer<'_>,
+    o: &JobOutcome,
+    model: &EnergyModel,
+    tag: (&str, &str),
+) {
+    let m = &o.metrics;
+    w.key("job_id")
+        .raw(format_args!("\"{:016x}\"", o.spec.job_id()));
+    w.key("workload").str(o.spec.workload);
+    w.key("size").str(o.spec.size_label());
+    w.key("scheme").str(o.spec.scheme.id());
+    w.key("org").str(o.spec.org.id());
+    w.key("mem").str(o.spec.mem.id());
+    w.key(tag.0).str(tag.1);
+    w.key("from_cache").raw(o.from_cache);
+    w.key("instructions").raw(m.instructions);
+    w.key("cycles").raw(m.cycles);
+    w.key("branches").raw(m.branches);
+    w.key("stall_structural").raw(m.stall_structural);
+    w.key("stall_data_hazard").raw(m.stall_data_hazard);
+    w.key("stall_control").raw(m.stall_control);
+    w.key("cpi").float(o.cpi(), 6);
+    w.key("energy_saving")
+        .float(o.dynamic_energy_saving(model), 6);
+    if model.has_leakage() {
+        w.key("total_energy_saving")
+            .float(o.energy_saving(model), 6);
+        w.key("leakage_saving").float(o.leakage_saving(model), 6);
+    }
 }
 
 #[cfg(test)]

@@ -8,9 +8,9 @@
 //! there is no reaper thread to race against and a worker that went silent
 //! simply stops being picked.
 
+use sigcomp_obs::json::{Layout, Writer};
 use sigcomp_obs::Snapshot;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -221,36 +221,27 @@ impl WorkerPool {
     pub fn to_json(&self, ttl: Duration) -> String {
         let rows = self.status(ttl);
         let live = rows.iter().filter(|r| r.live).count();
-        let mut out = String::from("{\n  \"workers\": [");
-        for (i, r) in rows.iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            let _ = write!(
-                out,
-                "{sep}\n    {{\"addr\": \"{}\", \"capacity\": {}, \"live\": {}, \
-                 \"age_ms\": {}, \"heartbeats\": {}, \"dispatches\": {}, \
-                 \"retries\": {}, \"failures\": {}}}",
-                r.addr,
-                r.capacity,
-                r.live,
-                r.age_ms,
-                r.heartbeats,
-                r.dispatches,
-                r.retries,
-                r.failures
-            );
+        let mut out = String::new();
+        let mut w = Writer::new(&mut out);
+        w.object(Layout::Lines);
+        w.key("workers").array(Layout::Lines);
+        for r in &rows {
+            w.object(Layout::Inline);
+            w.key("addr").str(&r.addr).key("capacity").raw(r.capacity);
+            w.key("live").raw(r.live).key("age_ms").raw(r.age_ms);
+            w.key("heartbeats").raw(r.heartbeats);
+            w.key("dispatches").raw(r.dispatches);
+            w.key("retries").raw(r.retries);
+            w.key("failures").raw(r.failures);
+            w.end();
         }
-        if !rows.is_empty() {
-            out.push_str("\n  ");
-        }
-        let _ = write!(
-            out,
-            "],\n  \"known\": {},\n  \"live\": {live},\n  \"merged_obs\": ",
-            rows.len()
-        );
-        // Indent the snapshot document under the "merged_obs" key.
+        w.end();
+        w.key("known").raw(rows.len()).key("live").raw(live);
+        // The snapshot document keeps its own indentation under the key.
         let obs = self.merged_obs().to_json();
-        out.push_str(obs.trim_end());
-        out.push_str("\n}\n");
+        w.key("merged_obs").raw(obs.trim_end());
+        w.end();
+        out.push('\n');
         out
     }
 }

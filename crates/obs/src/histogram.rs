@@ -8,7 +8,7 @@
 //! loops. Snapshots carry the bounds with them so shard snapshots can be
 //! merged and re-quantiled without access to the live histogram.
 
-use std::fmt::Write as _;
+use crate::json::{Layout, Writer};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -258,27 +258,20 @@ impl HistogramSnapshot {
         bucket_label(&self.bounds, i)
     }
 
-    /// Renders the snapshot as a JSON object with count, sum, min/max,
+    /// Writes the snapshot as one inline JSON object: count, sum, min/max,
     /// p50/p95/p99, and one field per labelled bucket.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        let _ = write!(
-            out,
-            "\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}",
-            self.count,
-            self.sum,
-            if self.count == 0 { 0 } else { self.min },
-            self.max
-        );
+    pub fn write_json(&self, w: &mut Writer<'_>) {
+        w.object(Layout::Inline);
+        w.key("count").raw(self.count).key("sum").raw(self.sum);
+        let min = if self.count == 0 { 0 } else { self.min };
+        w.key("min").raw(min).key("max").raw(self.max);
         for (q, label) in [(0.50, "p50"), (0.95, "p95"), (0.99, "p99")] {
-            let _ = write!(out, ", \"{label}\": {:.1}", self.quantile(q));
+            w.key(label).float(self.quantile(q), 1);
         }
         for (i, n) in self.buckets.iter().enumerate() {
-            let _ = write!(out, ", \"{}\": {n}", self.bucket_label(i));
+            w.key(&self.bucket_label(i)).raw(n);
         }
-        out.push('}');
-        out
+        w.end();
     }
 }
 

@@ -1,14 +1,11 @@
-//! A minimal JSON parser and string escaper.
-//!
-//! The workspace carries no serialization dependency, so request bodies are
-//! decoded by this hand-rolled recursive-descent parser (the encode side
-//! stays hand-formatted, mirroring `sigcomp_explore::report::to_json`).
-//! The parser accepts the full JSON grammar — nested values up to
-//! [`MAX_DEPTH`], `\uXXXX` escapes including surrogate pairs — and reports
-//! errors with a byte offset so 400 responses can say where a body went
-//! wrong.
+//! The workspace's one JSON codec: a hand-rolled recursive-descent parser
+//! ([`Json::parse`]; the full grammar, nesting up to [`MAX_DEPTH`], `\uXXXX`
+//! escapes including surrogate pairs, errors with a byte offset so 400
+//! responses can say where a body went wrong), the one string escaper
+//! ([`escape_into`]), and the [`Writer`] every emitted document goes
+//! through.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Maximum nesting depth accepted by [`Json::parse`]; deeper documents are
 /// rejected rather than risking a recursion overflow on hostile input.
@@ -194,11 +191,16 @@ impl Json {
     }
 }
 
-/// Escapes `s` for embedding inside a JSON string literal (quotes not
-/// included): `"`, `\` and control characters become escape sequences.
-#[must_use]
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
+/// Appends `s` to `out` escaped for a JSON string literal (quotes not
+/// included): quote, backslash, newline, carriage return and tab get their
+/// short escapes, the other C0 controls `\u00XX`; everything else passes
+/// through unchanged.
+pub fn escape_into(out: &mut String, s: &str) {
+    // Keys and most values need no escape: copy them whole.
+    if !s.bytes().any(|b| b < 0x20 || b == b'"' || b == b'\\') {
+        out.push_str(s);
+        return;
+    }
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -207,12 +209,170 @@ pub fn escape(s: &str) -> String {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
     }
-    out
+}
+
+/// How a [`Writer`] container places its members.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Layout {
+    /// All members on one line, separated by `, `: `{"a": 1, "b": 2}`.
+    Inline,
+    /// One member per line, indented two spaces per enclosing `Lines`
+    /// container, the closing bracket on its own line. An empty container
+    /// stays `{}` / `[]`.
+    Lines,
+}
+
+/// Appends one JSON value to a caller's `String`, placing every separator.
+/// [`key`](Writer::key) names the next value inside an object; containers
+/// close with [`end`](Writer::end).
+///
+/// ```
+/// use sigcomp_obs::json::{Layout, Writer};
+///
+/// let mut out = String::new();
+/// let mut w = Writer::new(&mut out);
+/// w.object(Layout::Lines);
+/// w.key("name").str("a\"b");
+/// w.key("sizes").array(Layout::Inline).raw(1).raw(2).end();
+/// w.key("cpi").float(f64::INFINITY, 6);
+/// w.end();
+/// assert_eq!(out, "{\n  \"name\": \"a\\\"b\",\n  \"sizes\": [1, 2],\n  \"cpi\": null\n}");
+/// ```
+pub struct Writer<'a> {
+    out: &'a mut String,
+    /// Closing bracket and layout of each open container, outermost first;
+    /// writers nest no deeper than [`Json::parse`] reads.
+    open: [(char, Layout); MAX_DEPTH],
+    depth: usize,
+    /// The innermost open container has no member yet.
+    empty: bool,
+    /// A key was just written: the next value is its value, not a member.
+    keyed: bool,
+}
+
+impl<'a> Writer<'a> {
+    /// A writer appending to `out`.
+    pub fn new(out: &'a mut String) -> Self {
+        Writer {
+            out,
+            open: [('}', Layout::Inline); MAX_DEPTH],
+            depth: 0,
+            empty: true,
+            keyed: false,
+        }
+    }
+
+    /// Starts an object member: separator, then `"key": ` with `key`
+    /// escaped. The next value written is the member's value.
+    pub fn key(&mut self, key: &str) -> &mut Self {
+        self.separator();
+        self.out.push('"');
+        escape_into(self.out, key);
+        self.out.push_str("\": ");
+        self.keyed = true;
+        self
+    }
+
+    /// Writes a string value, escaped and quoted.
+    pub fn str(&mut self, value: &str) -> &mut Self {
+        self.value();
+        self.out.push('"');
+        escape_into(self.out, value);
+        self.out.push('"');
+        self
+    }
+
+    /// Writes a value verbatim: a number, a boolean, `null`, or an already
+    /// rendered JSON document.
+    pub fn raw(&mut self, value: impl fmt::Display) -> &mut Self {
+        self.value();
+        let _ = write!(self.out, "{value}");
+        self
+    }
+
+    /// Writes `value` with `decimals` fixed decimals, or `null` when it is
+    /// not finite (`inf` and `NaN` are not JSON numbers).
+    pub fn float(&mut self, value: f64, decimals: usize) -> &mut Self {
+        self.value();
+        if value.is_finite() {
+            let _ = write!(self.out, "{value:.decimals$}");
+        } else {
+            self.out.push_str("null");
+        }
+        self
+    }
+
+    /// Opens an object as the next value.
+    pub fn object(&mut self, layout: Layout) -> &mut Self {
+        self.open_container('{', '}', layout)
+    }
+
+    /// Opens an array as the next value.
+    pub fn array(&mut self, layout: Layout) -> &mut Self {
+        self.open_container('[', ']', layout)
+    }
+
+    /// Closes the innermost open container.
+    pub fn end(&mut self) -> &mut Self {
+        self.depth = self.depth.checked_sub(1).expect("no open container");
+        let (close, layout) = self.open[self.depth];
+        if layout == Layout::Lines && !self.empty {
+            self.newline();
+        }
+        self.out.push(close);
+        self.empty = false;
+        self
+    }
+
+    fn open_container(&mut self, open: char, close: char, layout: Layout) -> &mut Self {
+        self.value();
+        self.open[self.depth] = (close, layout);
+        self.depth += 1;
+        self.out.push(open);
+        self.empty = true;
+        self
+    }
+
+    /// Before a value: a keyed value follows its key directly; anything
+    /// else is a new member of the innermost container.
+    fn value(&mut self) {
+        if self.keyed {
+            self.keyed = false;
+        } else {
+            self.separator();
+        }
+    }
+
+    /// The separator before a member of the innermost open container.
+    fn separator(&mut self) {
+        let Some(&(_, layout)) = self.open[..self.depth].last() else {
+            return;
+        };
+        if !self.empty {
+            self.out.push(',');
+        }
+        if layout == Layout::Lines {
+            self.newline();
+        } else if !self.empty {
+            self.out.push(' ');
+        }
+        self.empty = false;
+    }
+
+    /// A line break indented two spaces per open `Lines` container.
+    fn newline(&mut self) {
+        self.out.push('\n');
+        for &(_, layout) in &self.open[..self.depth] {
+            if layout == Layout::Lines {
+                self.out.push_str("  ");
+            }
+        }
+    }
 }
 
 struct Parser<'a> {
@@ -541,10 +701,98 @@ mod tests {
         assert!(NumError::TooLarge.to_string().contains("2^53"));
     }
 
+    /// A fixed hostile string, then random strings over every C0 control,
+    /// quote, backslash, DEL and multi-byte and astral characters, written
+    /// as keys and as values through the writer in both layouts, parse back
+    /// unchanged.
     #[test]
     fn escape_round_trips_through_parse() {
         let nasty = "a\"b\\c\nd\te\u{0001}é😀";
-        let parsed = Json::parse(&format!("\"{}\"", escape(nasty))).unwrap();
-        assert_eq!(parsed, Json::Str(nasty.to_owned()));
+        let mut text = String::new();
+        Writer::new(&mut text).str(nasty);
+        assert_eq!(text, "\"a\\\"b\\\\c\\nd\\te\\u0001é😀\"");
+        assert_eq!(Json::parse(&text).unwrap(), Json::Str(nasty.to_owned()));
+
+        let alphabet: Vec<char> = (0u32..0x20)
+            .filter_map(char::from_u32)
+            .chain([
+                '"',
+                '\\',
+                '/',
+                '\u{7f}',
+                'a',
+                ' ',
+                'é',
+                '€',
+                '\u{2028}',
+                '😀',
+                '\u{10ffff}',
+            ])
+            .collect();
+        // xorshift64: obs has no dependencies, so no shared RNG.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut random = || -> String {
+            let mut next = || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state
+            };
+            let len = (next() % 12) as usize;
+            (0..len)
+                .map(|_| alphabet[(next() % alphabet.len() as u64) as usize])
+                .collect()
+        };
+        for case in 0..500 {
+            let (key, value) = (random(), random());
+            let layout = if case % 2 == 0 {
+                Layout::Inline
+            } else {
+                Layout::Lines
+            };
+            let mut out = String::new();
+            let mut w = Writer::new(&mut out);
+            w.object(layout);
+            w.key(&key).str(&value);
+            w.key("items").array(layout).str(&value).str(&key).end();
+            w.end();
+            let doc = Json::parse(&out).unwrap_or_else(|e| panic!("{e}: {out:?}"));
+            assert_eq!(doc.keys(), vec![key.as_str(), "items"], "{out:?}");
+            assert_eq!(doc.get(&key), Some(&Json::Str(value.clone())), "{out:?}");
+            assert_eq!(
+                doc.get("items").and_then(Json::str_items),
+                Some(vec![value.as_str(), key.as_str()])
+            );
+        }
+    }
+
+    #[test]
+    fn writer_places_separators_for_both_layouts() {
+        let mut out = String::new();
+        let mut w = Writer::new(&mut out);
+        w.object(Layout::Lines);
+        w.key("inline").object(Layout::Inline);
+        w.key("a").raw(1).key("b").raw(true).end();
+        w.key("empty").object(Layout::Lines).end();
+        w.key("rows").array(Layout::Lines);
+        w.object(Layout::Inline).key("x").float(0.5, 1).end();
+        w.array(Layout::Inline).end();
+        w.end();
+        w.end();
+        assert_eq!(
+            out,
+            "{\n  \"inline\": {\"a\": 1, \"b\": true},\n  \"empty\": {},\n  \"rows\": [\n    \
+             {\"x\": 0.5},\n    []\n  ]\n}"
+        );
+        // An inline container's Lines child indents by Lines ancestors only.
+        let mut out = String::new();
+        let mut w = Writer::new(&mut out);
+        w.object(Layout::Inline).key("n").raw(2);
+        w.key("rows").array(Layout::Lines).raw(1).raw(2).end();
+        w.end();
+        assert_eq!(out, "{\"n\": 2, \"rows\": [\n  1,\n  2\n]}");
+        let mut out = String::new();
+        Writer::new(&mut out).float(f64::NAN, 6);
+        assert_eq!(out, "null");
     }
 }

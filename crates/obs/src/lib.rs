@@ -1,6 +1,6 @@
 //! `sigcomp-obs`: the workspace's dependency-free observability substrate.
 //!
-//! Three pieces, all `std`-only:
+//! Four pieces, all `std`-only:
 //!
 //! - a [`Registry`] of named [`Counter`]s, [`Gauge`]s, and fixed-bucket
 //!   [`Histogram`]s with p50/p95/p99 estimation, and [`Snapshot`]s whose
@@ -11,7 +11,10 @@
 //!   (`--obs-log FILE` in the CLI);
 //! - a line-oriented wire form ([`Snapshot::to_wire`]) so `repro worker`
 //!   subprocesses can ship their metrics over the existing verified stdout
-//!   protocol.
+//!   protocol;
+//! - [`json`], the workspace's one JSON codec: the parser every request
+//!   body and report check goes through, the single string escaper, and
+//!   the writer behind every JSON document the workspace emits.
 //!
 //! Hot paths fetch handles once and record lock-free; registry lookups take
 //! a short mutex. Tests should build their own [`Registry`] rather than
@@ -22,6 +25,7 @@
 #![forbid(unsafe_code)]
 
 mod histogram;
+pub mod json;
 mod registry;
 mod snapshot;
 mod span;

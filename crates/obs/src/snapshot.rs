@@ -4,6 +4,7 @@
 //! order with identical results.
 
 use crate::histogram::HistogramSnapshot;
+use crate::json::{Layout, Writer};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -238,25 +239,22 @@ impl Snapshot {
     /// `{"counters": {...}, "gauges": {...}, "histograms": {name: {...}}}`.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"counters\": {");
-        for (i, (name, value)) in self.counters.iter().enumerate() {
-            let sep = if i == 0 { "" } else { ", " };
-            let _ = write!(out, "{sep}\"{name}\": {value}");
+        let mut out = String::new();
+        let mut w = Writer::new(&mut out);
+        w.object(Layout::Lines);
+        for (section, values) in [("counters", &self.counters), ("gauges", &self.gauges)] {
+            w.key(section).object(Layout::Inline);
+            for (name, value) in values {
+                w.key(name).raw(value);
+            }
+            w.end();
         }
-        out.push_str("},\n  \"gauges\": {");
-        for (i, (name, value)) in self.gauges.iter().enumerate() {
-            let sep = if i == 0 { "" } else { ", " };
-            let _ = write!(out, "{sep}\"{name}\": {value}");
+        w.key("histograms").object(Layout::Lines);
+        for (name, hist) in &self.histograms {
+            hist.write_json(w.key(name));
         }
-        out.push_str("},\n  \"histograms\": {");
-        for (i, (name, hist)) in self.histograms.iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            let _ = write!(out, "{sep}\n    \"{name}\": {}", hist.to_json());
-        }
-        if !self.histograms.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("}\n}\n");
+        w.end().end();
+        out.push('\n');
         out
     }
 }

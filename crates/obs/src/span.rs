@@ -4,8 +4,8 @@
 //! attached.
 
 use crate::histogram::Histogram;
+use crate::json::{Layout, Writer};
 use crate::registry::{Registry, SinkState};
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -59,37 +59,17 @@ impl Drop for Span {
             let ts = u64::try_from(self.start.duration_since(self.epoch).as_micros())
                 .unwrap_or(u64::MAX);
             let mut line = String::new();
-            let _ = write!(
-                line,
-                "{{\"span\": \"{}\", \"ts_us\": {ts}, \"dur_us\": {us}",
-                escape(&self.name)
-            );
+            let mut w = Writer::new(&mut line);
+            w.object(Layout::Inline);
+            w.key("span").str(&self.name);
+            w.key("ts_us").raw(ts).key("dur_us").raw(us);
             for (key, value) in &self.fields {
-                let _ = write!(line, ", \"{}\": \"{}\"", escape(key), escape(value));
+                w.key(key).str(value);
             }
-            line.push('}');
+            w.end();
             Registry::log_line(&self.sink, &line);
         }
     }
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Starts an RAII span on the [`global()`](crate::global) registry.

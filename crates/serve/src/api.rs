@@ -14,15 +14,14 @@
 //! pure string work — no I/O, no locks, no unbounded recursion.
 
 use crate::batch::BatchedResult;
-use crate::json::{escape, Json};
 use sigcomp::{ExtScheme, ProcessNode};
 use sigcomp_explore::{
-    column_slug, config_points, pareto_frontier, to_json, JobOutcome, JobSpec, MemProfile,
-    SweepSpec,
+    column_slug, config_points, pareto_frontier, to_json, write_job_fields, JobOutcome, JobSpec,
+    MemProfile, SweepSpec,
 };
+use sigcomp_obs::json::{Json, Layout, Writer};
 use sigcomp_pipeline::OrgKind;
 use sigcomp_workloads::{suite_names, WorkloadSize};
-use std::fmt::Write as _;
 
 /// Decodes a `POST /simulate` body into a [`JobSpec`] plus the process-node
 /// energy model the response should be evaluated under.
@@ -155,57 +154,21 @@ pub fn simulate_response(spec: &JobSpec, result: &BatchedResult, node: ProcessNo
         metrics: result.metrics,
         from_cache: result.from_cache,
     };
-    let model = node.model();
-    let m = &outcome.metrics;
     let mut out = String::with_capacity(1024);
-    let _ = write!(
-        out,
-        "{{\"job_id\": \"{:016x}\", \"workload\": \"{}\", \"size\": \"{}\", \
-         \"scheme\": \"{}\", \"org\": \"{}\", \"mem\": \"{}\", \
-         \"energy_model\": \"{}\", \"from_cache\": {}, \
-         \"instructions\": {}, \"cycles\": {}, \"branches\": {}, \
-         \"stall_structural\": {}, \"stall_data_hazard\": {}, \"stall_control\": {}, \
-         \"cpi\": {}, \"energy_saving\": {:.6}",
-        spec.job_id(),
-        spec.workload,
-        spec.size.name(),
-        spec.scheme.id(),
-        spec.org.id(),
-        spec.mem.id(),
-        node.id(),
-        outcome.from_cache,
-        m.instructions,
-        m.cycles,
-        m.branches,
-        m.stall_structural,
-        m.stall_data_hazard,
-        m.stall_control,
-        json_cpi(outcome.cpi()),
-        outcome.dynamic_energy_saving(&model),
-    );
-    if model.has_leakage() {
-        let _ = write!(
-            out,
-            ", \"total_energy_saving\": {:.6}, \"leakage_saving\": {:.6}",
-            outcome.energy_saving(&model),
-            outcome.leakage_saving(&model),
-        );
+    let mut w = Writer::new(&mut out);
+    w.object(Layout::Inline);
+    write_job_fields(&mut w, &outcome, &node.model(), ("energy_model", node.id()));
+    w.key("activity").object(Layout::Inline);
+    for (name, stage) in result.metrics.activity.columns() {
+        w.key(&column_slug(name)).object(Layout::Inline);
+        w.key("compressed").raw(stage.compressed_bits);
+        w.key("baseline").raw(stage.baseline_bits);
+        w.key("gated_byte_cycles").raw(stage.gated_byte_cycles);
+        w.key("total_byte_cycles").raw(stage.total_byte_cycles);
+        w.end();
     }
-    out.push_str(", \"activity\": {");
-    for (i, (name, stage)) in m.activity.columns().iter().enumerate() {
-        let _ = write!(
-            out,
-            "{}\"{}\": {{\"compressed\": {}, \"baseline\": {}, \
-             \"gated_byte_cycles\": {}, \"total_byte_cycles\": {}}}",
-            if i > 0 { ", " } else { "" },
-            column_slug(name),
-            stage.compressed_bits,
-            stage.baseline_bits,
-            stage.gated_byte_cycles,
-            stage.total_byte_cycles,
-        );
-    }
-    out.push_str("}}\n");
+    w.end().end();
+    out.push('\n');
     out
 }
 
@@ -218,31 +181,21 @@ pub fn sweep_result_json(outcomes: &[JobOutcome], node: ProcessNode) -> String {
     let model = node.model();
     let served_from_cache = outcomes.iter().filter(|o| o.from_cache).count();
     let points = config_points(outcomes);
-    let frontier = pareto_frontier(&points, &model);
-    let labels: Vec<String> = frontier
-        .iter()
-        .map(|p| format!("\"{}\"", escape(&p.label())))
-        .collect();
-    format!(
-        "{{\"status\": \"done\", \"jobs\": {}, \"served_from_cache\": {}, \
-         \"energy_model\": \"{}\", \"frontier\": [{}], \"outcomes\": {}}}\n",
-        outcomes.len(),
-        served_from_cache,
-        node.id(),
-        labels.join(", "),
-        to_json(outcomes, &model).trim_end(),
-    )
-}
-
-/// Formats a CPI figure as a JSON value: `inf` is not a JSON number, so the
-/// infinite CPI of a zero-instruction job becomes `null` (built-in kernels
-/// always retire instructions; this guards the invariant, not a live path).
-fn json_cpi(cpi: f64) -> String {
-    if cpi.is_finite() {
-        format!("{cpi:.6}")
-    } else {
-        "null".to_owned()
+    let mut out = String::new();
+    let mut w = Writer::new(&mut out);
+    w.object(Layout::Inline);
+    w.key("status").str("done").key("jobs").raw(outcomes.len());
+    w.key("served_from_cache").raw(served_from_cache);
+    w.key("energy_model").str(node.id());
+    w.key("frontier").array(Layout::Inline);
+    for point in pareto_frontier(&points, &model) {
+        w.str(&point.label());
     }
+    w.end();
+    w.key("outcomes").raw(to_json(outcomes, &model).trim_end());
+    w.end();
+    out.push('\n');
+    out
 }
 
 fn check_fields(doc: &Json, allowed: &[&str]) -> Result<(), String> {

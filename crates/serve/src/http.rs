@@ -18,6 +18,7 @@
 //! never asked for reuse (and reads to EOF) still sees the stream end.
 
 use sigcomp_fabric::framing::{Framer, RequestLine};
+use sigcomp_obs::json::{Layout, Writer};
 use std::fmt::Write as _;
 
 pub use sigcomp_fabric::framing::HttpError;
@@ -154,10 +155,11 @@ impl Response {
     /// escaped.
     #[must_use]
     pub fn error(status: u16, message: &str) -> Self {
-        Response::json(
-            status,
-            format!("{{\"error\": \"{}\"}}\n", crate::json::escape(message)),
-        )
+        let mut body = String::new();
+        let mut w = Writer::new(&mut body);
+        w.object(Layout::Inline).key("error").str(message).end();
+        body.push('\n');
+        Response::json(status, body)
     }
 
     /// The reactor's read-deadline answer: a connection sat past its

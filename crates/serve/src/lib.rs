@@ -7,8 +7,9 @@
 //!
 //! Everything is `std`-only, in the same spirit as the rest of the
 //! workspace: an incremental HTTP request parser ([`http`], over the
-//! framing rules shared with the fabric client), a
-//! hand-rolled JSON parser ([`json`]), and a nonblocking event-loop
+//! framing rules shared with the fabric client), the workspace's one
+//! JSON codec ([`sigcomp_obs::json`]: parser, escaper and writer, its
+//! [`Json`] re-exported here), and a nonblocking event-loop
 //! front door ([`reactor`]) — a fixed worker pool driving per-connection
 //! state machines over `set_nonblocking` sockets, with HTTP/1.1
 //! keep-alive, pipelining, per-connection read/write deadlines, and an
@@ -53,7 +54,6 @@
 pub mod api;
 pub mod batch;
 pub mod http;
-pub mod json;
 pub mod metrics;
 pub mod reactor;
 pub mod registry;
@@ -61,8 +61,8 @@ pub mod server;
 
 pub use batch::{BatchConfig, BatchedResult, Batcher, SubmitError, DEFAULT_MEMO_CAPACITY};
 pub use http::{HttpError, Request, RequestParser, Response};
-pub use json::{Json, NumError};
 pub use metrics::ServerMetrics;
 pub use reactor::{Completion, Handler, Reactor, ReactorConfig};
 pub use registry::{SweepRegistry, SweepState};
 pub use server::{ServeConfig, Server, ServerHandle};
+pub use sigcomp_obs::json::{Json, NumError};

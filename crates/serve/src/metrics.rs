@@ -13,6 +13,7 @@
 //! `GET /metrics.json` and worker snapshots see the same buckets.
 
 use sigcomp_explore::CacheStats;
+use sigcomp_obs::json::{Layout, Writer};
 use sigcomp_obs::Histogram;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -164,72 +165,66 @@ impl ServerMetrics {
         fleet: &str,
     ) -> String {
         let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        format!(
-            concat!(
-                "{{\n",
-                "  \"uptime_ms\": {uptime},\n",
-                "  \"http\": {{\"requests\": {req}, \"responses_2xx\": {s2}, ",
-                "\"responses_4xx\": {s4}, \"responses_5xx\": {s5}, ",
-                "\"latency\": {latency}}},\n",
-                "  \"batch\": {{\"queue_depth\": {depth}, \"memo_entries\": {memo}, ",
-                "\"jobs_requested\": {jr}, \"jobs_shed\": {jsh}, ",
-                "\"jobs_memo_hits\": {jm}, \"jobs_batch_deduped\": {jd}, ",
-                "\"jobs_disk_cache_hits\": {jc}, \"jobs_simulated\": {js}, ",
-                "\"batches_dispatched\": {bd}, \"largest_batch\": {lb}, ",
-                "\"dispatch\": {{\"local\": {pl}, \"subprocess\": {ps}, ",
-                "\"fleet\": {pf}}}}},\n",
-                "  \"reactor\": {{\"open_connections\": {ro}, ",
-                "\"conns_accepted\": {ra}, \"conns_shed\": {rsh}, ",
-                "\"keepalive_reuses\": {rk}, \"request_timeouts\": {rt}, ",
-                "\"write_timeouts\": {rw}}},\n",
-                "  \"cache\": {{\"hits\": {ch}, \"misses\": {cm}, ",
-                "\"retired\": {cr}, \"stores\": {cs}}},\n",
-                "  \"sweeps\": {{\"submitted\": {ss}, \"completed\": {sc}, ",
-                "\"failed\": {sf}}},\n",
-                "  \"fleet\": {fleet}\n",
-                "}}\n"
-            ),
-            uptime = uptime.as_millis(),
-            req = get(&self.http_requests),
-            s2 = get(&self.http_2xx),
-            s4 = get(&self.http_4xx),
-            s5 = get(&self.http_5xx),
-            latency = self.latency.snapshot().to_json(),
-            depth = queue_depth,
-            memo = memo_entries,
-            jr = get(&self.jobs_requested),
-            jsh = get(&self.jobs_shed),
-            jm = get(&self.jobs_memo_hits),
-            jd = get(&self.jobs_batch_deduped),
-            jc = get(&self.jobs_disk_cache_hits),
-            js = get(&self.jobs_simulated),
-            bd = get(&self.batches_dispatched),
-            lb = get(&self.largest_batch),
-            pl = get(&self.jobs_placed_local),
-            ps = get(&self.jobs_placed_subprocess),
-            pf = get(&self.jobs_placed_fleet),
-            ro = get(&self.conns_open),
-            ra = get(&self.conns_accepted),
-            rsh = get(&self.conns_shed),
-            rk = get(&self.keepalive_reuses),
-            rt = get(&self.request_timeouts),
-            rw = get(&self.write_timeouts),
-            ch = cache.hits,
-            cm = cache.misses,
-            cr = cache.retired,
-            cs = cache.stores,
-            ss = get(&self.sweeps_submitted),
-            sc = get(&self.sweeps_completed),
-            sf = get(&self.sweeps_failed),
-            fleet = fleet.trim_end(),
-        )
+        let mut out = String::new();
+        let mut w = Writer::new(&mut out);
+        w.object(Layout::Lines);
+        w.key("uptime_ms").raw(uptime.as_millis());
+        w.key("http").object(Layout::Inline);
+        w.key("requests").raw(get(&self.http_requests));
+        w.key("responses_2xx").raw(get(&self.http_2xx));
+        w.key("responses_4xx").raw(get(&self.http_4xx));
+        w.key("responses_5xx").raw(get(&self.http_5xx));
+        self.latency.snapshot().write_json(w.key("latency"));
+        w.end();
+        w.key("batch").object(Layout::Inline);
+        w.key("queue_depth").raw(queue_depth);
+        w.key("memo_entries").raw(memo_entries);
+        w.key("jobs_requested").raw(get(&self.jobs_requested));
+        w.key("jobs_shed").raw(get(&self.jobs_shed));
+        w.key("jobs_memo_hits").raw(get(&self.jobs_memo_hits));
+        w.key("jobs_batch_deduped")
+            .raw(get(&self.jobs_batch_deduped));
+        w.key("jobs_disk_cache_hits")
+            .raw(get(&self.jobs_disk_cache_hits));
+        w.key("jobs_simulated").raw(get(&self.jobs_simulated));
+        w.key("batches_dispatched")
+            .raw(get(&self.batches_dispatched));
+        w.key("largest_batch").raw(get(&self.largest_batch));
+        w.key("dispatch").object(Layout::Inline);
+        w.key("local").raw(get(&self.jobs_placed_local));
+        w.key("subprocess").raw(get(&self.jobs_placed_subprocess));
+        w.key("fleet").raw(get(&self.jobs_placed_fleet));
+        w.end().end();
+        w.key("reactor").object(Layout::Inline);
+        w.key("open_connections").raw(get(&self.conns_open));
+        w.key("conns_accepted").raw(get(&self.conns_accepted));
+        w.key("conns_shed").raw(get(&self.conns_shed));
+        w.key("keepalive_reuses").raw(get(&self.keepalive_reuses));
+        w.key("request_timeouts").raw(get(&self.request_timeouts));
+        w.key("write_timeouts").raw(get(&self.write_timeouts));
+        w.end();
+        w.key("cache").object(Layout::Inline);
+        w.key("hits").raw(cache.hits);
+        w.key("misses").raw(cache.misses);
+        w.key("retired").raw(cache.retired);
+        w.key("stores").raw(cache.stores);
+        w.end();
+        w.key("sweeps").object(Layout::Inline);
+        w.key("submitted").raw(get(&self.sweeps_submitted));
+        w.key("completed").raw(get(&self.sweeps_completed));
+        w.key("failed").raw(get(&self.sweeps_failed));
+        w.end();
+        w.key("fleet").raw(fleet.trim_end());
+        w.end();
+        out.push('\n');
+        out
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::Json;
+    use sigcomp_obs::json::Json;
 
     const LATENCY_LABELS: [&str; 12] = [
         "le_50us", "le_100us", "le_250us", "le_500us", "le_1ms", "le_5ms", "le_10ms", "le_50ms",

@@ -28,7 +28,6 @@
 use crate::api::{job_spec_from_json, simulate_response, sweep_result_json, sweep_spec_from_json};
 use crate::batch::{BatchConfig, Batcher, SubmitError};
 use crate::http::{Request, Response};
-use crate::json::Json;
 use crate::metrics::ServerMetrics;
 use crate::reactor::{Completion, Handler, Reactor, ReactorConfig};
 use crate::registry::{SweepRegistry, SweepState};
@@ -36,6 +35,7 @@ use sigcomp::ProcessNode;
 use sigcomp_explore::{encode_report, parse_dispatch, JobOutcome, JobSpec, TraceSource};
 use sigcomp_fabric::pool::{self, DEFAULT_LIVENESS_TTL};
 use sigcomp_fabric::proto;
+use sigcomp_obs::json::{Json, Layout, Writer};
 use std::collections::VecDeque;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -500,10 +500,13 @@ fn handle_sweep(ctx: &Arc<Ctx>, spec: &sigcomp_explore::SweepSpec, sync: bool) -
             .fail(id, "could not spawn the sweep thread".into());
         return Response::error(500, "could not spawn the sweep thread");
     }
-    Response::json(
-        202,
-        format!("{{\"job\": {id}, \"status\": \"running\", \"poll\": \"/jobs/{id}\"}}\n"),
-    )
+    let mut body = String::new();
+    let mut w = Writer::new(&mut body);
+    w.object(Layout::Inline);
+    w.key("job").raw(id).key("status").str("running");
+    w.key("poll").str(&format!("/jobs/{id}")).end();
+    body.push('\n');
+    Response::json(202, body)
 }
 
 /// Runs `jobs` through the batcher (memo, dedup, disk cache and all),
@@ -667,6 +670,41 @@ mod tests {
         assert_eq!(metrics.status, 200);
         let doc = Json::parse(&metrics.body).unwrap();
         assert!(doc.get("fleet").and_then(|f| f.get("workers")).is_some());
+    }
+
+    #[test]
+    fn hostile_heartbeat_names_cannot_corrupt_metrics_or_fleet() {
+        let ctx = test_ctx();
+        let addr = "serve-hostile-name.invalid:19002";
+        // Wire names are any non-whitespace token: this one closes the
+        // counters object and opens a new member if written unescaped.
+        let counter = "a\"},\"x\":{\"y";
+        let gauge = "g\\\u{7f}é😀";
+        let mut obs = sigcomp_obs::Snapshot::default();
+        obs.parse_wire_line(&format!("counter {counter} 1"))
+            .unwrap();
+        obs.parse_wire_line(&format!("gauge {gauge} 2")).unwrap();
+        let r = post(&ctx, "/heartbeat", &proto::encode_heartbeat(addr, 4, &obs));
+        assert_eq!(r.status, 200, "{}", r.body);
+        for path in ["/metrics", "/fleet", "/metrics.json"] {
+            let r = get(&ctx, path);
+            assert_eq!(r.status, 200);
+            let doc = Json::parse(&r.body).unwrap_or_else(|e| panic!("{path}: {e}\n{}", r.body));
+            let merged = match path {
+                "/metrics" => doc.get("fleet").and_then(|f| f.get("merged_obs")),
+                "/fleet" => doc.get("merged_obs"),
+                // The process registry: heartbeats do not feed it.
+                _ => continue,
+            };
+            let value = |section: &str, name: &str| {
+                merged
+                    .and_then(|m| m.get(section))
+                    .and_then(|s| s.get(name))
+                    .and_then(Json::as_u64)
+            };
+            assert_eq!(value("counters", counter), Some(1), "{path}: {}", r.body);
+            assert_eq!(value("gauges", gauge), Some(2), "{path}: {}", r.body);
+        }
     }
 
     #[test]

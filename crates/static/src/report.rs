@@ -13,6 +13,7 @@
 use crate::analysis::StaticAnalysis;
 use crate::lattice::Width;
 use sigcomp_isa::{Op, Reg};
+use sigcomp_obs::json::{Layout, Writer};
 
 /// Width summary for one opcode across all its reachable occurrences.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -191,72 +192,42 @@ impl WidthReport {
     /// JSON export: the full report as a single object.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"target\": \"{}\",\n", escape(&self.target)));
-        out.push_str(&format!("  \"blocks\": {},\n", self.blocks));
-        out.push_str(&format!(
-            "  \"reachable_blocks\": {},\n",
-            self.reachable_blocks
-        ));
-        out.push_str(&format!("  \"instructions\": {},\n", self.instructions));
-        out.push_str(&format!("  \"operand_slots\": {},\n", self.operand_slots()));
-        out.push_str(&format!(
-            "  \"width_counts\": [{}],\n",
-            self.width_counts.map(|c| c.to_string()).join(",")
-        ));
-        out.push_str(&format!(
-            "  \"mean_bound_bytes\": {:.6},\n",
-            self.mean_bound_bytes()
-        ));
-        out.push_str(&format!(
-            "  \"predicted_saving\": {:.6},\n",
-            self.predicted_saving()
-        ));
-        out.push_str("  \"per_op\": [\n");
-        for (i, row) in self.per_op.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"op\": \"{}\", \"count\": {}, \"mean_operand_bytes\": {:.6}, \"result_bound\": {}}}{}\n",
-                row.op.mnemonic(),
-                row.count,
-                row.mean_operand_bytes,
-                row.result
-                    .map_or_else(|| "null".to_string(), |w| format!("\"{}\"", w.label())),
-                if i + 1 == self.per_op.len() { "" } else { "," }
-            ));
+        let mut out = String::new();
+        let mut w = Writer::new(&mut out);
+        w.object(Layout::Lines);
+        w.key("target").str(&self.target);
+        w.key("blocks").raw(self.blocks);
+        w.key("reachable_blocks").raw(self.reachable_blocks);
+        w.key("instructions").raw(self.instructions);
+        w.key("operand_slots").raw(self.operand_slots());
+        let counts = self.width_counts.map(|c| c.to_string()).join(",");
+        w.key("width_counts").raw(format_args!("[{counts}]"));
+        w.key("mean_bound_bytes").float(self.mean_bound_bytes(), 6);
+        w.key("predicted_saving").float(self.predicted_saving(), 6);
+        w.key("per_op").array(Layout::Lines);
+        for row in &self.per_op {
+            w.object(Layout::Inline);
+            w.key("op").str(row.op.mnemonic());
+            w.key("count").raw(row.count);
+            w.key("mean_operand_bytes").float(row.mean_operand_bytes, 6);
+            w.key("result_bound");
+            match row.result {
+                Some(width) => w.str(width.label()),
+                None => w.raw("null"),
+            };
+            w.end();
         }
-        out.push_str("  ],\n");
-        out.push_str("  \"per_reg\": {");
-        let mut first = true;
+        w.end();
+        w.key("per_reg").object(Layout::Inline);
         for (i, slot) in self.per_reg.iter().enumerate() {
-            if let Some(w) = slot {
-                if !first {
-                    out.push_str(", ");
-                }
-                first = false;
-                out.push_str(&format!(
-                    "\"{}\": \"{}\"",
-                    Reg::new(i as u8).name(),
-                    w.label()
-                ));
+            if let Some(width) = slot {
+                w.key(Reg::new(i as u8).name()).str(width.label());
             }
         }
-        out.push_str("}\n}\n");
+        w.end().end();
+        out.push('\n');
         out
     }
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control bytes).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
