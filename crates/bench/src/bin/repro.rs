@@ -937,7 +937,7 @@ fn run_serve_command(inv: &Invocation) -> ExitCode {
     println!("serving on http://{addr}");
     println!("  GET  /healthz   liveness probe");
     println!("  GET  /metrics   request/batching/cache counters (+ fleet section)");
-    println!("  GET  /metrics.json  full observability registry snapshot");
+    println!("  GET  /metrics.json  process registry snapshot + the server's serve.* series");
     println!("  POST /simulate  one configuration -> metrics (batched + deduplicated)");
     println!("  POST /sweep     a design-space slice -> poll ticket (or \"sync\": true)");
     println!("  GET  /jobs/:id  sweep progress and results");

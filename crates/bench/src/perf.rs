@@ -8,9 +8,10 @@
 //!    (one warm-up pass, then the fastest of [`REPLAY_PASSES`] timed
 //!    passes): instructions per second of raw simulation, free of sweep
 //!    machinery.
-//! 2. **sweep** — a standard tiny design-space sweep against a fresh
-//!    throwaway cache, run twice: cache-cold (every job simulated) and
-//!    cache-warm (every job loaded back), configurations per second each.
+//! 2. **sweep** — a standard tiny design-space sweep, cache-cold (every
+//!    job simulated; the fastest of [`COLD_PASSES`] passes, each against a
+//!    fresh throwaway cache) and then cache-warm (every job loaded back),
+//!    configurations per second each.
 //! 3. **frontier** — repeated Pareto-frontier extraction over the sweep's
 //!    config points: points per second of post-processing.
 //! 4. **serve** — the HTTP front door at saturation: concurrent clients
@@ -25,8 +26,9 @@
 //! `sigcomp-bench v1` document that `BENCH_<label>.json` files carry, and
 //! [`validate`] schema-checks such a document (CI runs it on every emitted
 //! report, and `repro bench --check FILE` exposes it to hand-written
-//! tooling). The process-global observability registry snapshot rides along
-//! under `"obs"` so a report also captures cache and replay counters.
+//! tooling). The process-global observability registry snapshot, merged
+//! with the serve phase's server registry, rides along under `"obs"` so a
+//! report also captures cache, replay and `serve.*` counters.
 
 use crate::golden::{self, GOLDEN_WORKLOADS};
 use sigcomp::{EnergyModel, ExtScheme};
@@ -51,6 +53,12 @@ pub const SCHEMA: &str = "sigcomp-bench v1";
 /// appear and vanish. Spreading best-of sampling across a ~1 s window rides
 /// out both and reports the true steady-state rate of the hot loop.
 pub const REPLAY_PASSES: u32 = 1024;
+
+/// Cache-cold sweep passes, each against a fresh throwaway cache; the
+/// fastest is reported. One cold pass of the tiny sweep lasts well under a
+/// tenth of a second, and single passes of one unchanged binary spread
+/// over a factor of two on shared hosts.
+pub const COLD_PASSES: u32 = 3;
 
 /// Minimum untimed warm-up before the replay passes are timed: long enough
 /// for the CPU frequency governor to ramp the measuring core, short enough
@@ -113,7 +121,8 @@ pub struct BenchReport {
     pub replay: Phase,
     /// Configurations in the sweep design space.
     pub sweep_configs: u64,
-    /// Cache-cold sweep: units are configurations, all simulated.
+    /// Cache-cold sweep: units are configurations, all simulated; the
+    /// fastest of [`COLD_PASSES`].
     pub sweep_cold: Phase,
     /// Cache-warm sweep: units are configurations, all loaded back.
     pub sweep_warm: Phase,
@@ -123,7 +132,8 @@ pub struct BenchReport {
     pub frontier: Phase,
     /// Serving front-door saturation through the reactor.
     pub serve: ServeBench,
-    /// The process-global observability registry after the run.
+    /// The process-global observability registry after the run, merged
+    /// with the serve phase's server registry.
     pub obs: sigcomp_obs::Snapshot,
 }
 
@@ -193,9 +203,7 @@ impl BenchReport {
         w.key("p95_us").float(serve.reactor_p95_us, 1);
         w.key("p99_us").float(serve.reactor_p99_us, 1);
         w.end().end();
-        // The snapshot document keeps its own indentation and its trailing
-        // newline, which leaves a blank line before the closing brace.
-        w.key("obs").raw(self.obs.to_json());
+        self.obs.write_json(w.key("obs"));
         w.end();
         out.push('\n');
         out
@@ -280,7 +288,8 @@ pub fn run(options: &BenchOptions) -> Result<BenchReport, String> {
         wall_s: best_pass_s,
     };
 
-    // Phase 2: the standard sweep, cache-cold then cache-warm.
+    // Phase 2: the standard sweep, cache-cold (best of COLD_PASSES, each
+    // against a fresh cache) then cache-warm against the last cold one.
     let mut sweep_spec = SweepSpec::full(WorkloadSize::Tiny).mems(&[MemProfile::Paper]);
     if options.quick {
         sweep_spec = sweep_spec
@@ -289,7 +298,6 @@ pub fn run(options: &BenchOptions) -> Result<BenchReport, String> {
     }
     let cache_dir =
         std::env::temp_dir().join(format!("sigcomp-bench-cache-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&cache_dir);
     let timed_sweep = |what: &str| -> Result<(sigcomp_explore::SweepSummary, Phase), String> {
         let cache = ResultCache::open(&cache_dir)
             .map_err(|e| format!("cannot open the throwaway bench cache ({what}): {e}"))?;
@@ -307,18 +315,31 @@ pub fn run(options: &BenchOptions) -> Result<BenchReport, String> {
         };
         Ok((summary, phase))
     };
-    let result = timed_sweep("cold").and_then(|(cold_summary, sweep_cold)| {
+    let passes = || {
+        let mut cold: Option<(sigcomp_explore::SweepSummary, Phase)> = None;
+        for _ in 0..COLD_PASSES {
+            let _ = std::fs::remove_dir_all(&cache_dir);
+            let (summary, phase) = timed_sweep("cold")?;
+            if summary.cached() != 0 {
+                return Err(format!(
+                    "the cold sweep hit the cache ({} jobs) — the throwaway directory was not fresh",
+                    summary.cached()
+                ));
+            }
+            if cold
+                .as_ref()
+                .is_none_or(|(_, best)| phase.wall_s < best.wall_s)
+            {
+                cold = Some((summary, phase));
+            }
+        }
+        let (cold_summary, sweep_cold) = cold.expect("COLD_PASSES is not zero");
         let (warm_summary, sweep_warm) = timed_sweep("warm")?;
         Ok((cold_summary, sweep_cold, warm_summary, sweep_warm))
-    });
+    };
+    let result = passes();
     let _ = std::fs::remove_dir_all(&cache_dir);
     let (cold_summary, sweep_cold, warm_summary, sweep_warm) = result?;
-    if cold_summary.cached() != 0 {
-        return Err(format!(
-            "the cold sweep hit the cache ({} jobs) — the throwaway directory was not fresh",
-            cold_summary.cached()
-        ));
-    }
     if warm_summary.simulated() != 0 {
         return Err(format!(
             "the warm sweep missed the cache ({} jobs simulated)",
@@ -340,7 +361,10 @@ pub fn run(options: &BenchOptions) -> Result<BenchReport, String> {
     };
 
     // Phase 4: the serving front door at saturation.
-    let serve = bench_serve(options)?;
+    let (serve, serve_obs) = bench_serve(options)?;
+    let mut obs = sigcomp_obs::global().snapshot();
+    obs.merge(&serve_obs)
+        .map_err(|e| format!("serve bench: cannot merge the server's metrics: {e}"))?;
 
     Ok(BenchReport {
         label: options.label.clone(),
@@ -353,7 +377,7 @@ pub fn run(options: &BenchOptions) -> Result<BenchReport, String> {
         frontier_iterations,
         frontier,
         serve,
-        obs: sigcomp_obs::global().snapshot(),
+        obs,
     })
 }
 
@@ -364,8 +388,8 @@ pub fn run(options: &BenchOptions) -> Result<BenchReport, String> {
 const SERVE_BENCH_BODY: &str = "{\"workload\": \"rawcaudio\", \"size\": \"tiny\"}";
 
 /// Times the reactor under a closed-loop client fleet on pipelined
-/// keep-alive connections.
-fn bench_serve(options: &BenchOptions) -> Result<ServeBench, String> {
+/// keep-alive connections; also returns the server's own metrics.
+fn bench_serve(options: &BenchOptions) -> Result<(ServeBench, sigcomp_obs::Snapshot), String> {
     use sigcomp_serve::{BatchConfig, ServeConfig, Server};
 
     let clients: usize = if options.quick { 4 } else { 8 };
@@ -410,13 +434,14 @@ fn bench_serve(options: &BenchOptions) -> Result<ServeBench, String> {
             .collect()
     });
     let wall_s = started.elapsed().as_secs_f64();
+    let server_obs = server.snapshot();
     drop(server);
     let mut requests = 0;
     for count in counts {
         requests += count.map_err(|e| format!("serve bench client: {e}"))?;
     }
     let snap = latency.snapshot();
-    Ok(ServeBench {
+    let bench = ServeBench {
         clients: clients as u64,
         pipeline_depth: depth as u64,
         reactor: Phase {
@@ -426,7 +451,8 @@ fn bench_serve(options: &BenchOptions) -> Result<ServeBench, String> {
         reactor_p50_us: snap.quantile(0.50),
         reactor_p95_us: snap.quantile(0.95),
         reactor_p99_us: snap.quantile(0.99),
-    })
+    };
+    Ok((bench, server_obs))
 }
 
 /// A closed-loop client: one keep-alive connection for the whole window,

@@ -852,7 +852,7 @@ fn serve_on_the_subprocess_backend_answers_and_counts_dispatch() {
     // backend.
     let metrics = client.get(&addr, "/metrics").expect("metrics").body;
     assert!(
-        metrics.contains("\"dispatch\": {\"local\": 0, \"subprocess\": 1, \"fleet\": 0}"),
+        metrics.contains("\"dispatch\": {\"fleet\": 0, \"local\": 0, \"subprocess\": 1}"),
         "{metrics}"
     );
 

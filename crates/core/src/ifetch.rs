@@ -18,6 +18,7 @@
 
 use sigcomp_isa::{Format, Instruction, Op};
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// Number of function codes that receive a short (3-bit) re-encoding.
 pub const RECODED_FUNCTS: usize = 8;
@@ -63,8 +64,15 @@ impl FunctRecoder {
 
     /// A static default profile reflecting the paper's Table 3: `addu` and
     /// `sll` dominate, followed by the other common ALU/compare codes.
+    /// Built once per process and cloned: sweep job ids hash it on every
+    /// call, and rebuilding it (a map and a sort) dominated that hash.
     #[must_use]
     pub fn paper_default() -> Self {
+        static PAPER: OnceLock<FunctRecoder> = OnceLock::new();
+        PAPER.get_or_init(Self::build_paper_default).clone()
+    }
+
+    fn build_paper_default() -> Self {
         let hot_ops = [
             Op::Addu,
             Op::Sll,

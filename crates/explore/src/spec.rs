@@ -768,6 +768,61 @@ mod tests {
     }
 
     #[test]
+    fn job_ids_are_pinned_for_kernel_and_trace_specs() {
+        // Every on-disk cache entry and the fleet protocol key on these
+        // exact digests; a change here needs a SWEEP_FORMAT_VERSION bump.
+        let kernel = JobSpec {
+            scheme: ExtScheme::ThreeBit,
+            org: OrgKind::ByteSerial,
+            workload: "rawcaudio",
+            size: WorkloadSize::Tiny,
+            mem: MemProfile::Paper,
+            source: TraceSource::Kernel,
+        };
+        let trace = TraceSource::File {
+            digest: 0x0123_4567_89ab_cdef,
+        };
+        let specs = [
+            (kernel, "16cf6a08a2c4ea53"),
+            (
+                JobSpec {
+                    scheme: ExtScheme::TwoBit,
+                    org: OrgKind::Baseline32,
+                    workload: "pgp",
+                    size: WorkloadSize::Default,
+                    mem: MemProfile::SlowMemory,
+                    ..kernel
+                },
+                "f02eb5eec7898433",
+            ),
+            (
+                JobSpec {
+                    scheme: ExtScheme::Halfword,
+                    org: OrgKind::SkewedBypass,
+                    mem: MemProfile::WideL2,
+                    source: trace,
+                    ..kernel
+                },
+                "0787140b963a9361",
+            ),
+            (
+                JobSpec {
+                    org: OrgKind::ParallelCompressed,
+                    workload: "renamed",
+                    size: WorkloadSize::Default,
+                    mem: MemProfile::SmallL1,
+                    source: trace,
+                    ..kernel
+                },
+                "5af0cb91d2aaae8f",
+            ),
+        ];
+        for (spec, id) in specs {
+            assert_eq!(format!("{:016x}", spec.job_id()), id, "{spec:?}");
+        }
+    }
+
+    #[test]
     fn mem_profiles_resolve_to_distinct_geometries() {
         let mut seen = HashSet::new();
         for &m in MemProfile::ALL {

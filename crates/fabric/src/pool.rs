@@ -219,10 +219,17 @@ impl WorkerPool {
     /// `GET /fleet` and the `"fleet"` section of its `/metrics`.
     #[must_use]
     pub fn to_json(&self, ttl: Duration) -> String {
+        let mut out = String::new();
+        self.write_json(&mut Writer::new(&mut out), ttl);
+        out.push('\n');
+        out
+    }
+
+    /// Writes the [`WorkerPool::to_json`] document as one JSON value, so
+    /// an enclosing document (the frontier's `/metrics`) can embed it.
+    pub fn write_json(&self, w: &mut Writer<'_>, ttl: Duration) {
         let rows = self.status(ttl);
         let live = rows.iter().filter(|r| r.live).count();
-        let mut out = String::new();
-        let mut w = Writer::new(&mut out);
         w.object(Layout::Lines);
         w.key("workers").array(Layout::Lines);
         for r in &rows {
@@ -237,12 +244,8 @@ impl WorkerPool {
         }
         w.end();
         w.key("known").raw(rows.len()).key("live").raw(live);
-        // The snapshot document keeps its own indentation under the key.
-        let obs = self.merged_obs().to_json();
-        w.key("merged_obs").raw(obs.trim_end());
+        self.merged_obs().write_json(w.key("merged_obs"));
         w.end();
-        out.push('\n');
-        out
     }
 }
 

@@ -92,11 +92,27 @@ impl std::fmt::Debug for Registry {
     }
 }
 
-fn check_name(name: &str) {
+/// The handle named `name` in `map`, created by `make` on first use.
+fn handle<T: Clone>(map: &Mutex<BTreeMap<String, T>>, name: &str, make: impl FnOnce() -> T) -> T {
     assert!(
         !name.is_empty() && name.chars().all(|c| !c.is_whitespace()),
         "metric names must be non-empty and whitespace-free: {name:?}"
     );
+    let mut map = map.lock().expect("obs registry map poisoned");
+    if let Some(h) = map.get(name) {
+        return h.clone();
+    }
+    let h = make();
+    map.insert(name.to_owned(), h.clone());
+    h
+}
+
+/// Every handle in `map`, read through `read`.
+fn freeze<T, V>(map: &Mutex<BTreeMap<String, T>>, read: impl Fn(&T) -> V) -> BTreeMap<String, V> {
+    let map = map.lock().expect("obs registry map poisoned");
+    map.iter()
+        .map(|(name, h)| (name.clone(), read(h)))
+        .collect()
 }
 
 impl Registry {
@@ -120,15 +136,7 @@ impl Registry {
     /// # Panics
     /// On names containing whitespace — they would corrupt the wire form.
     pub fn counter(&self, name: &str) -> Counter {
-        check_name(name);
-        let mut map = self.counters.lock().expect("obs counter map poisoned");
-        if let Some(c) = map.get(name) {
-            c.clone()
-        } else {
-            let c = Counter::default();
-            map.insert(name.to_owned(), c.clone());
-            c
-        }
+        handle(&self.counters, name, Counter::default)
     }
 
     /// Returns (creating on first use) the gauge with this name.
@@ -136,15 +144,7 @@ impl Registry {
     /// # Panics
     /// On names containing whitespace.
     pub fn gauge(&self, name: &str) -> Gauge {
-        check_name(name);
-        let mut map = self.gauges.lock().expect("obs gauge map poisoned");
-        if let Some(g) = map.get(name) {
-            g.clone()
-        } else {
-            let g = Gauge::default();
-            map.insert(name.to_owned(), g.clone());
-            g
-        }
+        handle(&self.gauges, name, Gauge::default)
     }
 
     /// Returns (creating on first use) the histogram with this name.
@@ -154,30 +154,7 @@ impl Registry {
     /// # Panics
     /// On names containing whitespace, or unusable bounds at creation.
     pub fn histogram(&self, name: &str, bounds: &[u64]) -> Histogram {
-        check_name(name);
-        let mut map = self.histograms.lock().expect("obs histogram map poisoned");
-        if let Some(h) = map.get(name) {
-            h.clone()
-        } else {
-            let h = Histogram::new(bounds);
-            map.insert(name.to_owned(), h.clone());
-            h
-        }
-    }
-
-    /// Registers an externally constructed histogram under `name`, so a
-    /// subsystem can own its histogram directly (no registry lookups on the
-    /// hot path) while still appearing in snapshots. Replaces any previous
-    /// histogram with that name.
-    ///
-    /// # Panics
-    /// On names containing whitespace.
-    pub fn register_histogram(&self, name: &str, histogram: &Histogram) {
-        check_name(name);
-        self.histograms
-            .lock()
-            .expect("obs histogram map poisoned")
-            .insert(name.to_owned(), histogram.clone());
+        handle(&self.histograms, name, || Histogram::new(bounds))
     }
 
     /// Starts an RAII span timer that records its wall time (µs) into the
@@ -197,31 +174,10 @@ impl Registry {
     /// Freezes every metric into a [`Snapshot`].
     #[must_use]
     pub fn snapshot(&self) -> Snapshot {
-        let counters = self
-            .counters
-            .lock()
-            .expect("obs counter map poisoned")
-            .iter()
-            .map(|(name, c)| (name.clone(), c.get()))
-            .collect();
-        let gauges = self
-            .gauges
-            .lock()
-            .expect("obs gauge map poisoned")
-            .iter()
-            .map(|(name, g)| (name.clone(), g.get()))
-            .collect();
-        let histograms = self
-            .histograms
-            .lock()
-            .expect("obs histogram map poisoned")
-            .iter()
-            .map(|(name, h)| (name.clone(), h.snapshot()))
-            .collect();
         Snapshot {
-            counters,
-            gauges,
-            histograms,
+            counters: freeze(&self.counters, Counter::get),
+            gauges: freeze(&self.gauges, Gauge::get),
+            histograms: freeze(&self.histograms, Histogram::snapshot),
         }
     }
 

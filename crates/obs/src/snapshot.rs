@@ -145,7 +145,11 @@ impl Snapshot {
         };
         let mut parts = line.split_whitespace();
         let kind = parts.next().ok_or_else(|| bad("empty line"))?;
-        let name = parts.next().ok_or_else(|| bad("missing metric name"))?;
+        let name = parts
+            .next()
+            .ok_or_else(|| bad("missing metric name"))?
+            .to_owned();
+        let mut parsed = Snapshot::default();
         match kind {
             "counter" | "gauge" => {
                 let value: u64 = parts
@@ -156,12 +160,12 @@ impl Snapshot {
                 if parts.next().is_some() {
                     return Err(bad("trailing tokens"));
                 }
-                if kind == "counter" {
-                    *self.counters.entry(name.to_owned()).or_insert(0) += value;
+                let section = if kind == "counter" {
+                    &mut parsed.counters
                 } else {
-                    let slot = self.gauges.entry(name.to_owned()).or_insert(0);
-                    *slot = (*slot).max(value);
-                }
+                    &mut parsed.gauges
+                };
+                section.insert(name, value);
             }
             "hist" => {
                 let mut fields: BTreeMap<&str, &str> = BTreeMap::new();
@@ -191,7 +195,7 @@ impl Snapshot {
                         })
                         .collect()
                 };
-                let parsed = HistogramSnapshot {
+                let hist = HistogramSnapshot {
                     bounds: list("bounds")?,
                     buckets: list("buckets")?,
                     count: scalar("count")?,
@@ -199,28 +203,17 @@ impl Snapshot {
                     min: scalar("min")?,
                     max: scalar("max")?,
                 };
-                if parsed.buckets.len() != parsed.bounds.len() + 1 {
+                if hist.buckets.len() != hist.bounds.len() + 1 {
                     return Err(bad("bucket count must be bounds count + 1"));
                 }
-                if !parsed.bounds.windows(2).all(|w| w[0] < w[1]) {
+                if !hist.bounds.windows(2).all(|w| w[0] < w[1]) {
                     return Err(bad("bounds are not strictly increasing"));
                 }
-                match self.histograms.get_mut(name) {
-                    None => {
-                        self.histograms.insert(name.to_owned(), parsed);
-                    }
-                    Some(mine) => {
-                        mine.merge(&parsed)
-                            .map_err(|detail| SnapshotError::BoundsMismatch {
-                                name: name.to_owned(),
-                                detail,
-                            })?;
-                    }
-                }
+                parsed.histograms.insert(name, hist);
             }
             other => return Err(bad(&format!("unknown metric kind '{other}'"))),
         }
-        Ok(())
+        self.merge(&parsed)
     }
 
     /// Parses a whole wire document (one line per metric).
@@ -235,12 +228,20 @@ impl Snapshot {
         Ok(snap)
     }
 
-    /// Renders the snapshot as a JSON document:
-    /// `{"counters": {...}, "gauges": {...}, "histograms": {name: {...}}}`.
+    /// Renders the snapshot as a JSON document (see
+    /// [`Snapshot::write_json`]) ending in a newline.
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut out = String::new();
-        let mut w = Writer::new(&mut out);
+        self.write_json(&mut Writer::new(&mut out));
+        out.push('\n');
+        out
+    }
+
+    /// Writes the snapshot as one JSON value:
+    /// `{"counters": {...}, "gauges": {...}, "histograms": {name: {...}}}`,
+    /// one section per line and each histogram inline.
+    pub fn write_json(&self, w: &mut Writer<'_>) {
         w.object(Layout::Lines);
         for (section, values) in [("counters", &self.counters), ("gauges", &self.gauges)] {
             w.key(section).object(Layout::Inline);
@@ -254,8 +255,6 @@ impl Snapshot {
             hist.write_json(w.key(name));
         }
         w.end().end();
-        out.push('\n');
-        out
     }
 }
 

@@ -25,10 +25,10 @@
 //! *distinct* traffic holds server memory flat instead of growing a
 //! result per job id forever.
 
-use crate::metrics::ServerMetrics;
 use sigcomp_explore::{
     dedup_jobs, try_run_jobs, ExecBackend, JobMetrics, JobSpec, ResultCache, SweepOptions,
 };
+use sigcomp_obs::{Counter, Gauge, Registry};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -226,7 +226,44 @@ struct Shared {
     /// Signalled when the dispatcher drains the queue below capacity.
     space_ready: Condvar,
     config: BatchConfig,
-    metrics: Arc<ServerMetrics>,
+    stats: Stats,
+}
+
+/// The batcher's `serve.batch.*` handles (see [`crate::metrics`]).
+#[derive(Debug)]
+struct Stats {
+    jobs_requested: Counter,
+    jobs_shed: Counter,
+    jobs_memo_hits: Counter,
+    jobs_batch_deduped: Counter,
+    jobs_disk_cache_hits: Counter,
+    jobs_simulated: Counter,
+    /// `dispatch.<backend id>`: jobs placed on the configured backend.
+    jobs_placed: Counter,
+    batches_dispatched: Counter,
+    largest_batch: Gauge,
+}
+
+impl Stats {
+    fn new(registry: &Registry, backend: &ExecBackend) -> Stats {
+        let counter = |name: &str| registry.counter(&format!("serve.batch.{name}"));
+        // Every backend's placement counter exists, so the document always
+        // shows all three.
+        for id in ["local", "subprocess", "fleet"] {
+            counter(&format!("dispatch.{id}"));
+        }
+        Stats {
+            jobs_requested: counter("jobs_requested"),
+            jobs_shed: counter("jobs_shed"),
+            jobs_memo_hits: counter("jobs_memo_hits"),
+            jobs_batch_deduped: counter("jobs_batch_deduped"),
+            jobs_disk_cache_hits: counter("jobs_disk_cache_hits"),
+            jobs_simulated: counter("jobs_simulated"),
+            jobs_placed: counter(&format!("dispatch.{}", backend.id())),
+            batches_dispatched: counter("batches_dispatched"),
+            largest_batch: registry.gauge("serve.batch.largest_batch"),
+        }
+    }
 }
 
 /// The batching scheduler. Dropping it shuts the dispatcher down, failing
@@ -238,9 +275,10 @@ pub struct Batcher {
 }
 
 impl Batcher {
-    /// Starts the dispatcher thread.
+    /// Starts the dispatcher thread, recording into `registry`.
     #[must_use]
-    pub fn new(config: BatchConfig, metrics: Arc<ServerMetrics>) -> Self {
+    pub fn new(config: BatchConfig, registry: &Registry) -> Self {
+        let stats = Stats::new(registry, &config.backend);
         let memo = BoundedMemo::new(config.memo_capacity());
         let shared = Arc::new(Shared {
             state: Mutex::new(QueueState {
@@ -251,7 +289,7 @@ impl Batcher {
             work_ready: Condvar::new(),
             space_ready: Condvar::new(),
             config,
-            metrics,
+            stats,
         });
         let dispatcher = {
             let shared = Arc::clone(&shared);
@@ -349,9 +387,9 @@ impl Batcher {
             let state = self.shared.state.lock().expect("queue poisoned");
             state.memo.get(spec.job_id())?
         };
-        let metrics = &self.shared.metrics;
-        ServerMetrics::incr(&metrics.jobs_requested);
-        ServerMetrics::incr(&metrics.jobs_memo_hits);
+        let stats = &self.shared.stats;
+        stats.jobs_requested.incr();
+        stats.jobs_memo_hits.incr();
         Some(BatchedResult {
             metrics: cached,
             from_cache: true,
@@ -399,10 +437,10 @@ impl Batcher {
         spec: JobSpec,
         block: bool,
     ) -> (MutexGuard<'a, QueueState>, Result<Enqueued, SubmitError>) {
-        let metrics = &self.shared.metrics;
-        ServerMetrics::incr(&metrics.jobs_requested);
+        let stats = &self.shared.stats;
+        stats.jobs_requested.incr();
         if let Some(cached) = state.memo.get(spec.job_id()) {
-            ServerMetrics::incr(&metrics.jobs_memo_hits);
+            stats.jobs_memo_hits.incr();
             let hit = Enqueued::Ready(Box::new(BatchedResult {
                 metrics: cached,
                 from_cache: true,
@@ -411,7 +449,7 @@ impl Batcher {
         }
         let capacity = self.shared.config.queue_capacity();
         if !block && state.queue.len() >= capacity && !state.shutdown {
-            ServerMetrics::incr(&metrics.jobs_shed);
+            stats.jobs_shed.incr();
             return (state, Err(SubmitError::Overloaded));
         }
         if state.queue.len() >= capacity {
@@ -466,7 +504,8 @@ fn dispatch_loop(shared: &Shared) {
             shared.space_ready.notify_all();
             batch
         };
-        shared.metrics.observe_batch(batch.len() as u64);
+        shared.stats.batches_dispatched.incr();
+        shared.stats.largest_batch.set_max(batch.len() as u64);
         run_batch(shared, batch);
     }
 }
@@ -494,7 +533,7 @@ fn stream_cut<T>(queue: &VecDeque<(JobSpec, T)>, max_batch: usize) -> usize {
 /// Deduplicates one drained batch by job id, places the unique residue on
 /// the configured execution backend, and fills every waiter's slot.
 fn run_batch(shared: &Shared, batch: Vec<(JobSpec, Arc<Slot>)>) {
-    let metrics = &shared.metrics;
+    let stats = &shared.stats;
     // Jobs enqueued before a previous batch finished may have been answered
     // by it; re-check the memo so they don't re-simulate, then group the
     // remainder with the workspace-wide dedup (first occurrence leads).
@@ -503,7 +542,7 @@ fn run_batch(shared: &Shared, batch: Vec<(JobSpec, Arc<Slot>)>) {
         let state = shared.state.lock().expect("queue poisoned");
         for (spec, slot) in batch {
             if let Some(cached) = state.memo.get(spec.job_id()) {
-                ServerMetrics::incr(&metrics.jobs_memo_hits);
+                stats.jobs_memo_hits.incr();
                 slot.fill(Ok(BatchedResult {
                     metrics: cached,
                     from_cache: true,
@@ -522,7 +561,7 @@ fn run_batch(shared: &Shared, batch: Vec<(JobSpec, Arc<Slot>)>) {
     for (pos, (_, slot)) in residue.into_iter().enumerate() {
         let follower = deduped.is_follower(pos);
         if follower {
-            ServerMetrics::incr(&metrics.jobs_batch_deduped);
+            stats.jobs_batch_deduped.incr();
         }
         members.push((deduped.leader_of[pos], slot, follower));
     }
@@ -542,15 +581,7 @@ fn run_batch(shared: &Shared, batch: Vec<(JobSpec, Arc<Slot>)>) {
         cache: shared.config.disk_cache.clone(),
         backend: shared.config.backend.clone(),
     };
-    let placed = match &shared.config.backend {
-        ExecBackend::LocalThreads => &metrics.jobs_placed_local,
-        ExecBackend::Subprocess(_) => &metrics.jobs_placed_subprocess,
-        ExecBackend::Fleet(_) => &metrics.jobs_placed_fleet,
-    };
-    placed.fetch_add(
-        deduped.unique.len() as u64,
-        std::sync::atomic::Ordering::Relaxed,
-    );
+    stats.jobs_placed.add(deduped.unique.len() as u64);
     let summary = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         try_run_jobs(&deduped.unique, &options)
     })) {
@@ -579,9 +610,9 @@ fn run_batch(shared: &Shared, batch: Vec<(JobSpec, Arc<Slot>)>) {
     }
     for outcome in &summary.outcomes {
         if outcome.from_cache {
-            ServerMetrics::incr(&metrics.jobs_disk_cache_hits);
+            stats.jobs_disk_cache_hits.incr();
         } else {
-            ServerMetrics::incr(&metrics.jobs_simulated);
+            stats.jobs_simulated.incr();
         }
     }
     for (idx, slot, follower) in members {
@@ -622,7 +653,14 @@ mod tests {
     use sigcomp_explore::{simulate_job, MemProfile};
     use sigcomp_pipeline::OrgKind;
     use sigcomp_workloads::{find, suite_names, WorkloadSize};
-    use std::sync::atomic::Ordering;
+
+    /// A `serve.batch.*` counter or gauge as the batcher recorded it.
+    fn read(registry: &Registry, name: &str) -> u64 {
+        let name = format!("serve.batch.{name}");
+        let snapshot = registry.snapshot();
+        let gauge = snapshot.gauges.get(&name).copied();
+        gauge.unwrap_or_else(|| snapshot.counter(&name))
+    }
 
     fn spec(workload_index: usize, org: OrgKind) -> JobSpec {
         JobSpec {
@@ -635,20 +673,20 @@ mod tests {
         }
     }
 
-    fn batcher() -> (Batcher, Arc<ServerMetrics>) {
-        let metrics = Arc::new(ServerMetrics::default());
+    fn batcher() -> (Batcher, Registry) {
+        let registry = Registry::new();
         let config = BatchConfig {
             max_batch: 16,
             queue_capacity: 64,
             sim_workers: Some(2),
             ..BatchConfig::default()
         };
-        (Batcher::new(config, Arc::clone(&metrics)), metrics)
+        (Batcher::new(config, &registry), registry)
     }
 
     #[test]
     fn concurrent_identical_submissions_simulate_once() {
-        let (batcher, metrics) = batcher();
+        let (batcher, registry) = batcher();
         let job = spec(0, OrgKind::ByteSerial);
         let expected = {
             let benchmark = find(job.workload, job.size).unwrap();
@@ -663,18 +701,17 @@ mod tests {
                 });
             }
         });
-        let requested = metrics.jobs_requested.load(Ordering::Relaxed);
-        let simulated = metrics.jobs_simulated.load(Ordering::Relaxed);
+        let requested = read(&registry, "jobs_requested");
+        let simulated = read(&registry, "jobs_simulated");
         assert_eq!(requested, 8);
         assert_eq!(simulated, 1, "one simulation serves all eight clients");
-        let coalesced = metrics.jobs_batch_deduped.load(Ordering::Relaxed)
-            + metrics.jobs_memo_hits.load(Ordering::Relaxed);
+        let coalesced = read(&registry, "jobs_batch_deduped") + read(&registry, "jobs_memo_hits");
         assert_eq!(coalesced, 7);
     }
 
     #[test]
     fn submit_many_answers_in_order_with_duplicates() {
-        let (batcher, metrics) = batcher();
+        let (batcher, registry) = batcher();
         let a = spec(0, OrgKind::Baseline32);
         let b = spec(0, OrgKind::ByteSerial);
         let results = batcher.submit_many(&[a, b, a, b, a]).expect("batch runs");
@@ -683,7 +720,7 @@ mod tests {
         assert_eq!(results[0].metrics, results[4].metrics);
         assert_eq!(results[1].metrics, results[3].metrics);
         assert_ne!(results[0].metrics, results[1].metrics);
-        assert!(metrics.jobs_simulated.load(Ordering::Relaxed) <= 2);
+        assert!(read(&registry, "jobs_simulated") <= 2);
     }
 
     #[test]
@@ -698,25 +735,25 @@ mod tests {
         let jobs: Vec<JobSpec> = (0..2).flat_map(|w| orgs.map(|org| spec(w, org))).collect();
 
         // The whole batch fits one executor batch: one dispatch, every time.
-        let (batcher, metrics) = batcher();
+        let (batcher, registry) = batcher();
         batcher.submit_many(&jobs).expect("batch runs");
-        assert_eq!(metrics.batches_dispatched.load(Ordering::Relaxed), 1);
-        assert_eq!(metrics.largest_batch.load(Ordering::Relaxed), 8);
+        assert_eq!(read(&registry, "batches_dispatched"), 1);
+        assert_eq!(read(&registry, "largest_batch"), 8);
 
         // A queue smaller than the batch blocks the submitter, which hands
         // the dispatcher the full queue before waiting for space.
-        let metrics = Arc::new(ServerMetrics::default());
+        let registry = Registry::new();
         let config = BatchConfig {
             max_batch: 4,
             queue_capacity: 4,
             sim_workers: Some(2),
             ..BatchConfig::default()
         };
-        let batcher = Batcher::new(config, Arc::clone(&metrics));
+        let batcher = Batcher::new(config, &registry);
         let results = batcher.submit_many(&jobs).expect("batch runs");
         assert_eq!(results.len(), 8);
-        assert_eq!(metrics.batches_dispatched.load(Ordering::Relaxed), 2);
-        assert_eq!(metrics.jobs_simulated.load(Ordering::Relaxed), 8);
+        assert_eq!(read(&registry, "batches_dispatched"), 2);
+        assert_eq!(read(&registry, "jobs_simulated"), 8);
     }
 
     /// Every scheme × organization of one tiny kernel: one stream, 21 jobs.
@@ -750,31 +787,31 @@ mod tests {
             "no boundary inside: keep the cut"
         );
 
-        let metrics = Arc::new(ServerMetrics::default());
+        let registry = Registry::new();
         let config = BatchConfig {
             max_batch: 64,
             queue_capacity: 128,
             sim_workers: Some(2),
             ..BatchConfig::default()
         };
-        let batcher = Batcher::new(config, Arc::clone(&metrics));
+        let batcher = Batcher::new(config, &registry);
         let results = batcher.submit_many(&jobs).expect("batch runs");
         assert_eq!(results.len(), 64);
-        assert_eq!(metrics.batches_dispatched.load(Ordering::Relaxed), 2);
-        assert_eq!(metrics.largest_batch.load(Ordering::Relaxed), 63);
+        assert_eq!(read(&registry, "batches_dispatched"), 2);
+        assert_eq!(read(&registry, "largest_batch"), 63);
     }
 
     #[test]
     fn memo_serves_repeat_submissions_without_requeueing() {
-        let (batcher, metrics) = batcher();
+        let (batcher, registry) = batcher();
         let job = spec(1, OrgKind::Baseline32);
         let first = batcher.submit(job).expect("first submit");
         assert!(!first.from_cache);
         let second = batcher.submit(job).expect("second submit");
         assert!(second.from_cache, "repeat must be a memo hit");
         assert_eq!(first.metrics, second.metrics);
-        assert_eq!(metrics.jobs_memo_hits.load(Ordering::Relaxed), 1);
-        assert_eq!(metrics.jobs_simulated.load(Ordering::Relaxed), 1);
+        assert_eq!(read(&registry, "jobs_memo_hits"), 1);
+        assert_eq!(read(&registry, "jobs_simulated"), 1);
     }
 
     #[test]
@@ -793,32 +830,32 @@ mod tests {
         };
         cache.store(job.job_id(), &direct).expect("store succeeds");
 
-        let metrics = Arc::new(ServerMetrics::default());
+        let registry = Registry::new();
         let config = BatchConfig {
             disk_cache: Some(cache),
             sim_workers: Some(1),
             ..BatchConfig::default()
         };
-        let batcher = Batcher::new(config, Arc::clone(&metrics));
+        let batcher = Batcher::new(config, &registry);
         let result = batcher.submit(job).expect("submit succeeds");
         assert!(result.from_cache);
         assert_eq!(result.metrics, direct);
-        assert_eq!(metrics.jobs_disk_cache_hits.load(Ordering::Relaxed), 1);
-        assert_eq!(metrics.jobs_simulated.load(Ordering::Relaxed), 0);
+        assert_eq!(read(&registry, "jobs_disk_cache_hits"), 1);
+        assert_eq!(read(&registry, "jobs_simulated"), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn local_placement_is_counted_per_unique_job() {
-        let (batcher, metrics) = batcher();
+        let (batcher, registry) = batcher();
         let a = spec(0, OrgKind::Baseline32);
         let b = spec(0, OrgKind::ByteSerial);
         batcher.submit_many(&[a, b, a]).expect("batch runs");
         // Dedup happens before placement: at most 2 jobs reach the backend,
         // all on the local side (the default backend).
-        let local = metrics.jobs_placed_local.load(Ordering::Relaxed);
+        let local = read(&registry, "dispatch.local");
         assert!(local == 2, "expected 2 local placements, saw {local}");
-        assert_eq!(metrics.jobs_placed_subprocess.load(Ordering::Relaxed), 0);
+        assert_eq!(read(&registry, "dispatch.subprocess"), 0);
     }
 
     #[test]
@@ -827,7 +864,7 @@ mod tests {
         // grow past its capacity no matter how many distinct jobs stream
         // through, and evicted entries must still be answerable (from the
         // executor) rather than erroring.
-        let metrics = Arc::new(ServerMetrics::default());
+        let registry = Registry::new();
         let config = BatchConfig {
             max_batch: 4,
             queue_capacity: 16,
@@ -835,7 +872,7 @@ mod tests {
             memo_capacity: 3,
             ..BatchConfig::default()
         };
-        let batcher = Batcher::new(config, Arc::clone(&metrics));
+        let batcher = Batcher::new(config, &registry);
         // 2 workloads × 4 orgs = 8 distinct jobs, submitted twice over.
         let orgs = [
             OrgKind::Baseline32,
@@ -863,22 +900,19 @@ mod tests {
         assert_eq!(batcher.memo_len(), 3, "memo sits at its cap");
         // Every submission was answered; evicted entries re-simulated
         // rather than failing.
-        assert_eq!(
-            metrics.jobs_requested.load(Ordering::Relaxed),
-            2 * distinct.len() as u64
-        );
+        assert_eq!(read(&registry, "jobs_requested"), 2 * distinct.len() as u64);
     }
 
     #[test]
     fn full_queue_sheds_single_submissions_instead_of_blocking() {
-        let metrics = Arc::new(ServerMetrics::default());
+        let registry = Registry::new();
         let config = BatchConfig {
             max_batch: 1,
             queue_capacity: 1,
             sim_workers: Some(1),
             ..BatchConfig::default()
         };
-        let batcher = Batcher::new(config, Arc::clone(&metrics));
+        let batcher = Batcher::new(config, &registry);
         // Fill the queue behind the dispatcher's back: push without
         // signalling work_ready, so the dispatcher stays asleep on its
         // condvar and cannot drain the entry before we observe the shed.
@@ -890,17 +924,17 @@ mod tests {
         }
         let shed = batcher.submit(spec(0, OrgKind::ByteSerial));
         assert_eq!(shed, Err(SubmitError::Overloaded));
-        assert_eq!(metrics.jobs_shed.load(Ordering::Relaxed), 1);
+        assert_eq!(read(&registry, "jobs_shed"), 1);
         // Dropping the batcher wakes the dispatcher, which drains the
         // stuffed entry and exits cleanly.
     }
 
     #[test]
     fn shutdown_rejects_new_work() {
-        let (first, _metrics) = batcher();
+        let (first, _registry) = batcher();
         drop(first);
         // Dropping joins the dispatcher; a fresh batcher still works.
-        let (second, _metrics) = batcher();
+        let (second, _registry) = batcher();
         let result = second.submit(spec(0, OrgKind::Baseline32));
         assert!(result.is_ok());
     }

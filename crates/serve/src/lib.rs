@@ -61,7 +61,6 @@ pub mod server;
 
 pub use batch::{BatchConfig, BatchedResult, Batcher, SubmitError, DEFAULT_MEMO_CAPACITY};
 pub use http::{HttpError, Request, RequestParser, Response};
-pub use metrics::ServerMetrics;
 pub use reactor::{Completion, Handler, Reactor, ReactorConfig};
 pub use registry::{SweepRegistry, SweepState};
 pub use server::{ServeConfig, Server, ServerHandle};

@@ -1,22 +1,36 @@
-//! Server observability: lock-free counters and a fixed-bucket latency
-//! histogram, rendered as the `GET /metrics` JSON document.
+//! The server's metrics: `sigcomp_obs` handles in one [`Registry`] per
+//! bound server, and the `GET /metrics` document rendered from its
+//! [`Snapshot`].
 //!
-//! Everything is an `AtomicU64` bumped with relaxed ordering — the counters
-//! are statistics, not synchronization — so the hot request path never takes
-//! a lock for accounting. The batching counters are the server's proof of
+//! Every count the server keeps is a [`sigcomp_obs::Counter`],
+//! [`sigcomp_obs::Gauge`] or [`sigcomp_obs::Histogram`] fetched once, at
+//! construction, by the component that records it:
+//!
+//! - `serve.http.*` — the reactor: `requests`, `responses_2xx`/`4xx`/`5xx`
+//!   and the `latency` histogram ([`LATENCY_BOUNDS_US`]);
+//! - `serve.reactor.*` — the reactor: `conns_accepted`, `conns_shed`,
+//!   `keepalive_reuses`, `request_timeouts`, `write_timeouts`;
+//! - `serve.batch.*` — the [`crate::Batcher`]: `jobs_requested`,
+//!   `jobs_shed`, `jobs_memo_hits`, `jobs_batch_deduped`,
+//!   `jobs_disk_cache_hits`, `jobs_simulated`, `batches_dispatched`, the
+//!   `largest_batch` gauge, and `dispatch.{local,subprocess,fleet}` (jobs
+//!   placed on each execution backend);
+//! - `serve.sweeps.*` — the routes: `submitted`, `completed`, `failed`.
+//!
+//! Registries are isolated, so servers sharing a process never mix their
+//! counts. Values that live elsewhere are sampled into the snapshot as
+//! gauges when it is read: `serve.uptime_ms`, `serve.batch.queue_depth`,
+//! `serve.batch.memo_entries`, `serve.reactor.open_connections` and the
+//! process-wide result-cache `serve.cache.{hits,misses,retired,stores}`.
+//! `GET /metrics.json` carries the same series merged into the process
+//! registry's snapshot. The batching counters are the server's proof of
 //! work coalescing: `jobs_simulated` staying below `jobs_requested` is the
 //! deduplication guarantee the end-to-end tests assert.
-//!
-//! The latency histogram is a [`sigcomp_obs::Histogram`]: the struct owns
-//! it (no registry lookups on the request path) and [`ServerMetrics::
-//! register_global`] aliases it into the process-wide registry so
-//! `GET /metrics.json` and worker snapshots see the same buckets.
 
-use sigcomp_explore::CacheStats;
+use sigcomp_fabric::pool::{WorkerPool, DEFAULT_LIVENESS_TTL};
 use sigcomp_obs::json::{Layout, Writer};
-use sigcomp_obs::Histogram;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
+use sigcomp_obs::{HistogramSnapshot, Snapshot};
+use std::collections::BTreeMap;
 
 /// Upper bounds (exclusive, in microseconds) of the latency buckets; the
 /// last bucket is unbounded. Five sub-millisecond buckets — memo hits and
@@ -26,214 +40,79 @@ pub const LATENCY_BOUNDS_US: &[u64] = &[
     50, 100, 250, 500, 1_000, 5_000, 10_000, 50_000, 100_000, 500_000, 1_000_000,
 ];
 
-/// All counters the server exposes on `GET /metrics`.
-#[derive(Debug)]
-pub struct ServerMetrics {
-    /// Requests that produced a response (any status).
-    pub http_requests: AtomicU64,
-    /// Responses with a 2xx status.
-    pub http_2xx: AtomicU64,
-    /// Responses with a 4xx status.
-    pub http_4xx: AtomicU64,
-    /// Responses with a 5xx status.
-    pub http_5xx: AtomicU64,
-    /// Request-to-response latency histogram.
-    latency: Histogram,
-    /// Jobs submitted to the batcher (before any deduplication).
-    pub jobs_requested: AtomicU64,
-    /// Jobs shed with a fast `503 Retry-After` because the queue was full
-    /// (non-blocking submissions only; batch submissions block instead).
-    pub jobs_shed: AtomicU64,
-    /// Jobs answered from the in-memory memo without touching the queue.
-    pub jobs_memo_hits: AtomicU64,
-    /// Jobs coalesced away inside a batch (duplicates of another in-flight
-    /// job with the same content hash).
-    pub jobs_batch_deduped: AtomicU64,
-    /// Jobs answered from the shared on-disk result cache.
-    pub jobs_disk_cache_hits: AtomicU64,
-    /// Jobs that actually ran a fresh simulation.
-    pub jobs_simulated: AtomicU64,
-    /// Jobs placed on the in-process thread backend
-    /// ([`sigcomp_explore::ExecBackend::LocalThreads`]) — the unique
-    /// residue of each batch when the server runs with the default backend.
-    pub jobs_placed_local: AtomicU64,
-    /// Jobs placed on the sharded subprocess backend
-    /// ([`sigcomp_explore::ExecBackend::Subprocess`]).
-    pub jobs_placed_subprocess: AtomicU64,
-    /// Jobs placed on the distributed fleet backend
-    /// ([`sigcomp_explore::ExecBackend::Fleet`]).
-    pub jobs_placed_fleet: AtomicU64,
-    /// Batches dispatched to the explore executor.
-    pub batches_dispatched: AtomicU64,
-    /// Largest batch dispatched so far.
-    pub largest_batch: AtomicU64,
-    /// Sweep tickets created by `POST /sweep`.
-    pub sweeps_submitted: AtomicU64,
-    /// Sweeps that finished successfully.
-    pub sweeps_completed: AtomicU64,
-    /// Sweeps that failed (e.g. server shutdown mid-run).
-    pub sweeps_failed: AtomicU64,
-    /// Connections currently open in the reactor (a gauge: incremented at
-    /// accept, decremented at close — also the admission-control count).
-    pub conns_open: AtomicU64,
-    /// Connections admitted past the accept gate.
-    pub conns_accepted: AtomicU64,
-    /// Connections shed at the accept gate with a fast `503` because the
-    /// connection cap was reached.
-    pub conns_shed: AtomicU64,
-    /// Requests served on an already-used keep-alive connection (the
-    /// second and later requests per connection).
-    pub keepalive_reuses: AtomicU64,
-    /// Connections answered `408 Request Timeout`: a partial request sat
-    /// past the read deadline (the slowloris verdict).
-    pub request_timeouts: AtomicU64,
-    /// Connections dropped because a response write stalled past the write
-    /// deadline.
-    pub write_timeouts: AtomicU64,
+/// A leaf of the `/metrics` document.
+enum Leaf<'a> {
+    Value(u64),
+    Histogram(&'a HistogramSnapshot),
 }
 
-impl Default for ServerMetrics {
-    fn default() -> Self {
-        ServerMetrics {
-            http_requests: AtomicU64::new(0),
-            http_2xx: AtomicU64::new(0),
-            http_4xx: AtomicU64::new(0),
-            http_5xx: AtomicU64::new(0),
-            latency: Histogram::new(LATENCY_BOUNDS_US),
-            jobs_requested: AtomicU64::new(0),
-            jobs_shed: AtomicU64::new(0),
-            jobs_memo_hits: AtomicU64::new(0),
-            jobs_batch_deduped: AtomicU64::new(0),
-            jobs_disk_cache_hits: AtomicU64::new(0),
-            jobs_simulated: AtomicU64::new(0),
-            jobs_placed_local: AtomicU64::new(0),
-            jobs_placed_subprocess: AtomicU64::new(0),
-            jobs_placed_fleet: AtomicU64::new(0),
-            batches_dispatched: AtomicU64::new(0),
-            largest_batch: AtomicU64::new(0),
-            sweeps_submitted: AtomicU64::new(0),
-            sweeps_completed: AtomicU64::new(0),
-            sweeps_failed: AtomicU64::new(0),
-            conns_open: AtomicU64::new(0),
-            conns_accepted: AtomicU64::new(0),
-            conns_shed: AtomicU64::new(0),
-            keepalive_reuses: AtomicU64::new(0),
-            request_timeouts: AtomicU64::new(0),
-            write_timeouts: AtomicU64::new(0),
+/// Renders the `GET /metrics` document: every `serve.*` series of
+/// `snapshot`, nested by dotted name with the `serve.` prefix stripped
+/// (members sorted, sections inline, histograms in
+/// [`HistogramSnapshot::write_json`] form), then `fleet`, the worker-pool
+/// document.
+#[must_use]
+pub fn to_json(snapshot: &Snapshot, fleet: &WorkerPool) -> String {
+    let values = (snapshot.counters.iter().chain(&snapshot.gauges))
+        .map(|(name, &value)| (name, Leaf::Value(value)));
+    let histograms = (snapshot.histograms.iter()).map(|(name, h)| (name, Leaf::Histogram(h)));
+    // Sorted by name, every section's members are contiguous: `.` sorts
+    // below every character the server's names use.
+    let leaves: BTreeMap<&str, Leaf<'_>> = values
+        .chain(histograms)
+        .filter_map(|(name, leaf)| Some((name.strip_prefix("serve.")?, leaf)))
+        .collect();
+    let mut out = String::new();
+    let mut w = Writer::new(&mut out);
+    w.object(Layout::Lines);
+    let mut open: Vec<&str> = Vec::new();
+    for (name, leaf) in leaves {
+        let mut path: Vec<&str> = name.split('.').collect();
+        let key = path.pop().expect("a name has a last segment");
+        let shared = open.iter().zip(&path).take_while(|(a, b)| a == b).count();
+        for _ in shared..open.len() {
+            w.end();
+        }
+        open.truncate(shared);
+        for &section in &path[shared..] {
+            w.key(section).object(Layout::Inline);
+            open.push(section);
+        }
+        w.key(key);
+        match leaf {
+            Leaf::Value(value) => _ = w.raw(value),
+            Leaf::Histogram(h) => h.write_json(&mut w),
         }
     }
-}
-
-impl ServerMetrics {
-    /// Bumps `counter` by one.
-    pub fn incr(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one request/response round trip in the latency histogram.
-    pub fn observe_latency(&self, elapsed: Duration) {
-        let us = u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX);
-        self.latency.observe(us);
-    }
-
-    /// Records a dispatched batch of `size` jobs.
-    pub fn observe_batch(&self, size: u64) {
-        self.batches_dispatched.fetch_add(1, Ordering::Relaxed);
-        self.largest_batch.fetch_max(size, Ordering::Relaxed);
-    }
-
-    /// Aliases the latency histogram into the process-wide observability
-    /// registry (as `serve.http.latency`), so the full-registry exports see
-    /// the same buckets this struct records into. Called once at bind time
-    /// — standalone instances (tests) stay out of the global registry.
-    pub fn register_global(&self) {
-        sigcomp_obs::global().register_histogram("serve.http.latency", &self.latency);
-    }
-
-    /// Renders every counter as the `/metrics` JSON document. `queue_depth`,
-    /// `memo_entries`, `uptime`, `cache` and `fleet` are sampled by the
-    /// caller (they live outside this struct); `fleet` must be a complete
-    /// JSON value — the worker-pool document on a frontier, `null`
-    /// elsewhere.
-    #[must_use]
-    pub fn to_json(
-        &self,
-        queue_depth: usize,
-        memo_entries: usize,
-        uptime: Duration,
-        cache: &CacheStats,
-        fleet: &str,
-    ) -> String {
-        let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        let mut out = String::new();
-        let mut w = Writer::new(&mut out);
-        w.object(Layout::Lines);
-        w.key("uptime_ms").raw(uptime.as_millis());
-        w.key("http").object(Layout::Inline);
-        w.key("requests").raw(get(&self.http_requests));
-        w.key("responses_2xx").raw(get(&self.http_2xx));
-        w.key("responses_4xx").raw(get(&self.http_4xx));
-        w.key("responses_5xx").raw(get(&self.http_5xx));
-        self.latency.snapshot().write_json(w.key("latency"));
+    for _ in open {
         w.end();
-        w.key("batch").object(Layout::Inline);
-        w.key("queue_depth").raw(queue_depth);
-        w.key("memo_entries").raw(memo_entries);
-        w.key("jobs_requested").raw(get(&self.jobs_requested));
-        w.key("jobs_shed").raw(get(&self.jobs_shed));
-        w.key("jobs_memo_hits").raw(get(&self.jobs_memo_hits));
-        w.key("jobs_batch_deduped")
-            .raw(get(&self.jobs_batch_deduped));
-        w.key("jobs_disk_cache_hits")
-            .raw(get(&self.jobs_disk_cache_hits));
-        w.key("jobs_simulated").raw(get(&self.jobs_simulated));
-        w.key("batches_dispatched")
-            .raw(get(&self.batches_dispatched));
-        w.key("largest_batch").raw(get(&self.largest_batch));
-        w.key("dispatch").object(Layout::Inline);
-        w.key("local").raw(get(&self.jobs_placed_local));
-        w.key("subprocess").raw(get(&self.jobs_placed_subprocess));
-        w.key("fleet").raw(get(&self.jobs_placed_fleet));
-        w.end().end();
-        w.key("reactor").object(Layout::Inline);
-        w.key("open_connections").raw(get(&self.conns_open));
-        w.key("conns_accepted").raw(get(&self.conns_accepted));
-        w.key("conns_shed").raw(get(&self.conns_shed));
-        w.key("keepalive_reuses").raw(get(&self.keepalive_reuses));
-        w.key("request_timeouts").raw(get(&self.request_timeouts));
-        w.key("write_timeouts").raw(get(&self.write_timeouts));
-        w.end();
-        w.key("cache").object(Layout::Inline);
-        w.key("hits").raw(cache.hits);
-        w.key("misses").raw(cache.misses);
-        w.key("retired").raw(cache.retired);
-        w.key("stores").raw(cache.stores);
-        w.end();
-        w.key("sweeps").object(Layout::Inline);
-        w.key("submitted").raw(get(&self.sweeps_submitted));
-        w.key("completed").raw(get(&self.sweeps_completed));
-        w.key("failed").raw(get(&self.sweeps_failed));
-        w.end();
-        w.key("fleet").raw(fleet.trim_end());
-        w.end();
-        out.push('\n');
-        out
     }
+    fleet.write_json(w.key("fleet"), DEFAULT_LIVENESS_TTL);
+    w.end();
+    out.push('\n');
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use sigcomp_obs::json::Json;
+    use sigcomp_obs::Registry;
 
     const LATENCY_LABELS: [&str; 12] = [
         "le_50us", "le_100us", "le_250us", "le_500us", "le_1ms", "le_5ms", "le_10ms", "le_50ms",
         "le_100ms", "le_500ms", "le_1s", "gt_1s",
     ];
 
-    fn latency_doc(m: &ServerMetrics) -> Json {
-        let doc =
-            Json::parse(&m.to_json(0, 0, Duration::ZERO, &CacheStats::default(), "null")).unwrap();
+    /// The `http.latency` member of a `/metrics` document whose registry
+    /// saw `observations_us`.
+    fn latency_doc(observations_us: &[u64]) -> Json {
+        let registry = Registry::new();
+        let latency = registry.histogram("serve.http.latency", LATENCY_BOUNDS_US);
+        for &us in observations_us {
+            latency.observe(us);
+        }
+        let doc = Json::parse(&to_json(&registry.snapshot(), &WorkerPool::new())).unwrap();
         doc.get("http")
             .and_then(|h| h.get("latency"))
             .cloned()
@@ -242,14 +121,9 @@ mod tests {
 
     #[test]
     fn latency_buckets_cover_the_full_range() {
-        let m = ServerMetrics::default();
-        for us in [
-            5, 80, 120, 300, 700, 2_000, 7_000, 20_000, 70_000, 200_000, 700_000,
-        ] {
-            m.observe_latency(Duration::from_micros(us));
-        }
-        m.observe_latency(Duration::from_secs(5));
-        let latency = latency_doc(&m);
+        let latency = latency_doc(&[
+            5, 80, 120, 300, 700, 2_000, 7_000, 20_000, 70_000, 200_000, 700_000, 5_000_000,
+        ]);
         for label in LATENCY_LABELS {
             assert_eq!(
                 latency.get(label).and_then(Json::as_u64),
@@ -265,16 +139,16 @@ mod tests {
         // Regression: bounds are upper-exclusive, and sub-millisecond
         // requests must spread across five buckets instead of collapsing
         // into the first.
-        let m = ServerMetrics::default();
-        m.observe_latency(Duration::from_micros(49)); // le_50us
-        m.observe_latency(Duration::from_micros(50)); // le_100us (50 is excluded from le_50us)
-        m.observe_latency(Duration::from_micros(99)); // le_100us
-        m.observe_latency(Duration::from_micros(100)); // le_250us
-        m.observe_latency(Duration::from_micros(999)); // le_1ms
-        m.observe_latency(Duration::from_millis(1)); // le_5ms
-        m.observe_latency(Duration::from_micros(999_999)); // le_1s
-        m.observe_latency(Duration::from_secs(1)); // gt_1s (1s is excluded from le_1s)
-        let latency = latency_doc(&m);
+        let latency = latency_doc(&[
+            49,        // le_50us
+            50,        // le_100us (50 is excluded from le_50us)
+            99,        // le_100us
+            100,       // le_250us
+            999,       // le_1ms
+            1_000,     // le_5ms
+            999_999,   // le_1s
+            1_000_000, // gt_1s (1s is excluded from le_1s)
+        ]);
         let bucket = |label: &str| latency.get(label).and_then(Json::as_u64).unwrap();
         assert_eq!(bucket("le_50us"), 1);
         assert_eq!(bucket("le_100us"), 2);
@@ -288,85 +162,155 @@ mod tests {
 
     #[test]
     fn latency_quantiles_are_exported() {
-        let m = ServerMetrics::default();
-        for _ in 0..90 {
-            m.observe_latency(Duration::from_micros(75));
-        }
-        for _ in 0..10 {
-            m.observe_latency(Duration::from_millis(800));
-        }
-        let latency = latency_doc(&m);
+        let mut observations = vec![75; 90];
+        observations.extend([800_000; 10]);
+        let latency = latency_doc(&observations);
         let p50 = latency.get("p50").and_then(Json::as_f64).expect("p50");
         let p99 = latency.get("p99").and_then(Json::as_f64).expect("p99");
         assert!((50.0..100.0).contains(&p50), "p50 = {p50}");
         assert!(p99 > 100_000.0, "p99 = {p99}");
     }
 
+    /// Every leaf path of `doc` outside the `fleet` member, dotted.
+    fn leaf_paths(doc: &Json, prefix: &str, out: &mut Vec<String>) {
+        for key in doc.keys() {
+            let path = format!("{prefix}{key}");
+            match doc.get(key) {
+                Some(inner @ Json::Obj(_)) if path != "fleet" => {
+                    leaf_paths(inner, &format!("{path}."), out);
+                }
+                _ => out.push(path),
+            }
+        }
+    }
+
     #[test]
     fn metrics_json_parses_and_carries_counters() {
-        let m = ServerMetrics::default();
-        for _ in 0..7 {
-            ServerMetrics::incr(&m.jobs_requested);
+        let server = crate::Server::bind(crate::ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            ..crate::ServeConfig::default()
+        })
+        .unwrap()
+        .spawn();
+        let addr = server.addr().to_string();
+        let client = sigcomp_fabric::HttpClient::new(std::time::Duration::from_mins(1));
+        let simulate = "{\"workload\": \"rawcaudio\", \"size\": \"tiny\"}";
+        let sweep = "{\"workloads\": [\"rawcaudio\"], \"sizes\": [\"tiny\"], \
+                     \"schemes\": [\"3bit\"], \"orgs\": [\"baseline32\"], \"sync\": true}";
+        for (path, body) in [
+            ("/simulate", simulate),
+            ("/simulate", simulate),
+            ("/sweep", sweep),
+        ] {
+            let r = client.post(&addr, path, body).unwrap();
+            assert_eq!(r.status, 200, "{}", r.body);
         }
-        ServerMetrics::incr(&m.jobs_simulated);
-        for _ in 0..3 {
-            ServerMetrics::incr(&m.jobs_placed_local);
-        }
-        ServerMetrics::incr(&m.jobs_placed_subprocess);
-        for _ in 0..2 {
-            ServerMetrics::incr(&m.jobs_placed_fleet);
-        }
-        for _ in 0..4 {
-            ServerMetrics::incr(&m.jobs_shed);
-        }
-        m.observe_batch(5);
-        m.observe_batch(3);
-        let cache = CacheStats {
-            hits: 11,
-            misses: 4,
-            retired: 1,
-            stores: 5,
+        let body = client.get(&addr, "/metrics").unwrap().body;
+        let doc = Json::parse(&body).unwrap();
+
+        let mut paths = Vec::new();
+        leaf_paths(&doc, "", &mut paths);
+        paths.sort();
+        let mut expected: Vec<String> = [
+            "batch.batches_dispatched",
+            "batch.dispatch.fleet",
+            "batch.dispatch.local",
+            "batch.dispatch.subprocess",
+            "batch.jobs_batch_deduped",
+            "batch.jobs_disk_cache_hits",
+            "batch.jobs_memo_hits",
+            "batch.jobs_requested",
+            "batch.jobs_shed",
+            "batch.jobs_simulated",
+            "batch.largest_batch",
+            "batch.memo_entries",
+            "batch.queue_depth",
+            "cache.hits",
+            "cache.misses",
+            "cache.retired",
+            "cache.stores",
+            "fleet",
+            "http.requests",
+            "http.responses_2xx",
+            "http.responses_4xx",
+            "http.responses_5xx",
+            "reactor.conns_accepted",
+            "reactor.conns_shed",
+            "reactor.keepalive_reuses",
+            "reactor.open_connections",
+            "reactor.request_timeouts",
+            "reactor.write_timeouts",
+            "sweeps.completed",
+            "sweeps.failed",
+            "sweeps.submitted",
+            "uptime_ms",
+        ]
+        .map(String::from)
+        .into();
+        let latency = ["count", "sum", "min", "max", "p50", "p95", "p99"];
+        expected.extend(
+            (latency.iter().chain(&LATENCY_LABELS)).map(|key| format!("http.latency.{key}")),
+        );
+        expected.sort();
+        assert_eq!(paths, expected, "{body}");
+        assert!(matches!(doc.get("fleet"), Some(Json::Obj(_))), "{body}");
+
+        let value = |path: &str| {
+            path.split('.')
+                .try_fold(&doc, |node, key| node.get(key))
+                .and_then(Json::as_u64)
+                .unwrap_or_else(|| panic!("{path}: {body}"))
         };
-        let fleet = "{\"known\": 2, \"live\": 1}";
-        let doc =
-            Json::parse(&m.to_json(2, 6, Duration::from_millis(1234), &cache, fleet)).unwrap();
+        for (path, want) in [
+            ("batch.jobs_requested", 3),
+            ("batch.jobs_memo_hits", 1),
+            ("batch.jobs_simulated", 2),
+            ("batch.batches_dispatched", 2),
+            ("batch.largest_batch", 1),
+            ("batch.dispatch.local", 2),
+            ("batch.dispatch.subprocess", 0),
+            ("batch.memo_entries", 2),
+            ("batch.queue_depth", 0),
+            ("sweeps.submitted", 1),
+            ("sweeps.completed", 1),
+            ("sweeps.failed", 0),
+            ("http.requests", 3),
+            ("http.responses_2xx", 3),
+            ("http.latency.count", 3),
+            // The pooled client rides one connection; /metrics is its
+            // third reuse.
+            ("reactor.conns_accepted", 1),
+            ("reactor.keepalive_reuses", 3),
+            ("reactor.open_connections", 1),
+        ] {
+            assert_eq!(value(path), want, "{path}");
+        }
+        server.shutdown();
+    }
+
+    #[test]
+    fn nesting_strips_the_prefix_and_skips_foreign_series() {
+        let registry = Registry::new();
+        registry.counter("serve.batch.jobs_requested").add(7);
+        registry.counter("serve.batch.dispatch.local").add(3);
+        registry.gauge("serve.batch.largest_batch").set_max(5);
+        registry.counter("replay.jobs_simulated").add(9);
+        let mut snapshot = registry.snapshot();
+        snapshot.gauges.insert("serve.uptime_ms".into(), 1234);
+        let body = to_json(&snapshot, &WorkerPool::new());
+        let doc = Json::parse(&body).unwrap();
         assert_eq!(doc.get("uptime_ms").and_then(Json::as_u64), Some(1234));
         let batch = doc.get("batch").unwrap();
-        assert_eq!(batch.get("queue_depth").and_then(Json::as_u64), Some(2));
-        assert_eq!(batch.get("memo_entries").and_then(Json::as_u64), Some(6));
         assert_eq!(batch.get("jobs_requested").and_then(Json::as_u64), Some(7));
-        assert_eq!(batch.get("jobs_simulated").and_then(Json::as_u64), Some(1));
-        assert_eq!(
-            batch.get("batches_dispatched").and_then(Json::as_u64),
-            Some(2)
-        );
         assert_eq!(batch.get("largest_batch").and_then(Json::as_u64), Some(5));
-        assert_eq!(batch.get("jobs_shed").and_then(Json::as_u64), Some(4));
-        let dispatch = batch.get("dispatch").expect("dispatch section");
+        let dispatch = batch.get("dispatch").unwrap();
         assert_eq!(dispatch.get("local").and_then(Json::as_u64), Some(3));
-        assert_eq!(dispatch.get("subprocess").and_then(Json::as_u64), Some(1));
-        assert_eq!(dispatch.get("fleet").and_then(Json::as_u64), Some(2));
-        let reactor = doc.get("reactor").expect("reactor section");
-        assert_eq!(
-            reactor.get("open_connections").and_then(Json::as_u64),
-            Some(0)
+        assert!(doc.get("replay").is_none(), "{body}");
+        assert_eq!(doc.keys(), ["batch", "uptime_ms", "fleet"]);
+        // Sections are inline one-liners under a one-member-per-line root.
+        assert!(
+            body.contains("\n  \"batch\": {\"dispatch\": {\"local\": 3}, "),
+            "{body}"
         );
-        for counter in [
-            "conns_accepted",
-            "conns_shed",
-            "keepalive_reuses",
-            "request_timeouts",
-            "write_timeouts",
-        ] {
-            assert_eq!(reactor.get(counter).and_then(Json::as_u64), Some(0));
-        }
-        let fleet_doc = doc.get("fleet").expect("fleet section");
-        assert_eq!(fleet_doc.get("known").and_then(Json::as_u64), Some(2));
-        assert_eq!(fleet_doc.get("live").and_then(Json::as_u64), Some(1));
-        let cache_doc = doc.get("cache").expect("cache section");
-        assert_eq!(cache_doc.get("hits").and_then(Json::as_u64), Some(11));
-        assert_eq!(cache_doc.get("misses").and_then(Json::as_u64), Some(4));
-        assert_eq!(cache_doc.get("retired").and_then(Json::as_u64), Some(1));
-        assert_eq!(cache_doc.get("stores").and_then(Json::as_u64), Some(5));
     }
 }

@@ -46,11 +46,12 @@
 //! stream end.
 
 use crate::http::{Request, RequestParser, Response};
-use crate::metrics::ServerMetrics;
+use crate::metrics::LATENCY_BOUNDS_US;
+use sigcomp_obs::{Counter, Histogram, Registry};
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -213,19 +214,54 @@ pub struct Reactor {
     workers: Vec<Arc<WorkerShared>>,
     threads: Vec<JoinHandle<()>>,
     stop: Arc<AtomicBool>,
-    metrics: Arc<ServerMetrics>,
+    stats: Stats,
     max_conns: usize,
     next_worker: usize,
 }
 
+/// The reactor's accounting, shared by the acceptor and every worker: the
+/// `serve.http.*` and `serve.reactor.*` handles (see [`crate::metrics`])
+/// and the open-connection count.
+#[derive(Debug, Clone)]
+struct Stats {
+    /// Connections currently open: incremented at accept, decremented at
+    /// close. It is the count the connection cap admits against, so it is
+    /// a plain atomic the reactor alone writes; the owner only samples it.
+    open: Arc<AtomicU64>,
+    requests: Counter,
+    /// Responses by status class: 2xx, 4xx, 5xx.
+    responses: [Counter; 3],
+    latency: Histogram,
+    conns_accepted: Counter,
+    conns_shed: Counter,
+    keepalive_reuses: Counter,
+    request_timeouts: Counter,
+    write_timeouts: Counter,
+}
+
 impl Reactor {
-    /// Starts the worker pool. Connections arrive via [`Reactor::accept`].
+    /// Starts the worker pool, recording into `registry` and counting open
+    /// connections in `open_connections`. Connections arrive via
+    /// [`Reactor::accept`].
     #[must_use]
     pub fn start(
         config: &ReactorConfig,
         handler: Arc<dyn Handler>,
-        metrics: Arc<ServerMetrics>,
+        registry: &Registry,
+        open_connections: Arc<AtomicU64>,
     ) -> Reactor {
+        let stats = Stats {
+            open: open_connections,
+            requests: registry.counter("serve.http.requests"),
+            responses: ["2xx", "4xx", "5xx"]
+                .map(|class| registry.counter(&format!("serve.http.responses_{class}"))),
+            latency: registry.histogram("serve.http.latency", LATENCY_BOUNDS_US),
+            conns_accepted: registry.counter("serve.reactor.conns_accepted"),
+            conns_shed: registry.counter("serve.reactor.conns_shed"),
+            keepalive_reuses: registry.counter("serve.reactor.keepalive_reuses"),
+            request_timeouts: registry.counter("serve.reactor.request_timeouts"),
+            write_timeouts: registry.counter("serve.reactor.write_timeouts"),
+        };
         let stop = Arc::new(AtomicBool::new(false));
         let mut workers = Vec::new();
         let mut threads = Vec::new();
@@ -234,7 +270,7 @@ impl Reactor {
             let mut worker = Worker {
                 shared: Arc::clone(&shared),
                 handler: Arc::clone(&handler),
-                metrics: Arc::clone(&metrics),
+                stats: stats.clone(),
                 stop: Arc::clone(&stop),
                 read_deadline: config.effective_read_deadline(),
                 write_deadline: config.effective_write_deadline(),
@@ -251,7 +287,7 @@ impl Reactor {
             workers,
             threads,
             stop,
-            metrics,
+            stats,
             max_conns: config.effective_max_conns(),
             next_worker: 0,
         }
@@ -261,10 +297,10 @@ impl Reactor {
     /// with a fast `503` + `Retry-After: 1` and closed; below the cap it is
     /// switched to nonblocking and handed to the next worker round-robin.
     pub fn accept(&mut self, stream: TcpStream) {
-        let open = self.metrics.conns_open.fetch_add(1, Ordering::Relaxed);
+        let open = self.stats.open.fetch_add(1, Ordering::Relaxed);
         if open as usize >= self.max_conns {
-            self.metrics.conns_open.fetch_sub(1, Ordering::Relaxed);
-            ServerMetrics::incr(&self.metrics.conns_shed);
+            self.stats.open.fetch_sub(1, Ordering::Relaxed);
+            self.stats.conns_shed.incr();
             // Best-effort shed notice on the still-blocking socket; a fresh
             // socket's send buffer is empty, so this cannot stall the
             // acceptor meaningfully.
@@ -273,9 +309,9 @@ impl Reactor {
             let _ = stream.write_all(&Response::connection_cap(1).to_bytes(false));
             return;
         }
-        ServerMetrics::incr(&self.metrics.conns_accepted);
+        self.stats.conns_accepted.incr();
         if stream.set_nonblocking(true).is_err() {
-            self.metrics.conns_open.fetch_sub(1, Ordering::Relaxed);
+            self.stats.open.fetch_sub(1, Ordering::Relaxed);
             return;
         }
         let _ = stream.set_nodelay(true);
@@ -376,7 +412,7 @@ impl Conn {
 struct Worker {
     shared: Arc<WorkerShared>,
     handler: Arc<dyn Handler>,
-    metrics: Arc<ServerMetrics>,
+    stats: Stats,
     stop: Arc<AtomicBool>,
     read_deadline: Duration,
     write_deadline: Duration,
@@ -390,9 +426,7 @@ impl Worker {
             if self.stop.load(Ordering::SeqCst) {
                 let dropped = self.conns.len() as u64;
                 self.conns.clear();
-                self.metrics
-                    .conns_open
-                    .fetch_sub(dropped, Ordering::Relaxed);
+                self.stats.open.fetch_sub(dropped, Ordering::Relaxed);
                 return;
             }
             self.drain_inbox();
@@ -406,7 +440,7 @@ impl Worker {
                     Fate::Keep => i += 1,
                     Fate::Close => {
                         self.conns.swap_remove(i);
-                        self.metrics.conns_open.fetch_sub(1, Ordering::Relaxed);
+                        self.stats.open.fetch_sub(1, Ordering::Relaxed);
                         progress = true;
                     }
                 }
@@ -550,7 +584,7 @@ impl Worker {
             }
             // The slowloris shape: bytes trickled in but no complete
             // request by the deadline.
-            ServerMetrics::incr(&self.metrics.request_timeouts);
+            self.stats.request_timeouts.incr();
             return self.queue_response(idx, &Response::request_timeout(), false, now);
         }
         if read_any {
@@ -565,7 +599,7 @@ impl Worker {
     fn dispatch(&mut self, idx: usize, request: Request, now: Instant) -> Step {
         let conn = &mut self.conns[idx];
         if conn.served > 0 {
-            ServerMetrics::incr(&self.metrics.keepalive_reuses);
+            self.stats.keepalive_reuses.incr();
         }
         conn.cur_keep_alive = request.wants_keep_alive();
         conn.req_started = now;
@@ -637,18 +671,20 @@ impl Worker {
         keep_alive: bool,
         now: Instant,
     ) -> Step {
-        ServerMetrics::incr(&self.metrics.http_requests);
-        match response.status {
-            200..=299 => ServerMetrics::incr(&self.metrics.http_2xx),
-            400..=499 => ServerMetrics::incr(&self.metrics.http_4xx),
-            _ => ServerMetrics::incr(&self.metrics.http_5xx),
-        }
+        self.stats.requests.incr();
+        let class = match response.status {
+            200..=299 => 0,
+            400..=499 => 1,
+            _ => 2,
+        };
+        self.stats.responses[class].incr();
         let conn = &mut self.conns[idx];
         conn.out.extend_from_slice(&response.to_bytes(keep_alive));
         conn.keep_alive_after_write = keep_alive;
         conn.deadline = now + self.write_deadline;
         conn.state = State::Writing;
-        self.metrics.observe_latency(conn.req_started.elapsed());
+        let elapsed_us = u64::try_from(conn.req_started.elapsed().as_micros());
+        self.stats.latency.observe(elapsed_us.unwrap_or(u64::MAX));
         conn.served += 1;
         Step::Progress
     }
@@ -672,7 +708,7 @@ impl Worker {
                 Ok(n) => conn.written += n,
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                     if now >= conn.deadline {
-                        ServerMetrics::incr(&self.metrics.write_timeouts);
+                        self.stats.write_timeouts.incr();
                         return Step::Close;
                     }
                     return Step::Stuck;
@@ -744,8 +780,8 @@ mod tests {
     #[test]
     fn keep_alive_and_pipelining_serve_in_order_on_one_connection() {
         let config = ReactorConfig::default();
-        let metrics = Arc::new(ServerMetrics::default());
-        let mut reactor = Reactor::start(&config, Arc::new(Echo), Arc::clone(&metrics));
+        let registry = Registry::new();
+        let mut reactor = Reactor::start(&config, Arc::new(Echo), &registry, Arc::default());
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (server_side, _) = listener.accept().unwrap();
@@ -775,8 +811,9 @@ mod tests {
             read_response(&mut reader),
             (200, "{\"path\": \"/c\"}\n".into())
         );
-        assert_eq!(metrics.conns_accepted.load(Ordering::Relaxed), 1);
-        assert!(metrics.keepalive_reuses.load(Ordering::Relaxed) >= 2);
+        let snapshot = registry.snapshot();
+        assert_eq!(snapshot.counter("serve.reactor.conns_accepted"), 1);
+        assert!(snapshot.counter("serve.reactor.keepalive_reuses") >= 2);
         reactor.shutdown();
     }
 
@@ -786,8 +823,8 @@ mod tests {
             read_deadline: Duration::from_millis(80),
             ..ReactorConfig::default()
         };
-        let metrics = Arc::new(ServerMetrics::default());
-        let mut reactor = Reactor::start(&config, Arc::new(Echo), Arc::clone(&metrics));
+        let registry = Registry::new();
+        let mut reactor = Reactor::start(&config, Arc::new(Echo), &registry, Arc::default());
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (server_side, _) = listener.accept().unwrap();
@@ -802,7 +839,12 @@ mod tests {
         let mut rest = Vec::new();
         reader.read_to_end(&mut rest).unwrap();
         assert!(rest.is_empty());
-        assert_eq!(metrics.request_timeouts.load(Ordering::Relaxed), 1);
+        assert_eq!(
+            registry
+                .snapshot()
+                .counter("serve.reactor.request_timeouts"),
+            1
+        );
         reactor.shutdown();
     }
 
@@ -812,8 +854,8 @@ mod tests {
             max_conns: 1,
             ..ReactorConfig::default()
         };
-        let metrics = Arc::new(ServerMetrics::default());
-        let mut reactor = Reactor::start(&config, Arc::new(Echo), Arc::clone(&metrics));
+        let registry = Registry::new();
+        let mut reactor = Reactor::start(&config, Arc::new(Echo), &registry, Arc::default());
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
 
@@ -827,8 +869,9 @@ mod tests {
         let mut reader = BufReader::new(shed);
         let (status, body) = read_response(&mut reader);
         assert_eq!(status, 503, "{body}");
-        assert_eq!(metrics.conns_shed.load(Ordering::Relaxed), 1);
-        assert_eq!(metrics.conns_accepted.load(Ordering::Relaxed), 1);
+        let snapshot = registry.snapshot();
+        assert_eq!(snapshot.counter("serve.reactor.conns_shed"), 1);
+        assert_eq!(snapshot.counter("serve.reactor.conns_accepted"), 1);
         drop(held);
         reactor.shutdown();
     }

@@ -5,8 +5,8 @@
 //! | method | path        | body                | response |
 //! |--------|-------------|---------------------|----------|
 //! | GET    | `/healthz`  | —                   | `{"status": "ok"}` |
-//! | GET    | `/metrics`  | —                   | counters + latency histogram |
-//! | GET    | `/metrics.json` | —               | the full `sigcomp_obs` registry snapshot |
+//! | GET    | `/metrics`  | —                   | the server's `serve.*` series, nested, + fleet section |
+//! | GET    | `/metrics.json` | —               | process registry snapshot merged with the server's |
 //! | POST   | `/simulate` | one job spec        | that job's metrics (batched + deduplicated) |
 //! | POST   | `/sweep`    | a sweep spec        | poll ticket, or the full result with `"sync": true` |
 //! | GET    | `/jobs/:id` | —                   | sweep ticket state / result |
@@ -28,7 +28,7 @@
 use crate::api::{job_spec_from_json, simulate_response, sweep_result_json, sweep_spec_from_json};
 use crate::batch::{BatchConfig, Batcher, SubmitError};
 use crate::http::{Request, Response};
-use crate::metrics::ServerMetrics;
+use crate::metrics;
 use crate::reactor::{Completion, Handler, Reactor, ReactorConfig};
 use crate::registry::{SweepRegistry, SweepState};
 use sigcomp::ProcessNode;
@@ -36,10 +36,11 @@ use sigcomp_explore::{encode_report, parse_dispatch, JobOutcome, JobSpec, TraceS
 use sigcomp_fabric::pool::{self, DEFAULT_LIVENESS_TTL};
 use sigcomp_fabric::proto;
 use sigcomp_obs::json::{Json, Layout, Writer};
+use sigcomp_obs::{Counter, Registry, Snapshot};
 use std::collections::VecDeque;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -85,8 +86,53 @@ pub struct ServeConfig {
 struct Ctx {
     batcher: Batcher,
     registry: SweepRegistry,
-    metrics: Arc<ServerMetrics>,
+    /// This server's metrics registry (see [`crate::metrics`]).
+    obs: Registry,
+    sweeps_submitted: Counter,
+    sweeps_completed: Counter,
+    sweeps_failed: Counter,
+    /// The reactor's open-connection count, sampled by `/metrics`.
+    open_connections: Arc<AtomicU64>,
     started: Instant,
+}
+
+impl Ctx {
+    fn new(batch: BatchConfig, registry: SweepRegistry) -> Ctx {
+        let obs = Registry::new();
+        let sweeps = |name: &str| obs.counter(&format!("serve.sweeps.{name}"));
+        Ctx {
+            batcher: Batcher::new(batch, &obs),
+            registry,
+            sweeps_submitted: sweeps("submitted"),
+            sweeps_completed: sweeps("completed"),
+            sweeps_failed: sweeps("failed"),
+            obs,
+            open_connections: Arc::default(),
+            started: Instant::now(),
+        }
+    }
+
+    /// The server registry's snapshot with the values that live outside
+    /// it sampled in as gauges: every series `/metrics` reports.
+    fn snapshot(&self) -> Snapshot {
+        let mut snapshot = self.obs.snapshot();
+        let cache = sigcomp_explore::cache_stats();
+        let uptime_ms = u64::try_from(self.started.elapsed().as_millis()).unwrap_or(u64::MAX);
+        let open = self.open_connections.load(Ordering::Relaxed);
+        for (name, value) in [
+            ("uptime_ms", uptime_ms),
+            ("batch.queue_depth", self.batcher.queue_depth() as u64),
+            ("batch.memo_entries", self.batcher.memo_len() as u64),
+            ("reactor.open_connections", open),
+            ("cache.hits", cache.hits),
+            ("cache.misses", cache.misses),
+            ("cache.retired", cache.retired),
+            ("cache.stores", cache.stores),
+        ] {
+            snapshot.gauges.insert(format!("serve.{name}"), value);
+        }
+        snapshot
+    }
 }
 
 /// A bound (but not yet running) server.
@@ -116,26 +162,14 @@ impl Server {
         // Installing here means any server (frontier or worker) can also
         // act as a fleet client of further workers.
         sigcomp_fabric::install();
-        let metrics = Arc::new(ServerMetrics::default());
-        // Alias the latency histogram into the process-wide observability
-        // registry so GET /metrics.json exports it alongside the explore
-        // counters. Only bound servers register — standalone ServerMetrics
-        // (unit tests) stay isolated.
-        metrics.register_global();
         let registry = if config.finished_tickets == 0 {
             SweepRegistry::default()
         } else {
             SweepRegistry::with_capacity(config.finished_tickets)
         };
-        let ctx = Arc::new(Ctx {
-            batcher: Batcher::new(config.batch, Arc::clone(&metrics)),
-            registry,
-            metrics,
-            started: Instant::now(),
-        });
         Ok(Server {
             listener,
-            ctx,
+            ctx: Arc::new(Ctx::new(config.batch, registry)),
             reactor_config: ReactorConfig {
                 workers: config.reactor_workers,
                 max_conns: config.max_conns,
@@ -178,6 +212,7 @@ impl Server {
     #[must_use]
     pub fn spawn(self) -> ServerHandle {
         let addr = self.local_addr();
+        let ctx = Arc::clone(&self.ctx);
         let stop = Arc::new(AtomicBool::new(false));
         let thread = {
             let stop = Arc::clone(&stop);
@@ -188,6 +223,7 @@ impl Server {
         };
         ServerHandle {
             addr,
+            ctx,
             stop,
             thread: Some(thread),
         }
@@ -199,8 +235,12 @@ impl Server {
             ctx: Arc::clone(&self.ctx),
             pool: Arc::clone(&pool.queue),
         });
-        let mut reactor =
-            Reactor::start(&self.reactor_config, handler, Arc::clone(&self.ctx.metrics));
+        let mut reactor = Reactor::start(
+            &self.reactor_config,
+            handler,
+            &self.ctx.obs,
+            Arc::clone(&self.ctx.open_connections),
+        );
         let result = loop {
             let (stream, _) = match self.listener.accept() {
                 Ok(accepted) => accepted,
@@ -222,6 +262,7 @@ impl Server {
 #[derive(Debug)]
 pub struct ServerHandle {
     addr: SocketAddr,
+    ctx: Arc<Ctx>,
     stop: Arc<AtomicBool>,
     thread: Option<JoinHandle<io::Result<()>>>,
 }
@@ -231,6 +272,12 @@ impl ServerHandle {
     #[must_use]
     pub fn addr(&self) -> SocketAddr {
         self.addr
+    }
+
+    /// The server's `serve.*` series as `GET /metrics` reports them.
+    #[must_use]
+    pub fn snapshot(&self) -> Snapshot {
+        self.ctx.snapshot()
     }
 
     /// Stops the serve loop and joins the server thread. In-flight
@@ -382,20 +429,19 @@ fn fast_route(ctx: &Arc<Ctx>, request: &Request) -> Option<Response> {
 fn route(ctx: &Arc<Ctx>, request: &Request) -> Response {
     match (request.method.as_str(), request.path.as_str()) {
         ("GET", "/healthz") => Response::json(200, "{\"status\": \"ok\"}\n"),
-        ("GET", "/metrics") => Response::json(
-            200,
-            ctx.metrics.to_json(
-                ctx.batcher.queue_depth(),
-                ctx.batcher.memo_len(),
-                ctx.started.elapsed(),
-                &sigcomp_explore::cache_stats(),
-                &pool::global().to_json(DEFAULT_LIVENESS_TTL),
-            ),
-        ),
-        // The full observability registry — every counter, gauge, and
-        // histogram in the process (explore's cache/replay metrics
-        // included), in sigcomp_obs::Snapshot::to_json form.
-        ("GET", "/metrics.json") => Response::json(200, sigcomp_obs::global().snapshot().to_json()),
+        ("GET", "/metrics") => {
+            Response::json(200, metrics::to_json(&ctx.snapshot(), pool::global()))
+        }
+        // Every counter, gauge, and histogram in the process registry
+        // (explore's cache/replay metrics included) and this server's
+        // own, in sigcomp_obs::Snapshot::to_json form.
+        ("GET", "/metrics.json") => {
+            let mut snapshot = sigcomp_obs::global().snapshot();
+            match snapshot.merge(&ctx.snapshot()) {
+                Ok(()) => Response::json(200, snapshot.to_json()),
+                Err(e) => Response::error(500, &e.to_string()),
+            }
+        }
         ("POST", "/simulate") => match parse_body(request) {
             Ok(doc) => match job_spec_from_json(&doc) {
                 Ok((spec, node)) => match ctx.batcher.submit(spec) {
@@ -462,18 +508,18 @@ fn route(ctx: &Arc<Ctx>, request: &Request) -> Response {
 }
 
 fn handle_sweep(ctx: &Arc<Ctx>, spec: &sigcomp_explore::SweepSpec, sync: bool) -> Response {
-    ServerMetrics::incr(&ctx.metrics.sweeps_submitted);
+    ctx.sweeps_submitted.incr();
     let jobs = spec.enumerate();
     // The decoder guarantees a non-empty model axis (default paper-180nm).
     let node = spec.energy_model_axis()[0];
     if sync {
         return match run_sweep_through_batcher(ctx, &jobs, node) {
             Ok(body) => {
-                ServerMetrics::incr(&ctx.metrics.sweeps_completed);
+                ctx.sweeps_completed.incr();
                 Response::json(200, body)
             }
             Err(e) => {
-                ServerMetrics::incr(&ctx.metrics.sweeps_failed);
+                ctx.sweeps_failed.incr();
                 submit_error_response(ctx, e)
             }
         };
@@ -485,17 +531,17 @@ fn handle_sweep(ctx: &Arc<Ctx>, spec: &sigcomp_explore::SweepSpec, sync: bool) -
         .spawn(
             move || match run_sweep_through_batcher(&ctx_for_job, &jobs, node) {
                 Ok(body) => {
-                    ServerMetrics::incr(&ctx_for_job.metrics.sweeps_completed);
+                    ctx_for_job.sweeps_completed.incr();
                     ctx_for_job.registry.finish(id, body);
                 }
                 Err(e) => {
-                    ServerMetrics::incr(&ctx_for_job.metrics.sweeps_failed);
+                    ctx_for_job.sweeps_failed.incr();
                     ctx_for_job.registry.fail(id, e.to_string());
                 }
             },
         );
     if spawned.is_err() {
-        ServerMetrics::incr(&ctx.metrics.sweeps_failed);
+        ctx.sweeps_failed.incr();
         ctx.registry
             .fail(id, "could not spawn the sweep thread".into());
         return Response::error(500, "could not spawn the sweep thread");
@@ -588,19 +634,11 @@ mod tests {
     use super::*;
 
     fn test_ctx() -> Arc<Ctx> {
-        let metrics = Arc::new(ServerMetrics::default());
-        Arc::new(Ctx {
-            batcher: Batcher::new(
-                BatchConfig {
-                    sim_workers: Some(1),
-                    ..BatchConfig::default()
-                },
-                Arc::clone(&metrics),
-            ),
-            registry: SweepRegistry::default(),
-            metrics,
-            started: Instant::now(),
-        })
+        let batch = BatchConfig {
+            sim_workers: Some(1),
+            ..BatchConfig::default()
+        };
+        Arc::new(Ctx::new(batch, SweepRegistry::default()))
     }
 
     fn get(ctx: &Arc<Ctx>, path: &str) -> Response {
@@ -704,6 +742,51 @@ mod tests {
             };
             assert_eq!(value("counters", counter), Some(1), "{path}: {}", r.body);
             assert_eq!(value("gauges", gauge), Some(2), "{path}: {}", r.body);
+        }
+    }
+
+    #[test]
+    fn servers_in_one_process_keep_their_own_counts() {
+        let client = sigcomp_fabric::HttpClient::new(Duration::from_mins(1));
+        let body = "{\"workload\": \"rawcaudio\", \"size\": \"tiny\"}";
+        let servers: Vec<(ServerHandle, u64)> = [2, 5]
+            .into_iter()
+            .map(|requests| {
+                let server = Server::bind(ServeConfig {
+                    addr: "127.0.0.1:0".into(),
+                    ..ServeConfig::default()
+                })
+                .unwrap()
+                .spawn();
+                (server, requests)
+            })
+            .collect();
+        for (server, requests) in &servers {
+            for _ in 0..*requests {
+                let r = client.post(&server.addr().to_string(), "/simulate", body);
+                assert_eq!(r.unwrap().status, 200);
+            }
+        }
+        for (server, requests) in &servers {
+            let addr = server.addr().to_string();
+            let doc = |path: &str| Json::parse(&client.get(&addr, path).unwrap().body).unwrap();
+            let count = |doc: &Json, path: &[&str]| {
+                path.iter()
+                    .try_fold(doc, |node, key| node.get(key))
+                    .and_then(Json::as_u64)
+            };
+            // /metrics sees every earlier request; /metrics.json also the
+            // /metrics read before it.
+            let metrics = doc("/metrics");
+            let jobs = count(&metrics, &["batch", "jobs_requested"]);
+            assert_eq!(jobs, Some(*requests));
+            let latency = count(&metrics, &["http", "latency", "count"]);
+            assert_eq!(latency, Some(*requests));
+            let global = doc("/metrics.json");
+            let jobs = count(&global, &["counters", "serve.batch.jobs_requested"]);
+            assert_eq!(jobs, Some(*requests));
+            let latency = count(&global, &["histograms", "serve.http.latency", "count"]);
+            assert_eq!(latency, Some(requests + 1));
         }
     }
 
